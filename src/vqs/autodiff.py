@@ -7,21 +7,51 @@ topologically ordered node list (`trace`) doubles as a computation record:
 forward with the current leaf values, which is what makes finite-difference
 gradient checks measure exactly the function the tape differentiates (all
 data-dependent choices stay frozen).
+
+Inside `no_record()` operations keep only their values: no parents, no
+recompute closure, no VJP. Inference (`pipeline.infer_video`) always runs
+that way, since it never calls `backward`; training and gradient checks
+record in full. A VJP receives its node's output value from `backward`
+instead of closing over the node, so no node refers to itself and reference
+counting frees a tape as soon as its last user drops it.
+
+Nodes do not check their values for inf or nan: that would cost a full scan
+per operation. Non-finite values are caught at the boundaries instead: in
+every stage's decoded candidates (`pipeline.decode_masks`, which raises
+NonFiniteValueError), in the training loss and in the parameters after each
+optimizer step (`training.overfit_train`), and in parameters read from a
+checkpoint (`optim.load_params`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 Array = np.ndarray
 
+_recording: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "vqs_autodiff_recording", default=True
+)
+
 
 class NonFiniteValueError(FloatingPointError):
-    """Raised when an operation produces inf or nan."""
+    """Raised when a forward pass produces inf or nan."""
+
+
+@contextlib.contextmanager
+def no_record() -> Iterator[None]:
+    """Build value-only nodes inside the block; the previous mode returns after it."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 class Tensor:
@@ -34,17 +64,19 @@ class Tensor:
         value,
         parents: tuple["Tensor", ...] = (),
         fwd: Optional[Callable[[], Array]] = None,
-        vjp: Optional[Callable[[Array], Sequence[Optional[Array]]]] = None,
+        vjp: Optional[Callable[[Array, Array], Sequence[Optional[Array]]]] = None,
         name: Optional[str] = None,
     ):
-        arr = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValueError(f"non-finite tensor value{f' for {name}' if name else ''}")
-        self.value = arr
+        self.value = np.asarray(value, dtype=np.float64)
         self.grad: Optional[Array] = None
-        self.parents = parents
-        self._fwd = fwd
-        self._vjp = vjp
+        if _recording.get():
+            self.parents = parents
+            self._fwd = fwd
+            self._vjp = vjp
+        else:
+            self.parents = ()
+            self._fwd = None
+            self._vjp = None
         self.name = name
 
     @property
@@ -81,39 +113,31 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value + b.value, (a, b), fwd=lambda: a.value + b.value)
-    out._vjp = lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape))
-    return out
+    return Tensor(a.value + b.value, (a, b), fwd=lambda: a.value + b.value,
+                  vjp=lambda g, y: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value - b.value, (a, b), fwd=lambda: a.value - b.value)
-    out._vjp = lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape))
-    return out
+    return Tensor(a.value - b.value, (a, b), fwd=lambda: a.value - b.value,
+                  vjp=lambda g, y: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value * b.value, (a, b), fwd=lambda: a.value * b.value)
-    out._vjp = lambda g: (
+    return Tensor(a.value * b.value, (a, b), fwd=lambda: a.value * b.value, vjp=lambda g, y: (
         _unbroadcast(g * b.value, a.value.shape),
         _unbroadcast(g * a.value, b.value.shape),
-    )
-    return out
+    ))
 
 
 def divide(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value / b.value, (a, b), fwd=lambda: a.value / b.value)
-    out._vjp = lambda g: (
+    return Tensor(a.value / b.value, (a, b), fwd=lambda: a.value / b.value, vjp=lambda g, y: (
         _unbroadcast(g / b.value, a.value.shape),
         _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
-    )
-    return out
+    ))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.value * c, (a,), fwd=lambda: a.value * c)
-    out._vjp = lambda g: (g * c,)
-    return out
+    return Tensor(a.value * c, (a,), fwd=lambda: a.value * c, vjp=lambda g, y: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -121,35 +145,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.value.shape} @ {b.value.shape}")
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
-    out = Tensor(a.value @ b.value, (a, b), fwd=lambda: a.value @ b.value)
-    out._vjp = lambda g: (g @ b.value.T, a.value.T @ g)
-    return out
+    return Tensor(a.value @ b.value, (a, b), fwd=lambda: a.value @ b.value,
+                  vjp=lambda g, y: (g @ b.value.T, a.value.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.value.T.copy(), (a,), fwd=lambda: a.value.T.copy())
-    out._vjp = lambda g: (g.T,)
-    return out
+    return Tensor(a.value.T.copy(), (a,), fwd=lambda: a.value.T.copy(), vjp=lambda g, y: (g.T,))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.value.reshape(shape), (a,), fwd=lambda: a.value.reshape(shape))
-    out._vjp = lambda g: (g.reshape(a.value.shape),)
-    return out
+    return Tensor(a.value.reshape(shape), (a,), fwd=lambda: a.value.reshape(shape),
+                  vjp=lambda g, y: (g.reshape(a.value.shape),))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(parts)
     if not parts:
         raise ValueError("concat of zero tensors")
-    out = Tensor(
-        np.concatenate([p.value for p in parts], axis=axis),
-        parts,
-        fwd=lambda: np.concatenate([p.value for p in parts], axis=axis),
-    )
     sizes = [p.value.shape[axis] for p in parts]
 
-    def vjp(g):
+    def vjp(g, y):
         grads = []
         offset = 0
         for size in sizes:
@@ -159,29 +174,30 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             offset += size
         return tuple(grads)
 
-    out._vjp = vjp
-    return out
+    return Tensor(
+        np.concatenate([p.value for p in parts], axis=axis),
+        parts,
+        fwd=lambda: np.concatenate([p.value for p in parts], axis=axis),
+        vjp=vjp,
+    )
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.value.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out = Tensor(a.value[index].copy(), (a,), fwd=lambda: a.value[index].copy())
 
-    def vjp(g):
+    def vjp(g, y):
         full = np.zeros_like(a.value)
         full[index] = g
         return (full,)
 
-    out._vjp = vjp
-    return out
+    return Tensor(a.value[index].copy(), (a,), fwd=lambda: a.value[index].copy(), vjp=vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.value.sum(), (a,), fwd=lambda: a.value.sum())
-    out._vjp = lambda g: (np.broadcast_to(g, a.value.shape).copy(),)
-    return out
+    return Tensor(a.value.sum(), (a,), fwd=lambda: a.value.sum(),
+                  vjp=lambda g, y: (np.broadcast_to(g, a.value.shape).copy(),))
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -189,19 +205,17 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = Tensor(
-        a.value.sum(axis=axis, keepdims=keepdims),
-        (a,),
-        fwd=lambda: a.value.sum(axis=axis, keepdims=keepdims),
-    )
-
-    def vjp(g):
+    def vjp(g, y):
         if not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.value.shape).copy(),)
 
-    out._vjp = vjp
-    return out
+    return Tensor(
+        a.value.sum(axis=axis, keepdims=keepdims),
+        (a,),
+        fwd=lambda: a.value.sum(axis=axis, keepdims=keepdims),
+        vjp=vjp,
+    )
 
 
 def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -209,15 +223,12 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.value), (a,), fwd=lambda: np.exp(a.value))
-    out._vjp = lambda g: (g * out.value,)
-    return out
+    return Tensor(np.exp(a.value), (a,), fwd=lambda: np.exp(a.value), vjp=lambda g, y: (g * y,))
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.value), (a,), fwd=lambda: np.tanh(a.value))
-    out._vjp = lambda g: (g * (1.0 - out.value * out.value),)
-    return out
+    return Tensor(np.tanh(a.value), (a,), fwd=lambda: np.tanh(a.value),
+                  vjp=lambda g, y: (g * (1.0 - y * y),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -230,15 +241,12 @@ def sigmoid(a: Tensor) -> Tensor:
         z[~pos] = ex / (1.0 + ex)
         return z
 
-    out = Tensor(fwd(), (a,), fwd=fwd)
-    out._vjp = lambda g: (g * out.value * (1.0 - out.value),)
-    return out
+    return Tensor(fwd(), (a,), fwd=fwd, vjp=lambda g, y: (g * y * (1.0 - y),))
 
 
 def abs_(a: Tensor) -> Tensor:
-    out = Tensor(np.abs(a.value), (a,), fwd=lambda: np.abs(a.value))
-    out._vjp = lambda g: (g * np.sign(a.value),)
-    return out
+    return Tensor(np.abs(a.value), (a,), fwd=lambda: np.abs(a.value),
+                  vjp=lambda g, y: (g * np.sign(a.value),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -247,14 +255,10 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         e = np.exp(shifted)
         return e / e.sum(axis=axis, keepdims=True)
 
-    out = Tensor(fwd(), (a,), fwd=fwd)
-
-    def vjp(g):
-        y = out.value
+    def vjp(g, y):
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
-    out._vjp = vjp
-    return out
+    return Tensor(fwd(), (a,), fwd=fwd, vjp=vjp)
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
@@ -264,9 +268,7 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
         x, z = logits.value, targets.value
         return np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
 
-    out = Tensor(fwd(), (logits, targets), fwd=fwd)
-
-    def vjp(g):
+    def vjp(g, y):
         x, z = logits.value, targets.value
         sig = np.empty_like(x)
         pos = x >= 0
@@ -278,8 +280,7 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
             _unbroadcast(g * (-x), z.shape),
         )
 
-    out._vjp = vjp
-    return out
+    return Tensor(fwd(), (logits, targets), fwd=fwd, vjp=vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -359,7 +360,7 @@ def backward(loss: Tensor) -> ComputationRecord:
     for node in reversed(record):
         if node.grad is None or node._vjp is None:
             continue
-        parent_grads = node._vjp(node.grad)
+        parent_grads = node._vjp(node.grad, node.value)
         for parent, pg in zip(node.parents, parent_grads):
             if pg is None:
                 continue

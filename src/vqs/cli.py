@@ -15,12 +15,12 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .autodiff import NonFiniteValueError
 from .masks import MaskError, ResponseSet, annotation_from_dict, annotation_to_dict
 from .metrics import (
     DEFAULT_SUBSET_BOUNDS,
@@ -30,6 +30,7 @@ from .metrics import (
     evaluate_video,
 )
 from .optim import CheckpointError, load_params, save_params
+from .parallel import parallel_map
 from .pipeline import PipelineConfig, PipelineConfigError, config_digest, infer_video, init_params
 from .synth import (
     SHAPES,
@@ -43,7 +44,13 @@ from .synth import (
     read_ppm,
     validate_manifest,
 )
-from .training import TrainConfig, gradient_check_report, overfit_train, write_curve_csv
+from .training import (
+    TrainConfig,
+    TrainingDivergedError,
+    gradient_check_report,
+    overfit_train,
+    write_curve_csv,
+)
 
 PREDICTIONS_FORMAT = "vqs-predictions-v1"
 
@@ -240,11 +247,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
     cfg_kwargs = asdict(cfg)
     work = [(args.data, entry, cfg_kwargs, args.ckpt) for entry in manifest["scenes"]]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_infer_one, work))
-    else:
-        records = [_infer_one(item) for item in work]
+    records = parallel_map(_infer_one, work, args.jobs)
     payload = {
         "format": PREDICTIONS_FORMAT,
         "config_digest": config_digest(cfg),
@@ -353,11 +356,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if missing:
         raise CliError(f"missing predictions for video ids: {', '.join(missing)}")
     work = [(vid, gt[vid], pred[vid]) for vid in sorted(gt)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_eval_one, work))
-    else:
-        results = dict(_eval_one(item) for item in work)
+    results = dict(parallel_map(_eval_one, work, args.jobs))
     evals = [results[vid] for vid in sorted(results)]
     report = aggregate_metrics(evals, DEFAULT_SUBSET_BOUNDS)
     body = report.as_dict()
@@ -439,10 +438,16 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "jobs", 1) < 1:
+        return _fail(f"--jobs must be >= 1, got {args.jobs}")
     try:
-        return _COMMANDS[args.command](args)
+        # an overflow surfaces as NonFiniteValueError at a checked boundary and
+        # is reported below; numpy's own warnings would only precede that line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except (CliError, MaskError, EvaluationError, PipelineConfigError, SceneConfigError,
-            CheckpointError, FileNotFoundError, json.JSONDecodeError) as exc:
+            CheckpointError, NonFiniteValueError, TrainingDivergedError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         return _fail(str(exc))
     except (KeyError, ValueError) as exc:
         return _fail(f"invalid input: {exc}")

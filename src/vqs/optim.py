@@ -164,6 +164,8 @@ def load_params(path: str) -> ParamStore:
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset).reshape(shape)
         offset += 8 * n
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: non-finite value in parameter {name}")
         params[name] = Tensor(arr.astype(np.float64, copy=True), name=name)
     if offset != len(payload):
         raise CheckpointError(f"{path}: trailing bytes in payload")

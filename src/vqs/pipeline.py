@@ -363,10 +363,17 @@ def decode_masks(
     params: ParamStore,
     frame_index: int = 0,
 ) -> FrameCandidates:
-    """Per-token mask logits and pooled-feature quality scores, three heads."""
+    """Per-token mask logits and pooled-feature quality scores, three heads.
+
+    Raises NonFiniteValueError when a logit or score is inf or nan: every
+    stage output passes through here, so this is where a forward pass that
+    overflowed anywhere upstream is caught.
+    """
     logits_all = ad.linear(features, params["dec_mask.w"], params["dec_mask.b"])
     pooled = ad.mean_axis(features, 0, keepdims=True)
     scores = _mlp(pooled, params, "dec_score")
+    if not (np.isfinite(logits_all.value).all() and np.isfinite(scores.value).all()):
+        raise ad.NonFiniteValueError(f"non-finite decoder output for frame {frame_index}")
     candidates = []
     for h in range(NUM_CANDIDATES):
         logits = ad.reshape(ad.narrow(logits_all, 1, h, 1), grid_hw)
@@ -648,6 +655,7 @@ def clip_spans(num_frames: int, clip_len: int) -> list[tuple[int, int]]:
     return [(s, min(s + clip_len, num_frames)) for s in range(0, num_frames, clip_len)]
 
 
+@ad.no_record()
 def infer_video(
     frames: Sequence[np.ndarray],
     query_frame: np.ndarray,
@@ -659,7 +667,8 @@ def infer_video(
     """Segment all query-object occurrences in a video, clip by clip.
 
     Returns the assembled response plus a provenance block recording the
-    mined target/distractor candidates of every non-final stage.
+    mined target/distractor candidates of every non-final stage. Runs in
+    autodiff's no-record mode: nothing here is ever differentiated.
     """
     if not frames:
         raise PipelineConfigError("video has no frames")

@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -35,6 +34,7 @@ from .masks import (
     annotation_to_dict,
     rle_encode,
 )
+from .parallel import parallel_map
 
 MANIFEST_FORMAT = "vqs-dataset-v1"
 MANIFEST_NAME = "manifest.json"
@@ -504,11 +504,7 @@ def generate_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     work = [(i, seed, dist_cfg, str(out)) for i in range(n_scenes)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_build_scene, work))
-    else:
-        entries = [_build_scene(item) for item in work]
+    entries = parallel_map(_build_scene, work, jobs)
     manifest = {
         "format": MANIFEST_FORMAT,
         "seed": seed,

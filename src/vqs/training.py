@@ -36,9 +36,9 @@ from .synth import SceneRecord
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, step: int):
+    def __init__(self, step: int, what: str = "loss"):
         self.step = step
-        super().__init__(f"non-finite loss at step {step}")
+        super().__init__(f"non-finite {what} at step {step}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,8 @@ def overfit_train(
     """Overfit the pipeline to one scene; deterministic in the seed.
 
     Returns the trained parameters and the per-step loss curve. Raises
-    TrainingDivergedError when the loss turns non-finite.
+    TrainingDivergedError when the forward pass, the loss or the updated
+    parameters turn non-finite.
     """
     stage_weights = tcfg.stage_weights if tcfg.stage_weights is not None else cfg.stage_weights
     if len(stage_weights) != cfg.num_stages:
@@ -349,6 +350,9 @@ def overfit_train(
             eps=tcfg.eps,
             weight_decay=tcfg.weight_decay,
         )
+        for name, p in store.params.items():
+            if not np.all(np.isfinite(p.value)):
+                raise TrainingDivergedError(step, f"parameter {name}")
         curve.append(
             CurvePoint(
                 step=step,

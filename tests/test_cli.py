@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vqs import parallel
 from vqs.cli import dispatch
 from vqs.masks import annotation_from_dict
 from vqs.metrics import evaluate_run
-from vqs.optim import load_params
+from vqs.optim import load_params, save_params
+from vqs.pipeline import PipelineConfig, init_params
 from vqs.synth import load_manifest, load_scene_gt
 
 
@@ -76,6 +78,53 @@ class TestDispatch:
                               ("--clip-len", "7")):
             assert flag in proc.stdout
             assert default in proc.stdout
+
+
+def one_json_error_line(stderr: str) -> str:
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])["error"]
+
+
+class TestNonFiniteErrors:
+    def checkpoint(self, path, edit):
+        store = init_params(PipelineConfig(model_dim=16))
+        for name, p in store.params.items():
+            edit(name, p.value)
+        save_params(store, str(path))
+        return path
+
+    def test_non_finite_checkpoint_rejected(self, dataset, tmp_path, capsys):
+        def poison(name, value):
+            if name == "stt_mlp.b2":
+                value[0] = np.nan
+
+        ckpt = self.checkpoint(tmp_path / "nan.ckpt", poison)
+        code = run_cli("infer", "--data", dataset, "--out", tmp_path / "p.json",
+                       "--ckpt", ckpt, "--model-dim", 16)
+        assert code == 1
+        assert "stt_mlp.b2" in one_json_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "p.json").exists()
+
+    def test_overflowing_checkpoint_reported_on_one_line(self, dataset, tmp_path):
+        def blow_up(name, value):
+            value *= 1e200
+
+        ckpt = self.checkpoint(tmp_path / "big.ckpt", blow_up)
+        proc = subprocess.run(
+            [sys.executable, "-m", "vqs.cli", "infer", "--data", str(dataset),
+             "--out", str(tmp_path / "p.json"), "--ckpt", str(ckpt), "--model-dim", "16"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "non-finite" in one_json_error_line(proc.stderr)
+
+    def test_diverging_training_reported(self, dataset, tmp_path, capsys):
+        code = run_cli("train", "--data", dataset, "--ckpt-out", tmp_path / "t.ckpt",
+                       "--steps", 5, "--lr", 1e160, "--model-dim", 16)
+        assert code == 1
+        assert "at step" in one_json_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "t.ckpt").exists()
 
 
 class TestGen:
@@ -250,3 +299,53 @@ class TestJobsFlag:
         assert run_cli("eval", "--gt", dataset, "--pred", pred_path, "--out", out_b, "--jobs", 2) == 0
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen", "infer", "eval"])
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, dataset, tmp_path, capsys, command, jobs):
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--scenes", 1, "--out", out],
+            "infer": ["infer", "--data", dataset, "--out", out],
+            "eval": ["eval", "--gt", dataset, "--pred", dataset / "missing.json", "--out", out],
+        }[command]
+        assert run_cli(*argv, "--jobs", jobs) == 1
+        assert "--jobs" in one_json_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestWorkerCount:
+    def test_clamped_to_work_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+        assert parallel.worker_count(1, 10) == 1
+        assert parallel.worker_count(3, 10) == 3
+        assert parallel.worker_count(10_000, 10) == 4
+        assert parallel.worker_count(10_000, 2) == 2
+        assert parallel.worker_count(5, 0) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError):
+            parallel.worker_count(jobs, 10)
+
+    def test_parallel_map_starts_clamped_pool(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        assert parallel.parallel_map(abs, [-1, -2, -3, -4, -5], jobs=10_000) == [1, 2, 3, 4, 5]
+        assert parallel.parallel_map(abs, [-7], jobs=10_000) == [7]
+        assert started == [3]

@@ -1,4 +1,6 @@
+import gc
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -235,6 +237,49 @@ class TestGradCheck:
         assert ad.grad_check(loss, []) == 0.0
 
 
+class TestNoRecord:
+    def test_node_keeps_only_value(self):
+        x = tensor(np.arange(6.0).reshape(2, 3), name="x")
+        w = tensor(np.linspace(-1.0, 1.0, 6).reshape(3, 2), name="w")
+        recorded = ad.softmax(ad.matmul(x, w))
+        with ad.no_record():
+            node = ad.softmax(ad.matmul(x, w))
+        assert node.parents == ()
+        assert node._vjp is None and node._fwd is None
+        assert np.array_equal(node.value, recorded.value)
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVE_GRAPHS))
+    def test_values_match_recorded(self, name):
+        seed = zlib.crc32(name.encode())
+        recorded = PRIMITIVE_GRAPHS[name](np.random.default_rng(seed))
+        with ad.no_record():
+            unrecorded = PRIMITIVE_GRAPHS[name](np.random.default_rng(seed))
+        assert np.array_equal(unrecorded.value, recorded.value)
+        assert ad.trace(unrecorded) == [unrecorded]
+
+    def test_mode_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_record():
+                raise RuntimeError("boom")
+        assert ad.tanh(tensor([0.5])).parents != ()
+
+    def test_finished_tape_needs_no_cycle_collector(self):
+        # exp, tanh, sigmoid and softmax are the VJPs that read their own output
+        rng = np.random.default_rng(3)
+        gc.collect()
+        gc.disable()
+        try:
+            x = tensor(rng.normal(size=(3, 4)), name="x")
+            y = ad.softmax(ad.exp(ad.tanh(ad.sigmoid(x))), axis=-1)
+            loss = ad.sum_all(ad.multiply(y, tensor(rng.normal(size=(3, 4)))))
+            ad.backward(loss)
+            del y, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert x.grad is not None and np.any(x.grad)
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         store = seeded_init({"w": (4, 4), "b": (4,)}, seed=9)
@@ -324,6 +369,15 @@ class TestCheckpoint:
         blob[20] ^= 0xFF
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError):
+            load_params(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        store = seeded_init({"enc.w": (3, 3), "enc.b": (3,)}, seed=2)
+        store.params["enc.b"].value[1] = bad
+        path = str(tmp_path / "params.bin")
+        save_params(store, path)
+        with pytest.raises(CheckpointError, match="enc.b"):
             load_params(path)
 
     def test_truncation_detected(self, tmp_path):

@@ -1,7 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
 from vqs import autodiff as ad
+from vqs import pipeline
 from vqs.masks import RleMask, rle_encode, rle_decode
 from vqs.pipeline import (
     KIND_DISTRACTOR,
@@ -236,6 +239,14 @@ class TestDecodeMasks:
         for ca, cb in zip(a.candidates, b.candidates):
             assert np.array_equal(ca.mask_logits.value, cb.mask_logits.value)
             assert ca.iou == cb.iou and ca.occlusion == cb.occlusion
+
+
+    def test_non_finite_output_rejected(self):
+        params = init_params(TOY)
+        params["dec_score.b2"].value[3] = np.inf
+        feats = ad.tensor(np.random.default_rng(8).normal(size=(64, TOY.model_dim)))
+        with pytest.raises(ad.NonFiniteValueError, match="frame 4"):
+            decode_masks(feats, (8, 8), TOY, params, frame_index=4)
 
 
 class TestBinarize:
@@ -613,3 +624,40 @@ class TestInferVideo:
         for occ in resp_a.occurrences:
             assert occ.start_frame > prev_end
             prev_end = occ.end_frame
+
+    def test_recording_restored_after_error(self):
+        rng = np.random.default_rng(22)
+        with pytest.raises(PipelineConfigError):
+            infer_video([rand_frame(rng)], rand_frame(rng), RleMask.empty(64, 64), TOY,
+                        init_params(TOY))
+        assert ad.tanh(ad.tensor([0.5])).parents != ()
+
+    def test_builds_no_tape(self, monkeypatch):
+        seen = []
+        real_finalize = pipeline.finalize_predictions
+
+        def spy(candidates, frame_hw):
+            seen.extend(c.mask_logits for frame in candidates for c in frame.candidates)
+            return real_finalize(candidates, frame_hw)
+
+        monkeypatch.setattr(pipeline, "finalize_predictions", spy)
+        rng = np.random.default_rng(24)
+        frames = [rand_frame(rng) for _ in range(4)]
+        infer_video(frames, frames[0], RleMask(64, 64, (0, 64 * 16, 64 * 48)), TOY,
+                    init_params(TOY))
+        assert len(seen) == 4 * 3
+        assert all(node.parents == () and node._vjp is None for node in seen)
+
+    def test_needs_no_cycle_collector(self):
+        rng = np.random.default_rng(25)
+        frames = [rand_frame(rng) for _ in range(9)]
+        qmask = RleMask(64, 64, (0, 64 * 16, 64 * 48))
+        params = init_params(TOY)
+        gc.collect()
+        gc.disable()
+        try:
+            result = infer_video(frames, frames[0], qmask, TOY, params)
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

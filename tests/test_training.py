@@ -1,7 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
 from vqs import autodiff as ad
+from vqs import training
 from vqs.masks import RleMask, rle_encode
 from vqs.pipeline import (
     FrameCandidates,
@@ -192,6 +195,23 @@ class TestComposedGradients:
             assert any(np.any(g) for name, g in grads.items() if name.startswith(prefix)), prefix
 
 
+class TestTapeLifetime:
+    def test_step_tape_needs_no_cycle_collector(self):
+        scene = tiny_scene(seed=5)
+        cfg = toy_pipeline(tau_target=0.3, tau_divergence=0.05, tau_score=0.2, seed=4)
+        store = seeded_init(param_shapes(cfg), cfg.seed)
+        gc.collect()
+        gc.disable()
+        try:
+            per_stage = scene_losses(scene, cfg, store)
+            node, _ = total_loss(per_stage, cfg.stage_weights)
+            grads = ad.gradient_map(node, store.params)
+            del per_stage, node, grads
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestOverfitTrain:
     def test_zero_lr_keeps_parameters(self):
         scene = tiny_scene()
@@ -231,6 +251,20 @@ class TestOverfitTrain:
             with pytest.raises(TrainingDivergedError) as exc:
                 overfit_train(scene, cfg, tcfg)
         assert exc.value.step >= 1
+
+    def test_non_finite_parameter_aborts_at_that_step(self, monkeypatch):
+        real_step = training.adamw_step
+
+        def poisoned_step(store, grads, **kwargs):
+            real_step(store, grads, **kwargs)
+            if store.step_count == 2:
+                store.params["stt_mlp.w1"].value[0, 0] = np.nan
+            return store
+
+        monkeypatch.setattr(training, "adamw_step", poisoned_step)
+        with pytest.raises(TrainingDivergedError, match="stt_mlp.w1") as exc:
+            overfit_train(tiny_scene(), toy_pipeline(), TrainConfig(steps=5, lr=1e-3, seed=0))
+        assert exc.value.step == 2
 
     def test_curve_csv(self, tmp_path):
         scene = tiny_scene()
