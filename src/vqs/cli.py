@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteValueError
+from .autodiff import NonFiniteValueError, Tensor
 from .masks import MaskError, ResponseSet, annotation_from_dict, annotation_to_dict
 from .metrics import (
     DEFAULT_SUBSET_BOUNDS,
@@ -29,7 +29,7 @@ from .metrics import (
     aggregate_metrics,
     evaluate_video,
 )
-from .optim import CheckpointError, load_params, save_params
+from .optim import CheckpointError, ParamStore, load_params, save_params
 from .parallel import parallel_map
 from .pipeline import PipelineConfig, PipelineConfigError, config_digest, infer_video, init_params
 from .synth import (
@@ -227,14 +227,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _infer_one(work: tuple) -> dict:
-    data_dir, entry, cfg_kwargs, ckpt = work
+    data_dir, entry, cfg_kwargs, values = work
     cfg = PipelineConfig(**cfg_kwargs)
-    params = load_params(ckpt) if ckpt else init_params(cfg)
+    params = ParamStore({name: Tensor(value, name=name) for name, value in values.items()})
     root = Path(data_dir)
     frames = [read_ppm(root / rel) for rel in entry["frames"]]
     _, h, w, qmask = load_scene_gt(root, entry)
     query = read_ppm(root / entry["query"])
-    response, provenance = infer_video(frames, query, qmask, cfg, params, video_id=entry["id"])
+    try:
+        response, provenance = infer_video(frames, query, qmask, cfg, params, video_id=entry["id"])
+    except NonFiniteValueError as exc:
+        raise NonFiniteValueError(f"video {entry['id']!r}: {exc}") from exc
     record = annotation_to_dict(response, h, w)
     record["provenance"] = provenance
     return record
@@ -246,7 +249,10 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     cfg_kwargs = asdict(cfg)
-    work = [(args.data, entry, cfg_kwargs, args.ckpt) for entry in manifest["scenes"]]
+    # read once here, so a bad checkpoint fails before any worker starts; work
+    # items carry bare arrays, without the store's optimizer moments
+    values = (load_params(args.ckpt) if args.ckpt else init_params(cfg)).copy_values()
+    work = [(args.data, entry, cfg_kwargs, values) for entry in manifest["scenes"]]
     records = parallel_map(_infer_one, work, args.jobs)
     payload = {
         "format": PREDICTIONS_FORMAT,
@@ -301,14 +307,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # --- eval ----------------------------------------------------------------------
 
 
-def _load_gt_responses(path_text: str) -> dict[str, ResponseSet]:
+def _gt_length(record: dict, video_id: str) -> Optional[int]:
+    """A gt record's `num_frames`, or None where it gives none."""
+    n = record.get("num_frames")
+    if n is not None and (type(n) is not int or n < 1):
+        raise CliError(f"ground truth for {video_id!r}: num_frames must be a positive integer, got {n!r}")
+    return n
+
+
+def _load_gt_responses(path_text: str) -> tuple[dict[str, ResponseSet], dict[str, Optional[int]]]:
+    """gt responses and video lengths by id; a length is None where the gt gives none."""
     path = Path(path_text)
     out: dict[str, ResponseSet] = {}
+    lengths: dict[str, Optional[int]] = {}
     if path.is_dir():
         manifest = load_manifest(path)
         for entry in manifest["scenes"]:
             response, _, _, _ = load_scene_gt(path, entry)
             out[entry["id"]] = response
+            lengths[entry["id"]] = _gt_length(entry, entry["id"])
     else:
         with open(path) as fh:
             items = json.load(fh)
@@ -317,9 +334,10 @@ def _load_gt_responses(path_text: str) -> dict[str, ResponseSet]:
         for obj in items:
             response, _, _ = annotation_from_dict(obj)
             out[response.video_id] = response
+            lengths[response.video_id] = _gt_length(obj, response.video_id)
     if not out:
         raise CliError(f"{path}: no ground-truth videos found")
-    return out
+    return out, lengths
 
 
 def _load_pred_responses(path_text: str) -> dict[str, ResponseSet]:
@@ -340,6 +358,18 @@ def _load_pred_responses(path_text: str) -> dict[str, ResponseSet]:
     return out
 
 
+def _check_frame_range(pred: ResponseSet, num_frames: Optional[int]) -> None:
+    """Reject predicted frames before 0 or, where the video length is known, past its end."""
+    if not pred.occurrences:
+        return
+    first, last = pred.occurrences[0].start_frame, pred.occurrences[-1].end_frame
+    if first < 0:
+        raise CliError(f"prediction for {pred.video_id!r} has frame {first}; frames start at 0")
+    if num_frames is not None and last >= num_frames:
+        raise CliError(f"prediction for {pred.video_id!r} has frame {last}; "
+                       f"the video has {num_frames} frames (0 to {num_frames - 1})")
+
+
 def _eval_one(pair: tuple) -> tuple:
     vid, gt, pred = pair
     return vid, evaluate_video(gt, pred)
@@ -350,11 +380,13 @@ def _report_csv_text(report: MetricReport) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    gt = _load_gt_responses(args.gt)
+    gt, lengths = _load_gt_responses(args.gt)
     pred = _load_pred_responses(args.pred)
     missing = sorted(set(gt) - set(pred))
     if missing:
         raise CliError(f"missing predictions for video ids: {', '.join(missing)}")
+    for vid in sorted(gt):
+        _check_frame_range(pred[vid], lengths[vid])
     work = [(vid, gt[vid], pred[vid]) for vid in sorted(gt)]
     results = dict(parallel_map(_eval_one, work, args.jobs))
     evals = [results[vid] for vid in sorted(results)]

@@ -1,4 +1,6 @@
+import ctypes
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqs import parallel
+from vqs import cli, parallel
 from vqs.cli import dispatch
 from vqs.masks import annotation_from_dict
 from vqs.metrics import evaluate_run
@@ -17,6 +19,14 @@ from vqs.synth import load_manifest, load_scene_gt
 
 def run_cli(*argv):
     return dispatch([str(a) for a in argv])
+
+
+def run_module(*argv):
+    """`python -m vqs.cli ...` in a child process that imports this checkout's vqs."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "vqs.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -63,15 +73,13 @@ class TestDispatch:
         assert "error" in payload
 
     def test_console_script_help(self):
-        proc = subprocess.run([sys.executable, "-m", "vqs.cli", "--help"],
-                              capture_output=True, text=True)
+        proc = run_module("--help")
         assert proc.returncode == 0
         for sub in ("gen", "infer", "train", "eval", "stats", "validate", "gradcheck"):
             assert sub in proc.stdout
 
     def test_help_lists_flag_defaults(self):
-        proc = subprocess.run([sys.executable, "-m", "vqs.cli", "infer", "--help"],
-                              capture_output=True, text=True)
+        proc = run_module("infer", "--help")
         assert proc.returncode == 0
         for flag, default in (("--tau-t", "0.5"), ("--tau-d", "0.5"), ("--tau-s", "0.7"),
                               ("--nt", "2"), ("--nd", "1"), ("--stages", "2"),
@@ -84,6 +92,14 @@ def one_json_error_line(stderr: str) -> str:
     lines = stderr.strip().splitlines()
     assert len(lines) == 1, lines
     return json.loads(lines[0])["error"]
+
+
+@pytest.fixture(scope="module")
+def two_videos(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli2") / "ds"
+    assert run_cli("gen", "--scenes", 2, "--seed", 4, "--out", out, "--frames", "8:8",
+                   "--frame-sizes", "32x32", "--occurrences", "1:1", "--distractors", "0:0") == 0
+    return out
 
 
 class TestNonFiniteErrors:
@@ -111,13 +127,23 @@ class TestNonFiniteErrors:
             value *= 1e200
 
         ckpt = self.checkpoint(tmp_path / "big.ckpt", blow_up)
-        proc = subprocess.run(
-            [sys.executable, "-m", "vqs.cli", "infer", "--data", str(dataset),
-             "--out", str(tmp_path / "p.json"), "--ckpt", str(ckpt), "--model-dim", "16"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("infer", "--data", dataset, "--out", tmp_path / "p.json",
+                          "--ckpt", ckpt, "--model-dim", 16)
         assert proc.returncode == 1
         assert "non-finite" in one_json_error_line(proc.stderr)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_finite_forward_names_video(self, two_videos, tmp_path, capsys, jobs):
+        def blow_up(name, value):
+            value *= 1e200
+
+        ckpt = self.checkpoint(tmp_path / "big.ckpt", blow_up)
+        code = run_cli("infer", "--data", two_videos, "--out", tmp_path / "p.json",
+                       "--ckpt", ckpt, "--model-dim", 16, "--jobs", jobs)
+        assert code == 1
+        message = one_json_error_line(capsys.readouterr().err)
+        assert "non-finite" in message and "'scene_0000'" in message
+        assert not (tmp_path / "p.json").exists()
 
     def test_diverging_training_reported(self, dataset, tmp_path, capsys):
         code = run_cli("train", "--data", dataset, "--ckpt-out", tmp_path / "t.ckpt",
@@ -174,6 +200,35 @@ class TestEval:
         assert run_cli("eval", "--gt", dataset, "--pred", pred_path) == 1
         err = capsys.readouterr().err
         assert "missing predictions" in err
+
+
+    @pytest.mark.parametrize("frame_of", [lambda n: -5, lambda n: -1, lambda n: n, lambda n: 900],
+                             ids=["minus-5", "minus-1", "num-frames", "900"])
+    def test_out_of_range_frame_rejected(self, dataset, tmp_path, capsys, frame_of):
+        manifest = load_manifest(dataset)
+        preds = [json.loads((dataset / e["gt"]).read_text()) for e in manifest["scenes"]]
+        frame = frame_of(manifest["scenes"][1]["num_frames"])
+        mask = preds[1]["occurrences"][0]["masks"][0]
+        preds[1]["occurrences"] = [{"start": frame, "end": frame, "masks": [mask]}]
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(json.dumps(preds))
+        out_path = tmp_path / "report.json"
+        assert run_cli("eval", "--gt", dataset, "--pred", pred_path, "--out", out_path) == 1
+        message = one_json_error_line(capsys.readouterr().err)
+        assert repr(preds[1]["video_id"]) in message and f"frame {frame};" in message
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("num_frames", ["12", 0, [12]], ids=["string", "zero", "list"])
+    def test_malformed_gt_length_rejected(self, dataset, tmp_path, capsys, num_frames):
+        manifest = load_manifest(dataset)
+        gts = [json.loads((dataset / e["gt"]).read_text()) for e in manifest["scenes"]]
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(json.dumps(gts))
+        gts[0]["num_frames"] = num_frames
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text(json.dumps(gts))
+        assert run_cli("eval", "--gt", gt_path, "--pred", pred_path) == 1
+        assert "num_frames" in one_json_error_line(capsys.readouterr().err)
 
 
 class TestInferEvalEquivalence:
@@ -314,6 +369,38 @@ class TestJobsFlag:
         assert not out.exists()
 
 
+class TestCheckpointReadOnce:
+    def test_one_read_per_run(self, two_videos, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "c.ckpt"
+        save_params(init_params(PipelineConfig(model_dim=16)), str(ckpt))
+        reads = []
+
+        def counting_load(path):
+            reads.append(path)
+            return load_params(path)
+
+        monkeypatch.setattr(cli, "load_params", counting_load)
+        assert run_cli("infer", "--data", two_videos, "--out", tmp_path / "p.json",
+                       "--ckpt", ckpt, "--model-dim", 16, "--jobs", 1) == 0
+        capsys.readouterr()
+        assert reads == [str(ckpt)]
+
+    def test_bad_checkpoint_fails_before_workers(self, two_videos, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"not a checkpoint")
+        monkeypatch.setattr(cli, "parallel_map", lambda *args: pytest.fail("workers started"))
+        assert run_cli("infer", "--data", two_videos, "--out", tmp_path / "p.json",
+                       "--ckpt", ckpt, "--jobs", 2) == 1
+        assert "truncated" in one_json_error_line(capsys.readouterr().err)
+
+
+def _worker_blas_threads(_item):
+    get_threads = parallel._openblas_function("get")
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    return os.getpid(), get_threads()
+
+
 class TestWorkerCount:
     def test_clamped_to_work_and_cpus(self, monkeypatch):
         monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
@@ -332,8 +419,8 @@ class TestWorkerCount:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+            def __init__(self, max_workers, initializer=None):
+                started.append((max_workers, initializer))
 
             def __enter__(self):
                 return self
@@ -348,4 +435,39 @@ class TestWorkerCount:
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
         assert parallel.parallel_map(abs, [-1, -2, -3, -4, -5], jobs=10_000) == [1, 2, 3, 4, 5]
         assert parallel.parallel_map(abs, [-7], jobs=10_000) == [7]
-        assert started == [3]
+        assert started == [(3, parallel.use_one_blas_thread)]
+
+    def test_workers_run_one_blas_thread(self):
+        get_threads = parallel._openblas_function("get")
+        if parallel.available_cpus() < 2 or get_threads is None:
+            pytest.skip("needs 2 CPUs and a loaded OpenBLAS")
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        before = get_threads()
+        results = parallel.parallel_map(_worker_blas_threads, range(4), jobs=2)
+        assert [threads for _, threads in results] == [1, 1, 1, 1]
+        assert os.getpid() not in {pid for pid, _ in results}
+        assert get_threads() == before
+
+    def test_blas_pin_silent_without_maps(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "_MAPS", str(tmp_path / "missing-maps"))
+        assert parallel._openblas_function("set") is None
+        parallel.use_one_blas_thread()
+
+    def test_blas_pin_silent_without_symbol(self, tmp_path, monkeypatch):
+        try:
+            with open("/proc/self/maps") as fh:
+                libc = next(line.split()[-1] for line in fh if "/libc.so" in line or "/libc-" in line)
+        except (OSError, StopIteration):
+            pytest.skip("needs /proc/self/maps listing libc")
+        stub = tmp_path / "libopenblas_stub.so"
+        stub.symlink_to(libc)
+        fake_maps = tmp_path / "maps"
+        fake_maps.write_text(
+            "7f0000000000-7f0000001000 rw-p 00000000 00:00 0\n"
+            f"7f0000001000-7f0000002000 r-xp 00000000 00:00 0 {tmp_path / 'libopenblas_gone.so'}\n"
+            f"7f0000002000-7f0000003000 r-xp 00000000 00:00 0 {stub}\n"
+        )
+        monkeypatch.setattr(parallel, "_MAPS", str(fake_maps))
+        assert parallel._openblas_function("set") is None
+        parallel.use_one_blas_thread()

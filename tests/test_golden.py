@@ -5,10 +5,12 @@ that moves one must re-pin it and say why the bytes had to move.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from vqs.cli import dispatch
+from vqs.optim import save_params
 from vqs.pipeline import PipelineConfig
 from vqs.synth import SceneConfig, generate_scene
 from vqs.training import TrainConfig, overfit_train, write_curve_csv
@@ -16,6 +18,9 @@ from vqs.training import TrainConfig, overfit_train, write_curve_csv
 PREDICTIONS_DEFAULT = "a34286b22aaef94ca092c0c1f17a6e4da1ac4bdeac7190e9b2bccc4086747f18"
 PREDICTIONS_SEED5_TAU_S = "1017c3e86803ce107ceec2e36d7ae638a80e71859ba7494cc28d36ae076ed4d4"
 OVERFIT_CURVE_5_STEPS = "3c46e4ca54f388935eb40bd34912e41756486359604ca181c83f36224369a72d"
+OVERFIT_CHECKPOINT_5_STEPS = "650f4b6d65f2de6ce49beb5a4be9ae095b65b07d74c4c133121157a7b6fc7505"
+EVAL_REPORT_JSON = "310e45251320efc3612b7c0328603387951767895219c10102be8128cd1dd71d"
+EVAL_REPORT_CSV = "22feea1aa11b6f14f8c6a4533ae763a242e4a56c649fb31b807297d47b921d69"
 
 
 def sha256_file(path) -> str:
@@ -41,7 +46,24 @@ def test_infer_predictions_digest(golden_dataset, tmp_path, capsys, flags, expec
     assert sha256_file(preds) == expected
 
 
-def test_overfit_curve_digest(tmp_path):
+def test_eval_report_digests(golden_dataset, tmp_path, capsys):
+    # ground truth as predictions, with the second video's later occurrences
+    # dropped, so the report holds scores other than 0 and 100
+    manifest = json.loads((golden_dataset / "manifest.json").read_text())
+    preds = [json.loads((golden_dataset / e["gt"]).read_text()) for e in manifest["scenes"]]
+    preds[1]["occurrences"] = preds[1]["occurrences"][:1]
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps(preds))
+    report = tmp_path / "report.json"
+    assert dispatch(["eval", "--gt", str(golden_dataset), "--pred", str(pred_path),
+                     "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert sha256_file(report) == EVAL_REPORT_JSON
+    assert sha256_file(report.with_suffix(".csv")) == EVAL_REPORT_CSV
+
+
+@pytest.fixture(scope="module")
+def overfit_run():
     # acceptance criterion 8's scene and configs, cut to five steps
     scene = generate_scene(SceneConfig(
         frame_size=(48, 48), num_frames=16, num_occurrences=2, distractor_count=1,
@@ -49,7 +71,18 @@ def test_overfit_curve_digest(tmp_path):
     ), video_id="overfit")
     cfg = PipelineConfig(num_stages=2, clip_len=4, patch_size=4, model_dim=16,
                          num_heads=2, stage_weights=(0.5, 1.0), seed=3)
-    _, curve = overfit_train(scene, cfg, TrainConfig(steps=5, lr=1e-2, weight_decay=0.0, seed=3))
+    return overfit_train(scene, cfg, TrainConfig(steps=5, lr=1e-2, weight_decay=0.0, seed=3))
+
+
+def test_overfit_curve_digest(overfit_run, tmp_path):
+    _, curve = overfit_run
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, str(path))
     assert sha256_file(path) == OVERFIT_CURVE_5_STEPS
+
+
+def test_overfit_checkpoint_digest(overfit_run, tmp_path):
+    store, _ = overfit_run
+    path = tmp_path / "overfit.ckpt"
+    save_params(store, str(path))
+    assert sha256_file(path) == OVERFIT_CHECKPOINT_5_STEPS
