@@ -15,6 +15,25 @@ record in full. A VJP receives its node's output value from `backward`
 instead of closing over the node, so no node refers to itself and reference
 counting frees a tape as soon as its last user drops it.
 
+Each attention head is one fused node with a hand-written VJP:
+`attention_head` for softmax self-attention, `weighted_attention_head` for
+attention over several scalar-weighted key/value sets. The forward runs the
+same numpy operations in the same order as the equivalent graph of
+primitives (narrow, transpose, matmul, scale, softmax or exp, ...), in place
+on one score buffer, and the VJP reuses the saved softmax, so values and
+gradients are bit-identical to that graph. Two rules keep gradients so.
+Parents are listed in an order under which `backward` sums gradients into
+the shared projections and parameters upstream in the same order as through
+the primitive graph: the parent order decides where `trace` meets them, and
+floating-point sums depend on their order. A parent listed several times
+receives its terms in the order the primitive graph would sum them.
+
+`backward` stores a parent's first gradient without copying it, so one array
+may be the `.grad` of several nodes. That is safe because gradients are
+never updated in place: accumulation builds a new array, no VJP writes into
+its incoming gradient or a saved array, and `gradient_map` and `grad_check`
+copy out what they return.
+
 Nodes do not check their values for inf or nan: that would cost a full scan
 per operation. Non-finite values are caught at the boundaries instead: in
 every stage's decoded candidates (`pipeline.decode_masks`, which raises
@@ -97,9 +116,6 @@ ComputationRecord = list  # list[Tensor] in topological order, leaves first
 def tensor(value, name: Optional[str] = None) -> Tensor:
     """A leaf node (parameter or constant input)."""
     return Tensor(value, name=name)
-
-
-constant = tensor
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -231,17 +247,19 @@ def tanh(a: Tensor) -> Tensor:
                   vjp=lambda g, y: (g * (1.0 - y * y),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    def fwd():
-        x = a.value
-        pos = x >= 0
-        z = np.empty_like(x)
-        z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        z[~pos] = ex / (1.0 + ex)
-        return z
+def _stable_sigmoid(x: Array) -> Array:
+    """1 / (1 + exp(-x)) without overflow for large negative x."""
+    pos = x >= 0
+    z = np.empty_like(x)
+    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    z[~pos] = ex / (1.0 + ex)
+    return z
 
-    return Tensor(fwd(), (a,), fwd=fwd, vjp=lambda g, y: (g * y * (1.0 - y),))
+
+def sigmoid(a: Tensor) -> Tensor:
+    return Tensor(_stable_sigmoid(a.value), (a,), fwd=lambda: _stable_sigmoid(a.value),
+                  vjp=lambda g, y: (g * y * (1.0 - y),))
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -270,13 +288,8 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
 
     def vjp(g, y):
         x, z = logits.value, targets.value
-        sig = np.empty_like(x)
-        pos = x >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        sig[~pos] = ex / (1.0 + ex)
         return (
-            _unbroadcast(g * (sig - z), x.shape),
+            _unbroadcast(g * (_stable_sigmoid(x) - z), x.shape),
             _unbroadcast(g * (-x), z.shape),
         )
 
@@ -302,6 +315,149 @@ class AttentionParams:
     wo: Tensor
 
 
+def _fused_node(
+    forward: Callable[[], tuple[Array, tuple]],
+    parents: tuple[Tensor, ...],
+    vjp: Callable[[Array, tuple], Sequence[Optional[Array]]],
+) -> Tensor:
+    """One node for a whole sub-computation with a hand-written VJP.
+
+    `forward()` returns the value plus the intermediates `vjp(grad, saved)`
+    reads. Inside no_record() the intermediates are dropped at once; replay
+    refreshes them together with the value.
+    """
+    value, saved = forward()
+    if not _recording.get():
+        return Tensor(value)
+
+    def fwd():
+        nonlocal saved
+        out, saved = forward()
+        return out
+
+    return Tensor(value, parents, fwd=fwd, vjp=lambda g, y: vjp(g, saved))
+
+
+def _padded(like: Array, cols: slice, part: Array) -> Array:
+    """Zeros shaped like `like` with `part` in columns `cols`: narrow's VJP."""
+    full = np.zeros_like(like)
+    full[:, cols] = part
+    return full
+
+
+def attention_head(q: Tensor, k: Tensor, v: Tensor, start: int, length: int) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(length)) v_h over columns [start, start + length).
+
+    The score matrix is built, normalised and reused for the backward pass in
+    one buffer. Backward is dS = P * (dP - rowsum(dP * P)) (Dao et al.,
+    FlashAttention, arXiv 2205.14135); q, k and v get full-width gradients,
+    zero outside the head's columns.
+    """
+    cols = slice(start, start + length)
+    c = 1.0 / math.sqrt(length)
+
+    def forward():
+        qs = q.value[:, cols].copy()
+        kt = k.value[:, cols].T.copy()
+        vs = v.value[:, cols].copy()
+        p = qs @ kt
+        p *= c
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p @ vs, (qs, kt, vs, p)
+
+    def vjp(g, saved):
+        qs, kt, vs, p = saved
+        g_p = g @ vs.T
+        g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
+        g_s *= c
+        return (
+            _padded(q.value, cols, g_s @ kt.T),
+            _padded(k.value, cols, (qs.T @ g_s).T),
+            _padded(v.value, cols, p.T @ g),
+        )
+
+    return _fused_node(forward, (q, k, v), vjp)
+
+
+def weighted_attention_head(
+    q: Tensor,
+    keys: Sequence[Tensor],
+    values: Sequence[Tensor],
+    weights: Sequence[Tensor],
+    start: int,
+    length: int,
+) -> Tensor:
+    """One head of attention over several key/value sets, each weighted by a scalar.
+
+    out = sum_e w_e exp(S_e - m) V_e / sum_e w_e rowsum(exp(S_e - m)) with
+    S_e = (q_h / sqrt(length)) K_e,h^T over columns [start, start + length).
+    The per-query shift m is the row max over all S_e at build time; it is
+    detached and replay keeps it, like any frozen routing choice.
+
+    Parents are (q, V_1..V_E, K_1..K_E, w_1, w_1, ..., w_E, w_E): each weight
+    once for its numerator term and once for its denominator term. With this
+    order, gradients sum into the parameters upstream in the same order as
+    through the primitive graph; (q, K..., V...), for one, moves them by an
+    ulp.
+    """
+    cols = slice(start, start + length)
+    c = 1.0 / math.sqrt(length)
+    shift: Optional[Array] = None
+
+    def forward():
+        nonlocal shift
+        qs = q.value[:, cols].copy()
+        qs *= c
+        kts = [k.value[:, cols].T.copy() for k in keys]
+        exps = [qs @ kt for kt in kts]
+        if shift is None:
+            shift = np.max(np.concatenate(exps, axis=1), axis=1, keepdims=True)
+        vss = [v.value[:, cols].copy() for v in values]
+        num = den = None
+        mats, sums = [], []
+        for p, vs, w in zip(exps, vss, weights):
+            p -= shift
+            np.exp(p, out=p)
+            mats.append(p @ vs)
+            sums.append(p.sum(axis=1, keepdims=True))
+            num = mats[-1] * w.value if num is None else num + mats[-1] * w.value
+            den = sums[-1] * w.value if den is None else den + sums[-1] * w.value
+        return num / den, (qs, kts, vss, exps, mats, sums, num, den)
+
+    def vjp(g, saved):
+        qs, kts, vss, exps, mats, sums, num, den = saved
+        g_num = g / den
+        g_den = _unbroadcast(-g * num / (den * den), den.shape)
+        g_qs = None
+        g_keys, g_values, g_w_num, g_w_den = [], [], [], []
+        for k, v, w, kt, vs, p, mat, row_sum in zip(keys, values, weights, kts, vss, exps, mats, sums):
+            g_mat = g_num * w.value
+            g_w_num.append(_unbroadcast(g_num * mat, w.value.shape))
+            g_w_den.append(_unbroadcast(g_den * row_sum, w.value.shape))
+            g_s = g_mat @ vs.T
+            g_s += g_den * w.value
+            g_s *= p
+            g_values.append(_padded(v.value, cols, p.T @ g_mat))
+            g_keys.append(_padded(k.value, cols, (qs.T @ g_s).T))
+            g_qs = g_s @ kt.T if g_qs is None else g_qs + g_s @ kt.T
+        # A weight shared by several entries gets its numerator terms first,
+        # then its denominator terms, in entry order: the primitive graph's sum.
+        terms: dict[int, list[Array]] = {}
+        for w, g_w in [*zip(weights, g_w_num), *zip(weights, g_w_den)]:
+            terms.setdefault(id(w), []).append(g_w)
+        return (
+            _padded(q.value, cols, g_qs * c),
+            *g_values,
+            *g_keys,
+            *(terms[id(w)].pop(0) for w in weights for _ in range(2)),
+        )
+
+    parents = (q, *values, *keys, *(w for w in weights for _ in range(2)))
+    return _fused_node(forward, parents, vjp)
+
+
 def attention(
     q_in: Tensor,
     k_in: Tensor,
@@ -317,14 +473,7 @@ def attention(
     q = matmul(q_in, params.wq)
     k = matmul(k_in, params.wk)
     v = matmul(v_in, params.wv)
-    heads = []
-    for h in range(num_heads):
-        qs = narrow(q, 1, h * d_head, d_head)
-        ks = narrow(k, 1, h * d_head, d_head)
-        vs = narrow(v, 1, h * d_head, d_head)
-        scores = scale(matmul(qs, transpose(ks)), 1.0 / math.sqrt(d_head))
-        weights = softmax(scores, axis=-1)
-        heads.append(matmul(weights, vs))
+    heads = [attention_head(q, k, v, h * d_head, d_head) for h in range(num_heads)]
     merged = concat(heads, axis=1) if len(heads) > 1 else heads[0]
     return matmul(merged, params.wo)
 
@@ -365,7 +514,7 @@ def backward(loss: Tensor) -> ComputationRecord:
             if pg is None:
                 continue
             if parent.grad is None:
-                parent.grad = np.array(pg, dtype=np.float64, copy=True)
+                parent.grad = pg
             else:
                 parent.grad = parent.grad + pg
     return record

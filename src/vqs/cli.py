@@ -349,6 +349,8 @@ def _load_pred_responses(path_text: str) -> dict[str, ResponseSet]:
             raise CliError(f"{path_text}: missing 'predictions' array")
     else:
         items = payload
+    if not isinstance(items, list):
+        raise CliError(f"{path_text}: predictions must be an array of objects")
     out: dict[str, ResponseSet] = {}
     for obj in items:
         response, _, _ = annotation_from_dict(obj)

@@ -310,17 +310,19 @@ def annotation_to_dict(response: ResponseSet, height: int, width: int) -> dict:
 
 
 def annotation_from_dict(obj: dict) -> tuple[ResponseSet, int, int]:
+    """Parse one annotation or prediction object; MaskError if it is malformed."""
     try:
         video_id = str(obj["video_id"])
         height = int(obj["height"])
         width = int(obj["width"])
-        raw_occs = obj["occurrences"]
-    except (KeyError, TypeError) as exc:
+        occs = [
+            Masklet(
+                int(raw["start"]),
+                int(raw["end"]),
+                tuple(RleMask.from_runs_csv(text, height, width) for text in raw["masks"]),
+            )
+            for raw in obj["occurrences"]
+        ]
+    except (KeyError, TypeError, AttributeError) as exc:
         raise MaskError(f"malformed annotation object: {exc}") from exc
-    occs = []
-    for raw in raw_occs:
-        masks = tuple(
-            RleMask.from_runs_csv(text, height, width) for text in raw["masks"]
-        )
-        occs.append(Masklet(int(raw["start"]), int(raw["end"]), masks))
     return ResponseSet(video_id, tuple(occs)), height, width

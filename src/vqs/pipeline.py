@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
@@ -28,7 +27,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AttentionParams, Tensor
-from .masks import RleMask, ResponseSet, group_into_masklets, mask_iou, rle_encode
+from .masks import (
+    RleMask,
+    ResponseSet,
+    divergence_score,
+    group_into_masklets,
+    rle_decode,
+    rle_encode,
+)
 from .optim import ParamStore, seeded_init
 
 KIND_QUERY_INIT = "query_init"
@@ -205,8 +211,6 @@ def encode_frame(frame: np.ndarray, cfg: PipelineConfig, params: ParamStore) -> 
 
 def mask_patch_fractions(mask: RleMask, patch_size: int) -> np.ndarray:
     """Per-patch foreground fraction on the feature grid."""
-    from .masks import rle_decode
-
     gh, gw = feature_grid(mask.shape, patch_size)
     grid = rle_decode(mask).astype(np.float64)
     return grid.reshape(gh, patch_size, gw, patch_size).mean(axis=(1, 3))
@@ -278,30 +282,15 @@ def memory_attention(
     if not active:
         raise PipelineConfigError("all memory entries have zero scale")
     p = _attention_params(params, "mem_attn")
-    d = cfg.model_dim
-    d_head = d // cfg.num_heads
+    d_head = cfg.model_dim // cfg.num_heads
     q = ad.matmul(features, p.wq)
     keys = [ad.matmul(e.tokens, p.wk) for e in active]
     values = [ad.matmul(e.tokens, p.wv) for e in active]
-    head_outputs = []
-    for h in range(cfg.num_heads):
-        qs = ad.scale(ad.narrow(q, 1, h * d_head, d_head), 1.0 / math.sqrt(d_head))
-        scores = [ad.matmul(qs, ad.transpose(ad.narrow(k, 1, h * d_head, d_head))) for k in keys]
-        # detached per-query shift keeps exp in range without touching gradients
-        row_max = np.max(
-            np.concatenate([s.value for s in scores], axis=1), axis=1, keepdims=True
-        )
-        shift = ad.tensor(row_max)
-        numerator = None
-        denominator = None
-        for entry, score, value in zip(active, scores, values):
-            vs = ad.narrow(value, 1, h * d_head, d_head)
-            weights = ad.exp(ad.subtract(score, shift))
-            num_term = ad.multiply(ad.matmul(weights, vs), entry.scale)
-            den_term = ad.multiply(ad.sum_axis(weights, 1, keepdims=True), entry.scale)
-            numerator = num_term if numerator is None else ad.add(numerator, num_term)
-            denominator = den_term if denominator is None else ad.add(denominator, den_term)
-        head_outputs.append(ad.divide(numerator, denominator))
+    scales = [e.scale for e in active]
+    head_outputs = [
+        ad.weighted_attention_head(q, keys, values, scales, h * d_head, d_head)
+        for h in range(cfg.num_heads)
+    ]
     merged = ad.concat(head_outputs, axis=1) if len(head_outputs) > 1 else head_outputs[0]
     projected = ad.matmul(merged, p.wo)
     return ad.add(features, projected)
@@ -490,7 +479,7 @@ def dfg_select(
         for cand_idx, cand in enumerate(frame.candidates):
             if cand_idx == best_idx:
                 continue
-            divergence = 1.0 - mask_iou(best_mask, binarize_candidate(cand, frame_hw))
+            divergence = divergence_score(best_mask, binarize_candidate(cand, frame_hw))
             if divergence > cfg.tau_divergence and cand.iou > cfg.tau_score:
                 qualified.append((local_idx, cand_idx, cand, divergence, divergence * cand.iou))
     qualified.sort(key=lambda item: (-item[4], item[0], item[1]))

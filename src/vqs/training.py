@@ -216,8 +216,9 @@ def gradient_check_report(
     coords_per_param: int = 4,
     seed: int = 0,
 ) -> dict[str, float]:
-    """Max relative finite-difference error for every primitive plus the
-    composed single-stage frame loss at toy dims (8x8 frames, model dim 8).
+    """Max relative finite-difference error for every primitive, the fused
+    attention heads and the composed single-stage frame loss at toy dims
+    (8x8 frames, model dim 8).
 
     All entries should come in below 1e-4 in 64-bit floats.
     """
@@ -303,6 +304,18 @@ def gradient_check_report(
     report["stage_frame_loss"] = ad.grad_check(
         node, store.params, max_coords_per_param=coords_per_param, seed=seed
     )
+
+    # the fused attention heads, checked last so the entries above keep their inputs
+    hq, hk, hv = leaf((3, 4), "hq"), leaf((5, 4), "hk"), leaf((5, 4), "hv")
+    head = ad.attention_head(hq, hk, hv, 1, 2)
+    check("attention_head", ad.sum_all(ad.multiply(head, leaf((3, 2), "b"))), [hq, hk, hv])
+    mq = leaf((3, 4), "mq")
+    mkeys = [leaf((n, 4), f"mk{i}") for i, n in enumerate((2, 4, 3))]
+    mvalues = [leaf((n, 4), f"mv{i}") for i, n in enumerate((2, 4, 3))]
+    mweights = [ad.tensor(w, name=f"mw{i}") for i, w in enumerate((1.0, 0.3, 1.7))]
+    mem = ad.weighted_attention_head(mq, mkeys, mvalues, mweights, 2, 2)
+    check("memory_attention", ad.sum_all(ad.multiply(mem, leaf((3, 2), "b"))),
+          [mq, *mkeys, *mvalues, *mweights])
     return report
 
 

@@ -1,8 +1,13 @@
-"""Independent brute-force evaluators used to cross-check the library.
+"""Independent reference implementations used to cross-check the library.
 
-Everything here recomputes from first principles: masks are decoded with a
-local run-length decoder and all overlaps are counted per pixel with numpy
+The metric evaluators recompute from first principles: masks are decoded with
+a local run-length decoder and all overlaps are counted per pixel with numpy
 boolean arrays. Nothing is shared with the metric implementations under test.
+
+The attention references build each head from autodiff primitives, one node
+per narrow, transpose, matmul, scale, softmax or exp, as the library did
+before its heads became single fused nodes. The fused nodes must match them
+bit for bit, in values and in gradients.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from vqs import autodiff as ad
 
 
 def decode_runs(runs, height, width):
@@ -114,3 +121,57 @@ def brute_report(gt_by_id: dict, pred_by_id: dict, bounds=(3.6e3, 4.0e4)) -> dic
         "per_subset": {k: brute_aggregate(v) for k, v in subsets.items() if v},
         "video_counts": {k: len(v) for k, v in subsets.items()},
     }
+
+
+# --- Composed attention ---------------------------------------------------------
+
+
+def composed_attention_head(q, k, v, start, length):
+    qs = ad.narrow(q, 1, start, length)
+    ks = ad.narrow(k, 1, start, length)
+    vs = ad.narrow(v, 1, start, length)
+    scores = ad.scale(ad.matmul(qs, ad.transpose(ks)), 1.0 / math.sqrt(length))
+    return ad.matmul(ad.softmax(scores, axis=-1), vs)
+
+
+def composed_attention(q_in, k_in, v_in, params, num_heads):
+    """Drop-in for `autodiff.attention`."""
+    d_head = q_in.value.shape[-1] // num_heads
+    q = ad.matmul(q_in, params.wq)
+    k = ad.matmul(k_in, params.wk)
+    v = ad.matmul(v_in, params.wv)
+    heads = [composed_attention_head(q, k, v, h * d_head, d_head) for h in range(num_heads)]
+    merged = ad.concat(heads, axis=1) if len(heads) > 1 else heads[0]
+    return ad.matmul(merged, params.wo)
+
+
+def composed_weighted_attention_head(q, keys, values, weights, start, length):
+    qs = ad.scale(ad.narrow(q, 1, start, length), 1.0 / math.sqrt(length))
+    scores = [ad.matmul(qs, ad.transpose(ad.narrow(k, 1, start, length))) for k in keys]
+    row_max = np.max(np.concatenate([s.value for s in scores], axis=1), axis=1, keepdims=True)
+    shift = ad.tensor(row_max)
+    numerator = denominator = None
+    for weight, score, value in zip(weights, scores, values):
+        vs = ad.narrow(value, 1, start, length)
+        exps = ad.exp(ad.subtract(score, shift))
+        num_term = ad.multiply(ad.matmul(exps, vs), weight)
+        den_term = ad.multiply(ad.sum_axis(exps, 1, keepdims=True), weight)
+        numerator = num_term if numerator is None else ad.add(numerator, num_term)
+        denominator = den_term if denominator is None else ad.add(denominator, den_term)
+    return ad.divide(numerator, denominator)
+
+
+def composed_memory_attention(features, bank, cfg, params):
+    """Drop-in for `pipeline.memory_attention`."""
+    active = [e for e in bank.entries if float(e.scale.value) != 0.0]
+    d_head = cfg.model_dim // cfg.num_heads
+    q = ad.matmul(features, params["mem_attn.wq"])
+    keys = [ad.matmul(e.tokens, params["mem_attn.wk"]) for e in active]
+    values = [ad.matmul(e.tokens, params["mem_attn.wv"]) for e in active]
+    weights = [e.scale for e in active]
+    heads = [
+        composed_weighted_attention_head(q, keys, values, weights, h * d_head, d_head)
+        for h in range(cfg.num_heads)
+    ]
+    merged = ad.concat(heads, axis=1) if len(heads) > 1 else heads[0]
+    return ad.add(features, ad.matmul(merged, params["mem_attn.wo"]))

@@ -230,6 +230,26 @@ class TestEval:
         assert run_cli("eval", "--gt", gt_path, "--pred", pred_path) == 1
         assert "num_frames" in one_json_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("mangle, expected", [
+        (lambda preds: {"predictions": 5}, "predictions must be an array"),
+        (lambda preds: {"predictions": "scene_0000"}, "predictions must be an array"),
+        (lambda preds: 5, "predictions must be an array"),
+        (lambda preds: [{**preds[0], "occurrences": [{"start": 0, "end": 0, "masks": 5}]}],
+         "malformed annotation object"),
+        (lambda preds: [{**preds[0], "occurrences": [{"start": 0, "end": 0, "masks": [5]}]}],
+         "malformed annotation object"),
+        (lambda preds: [{**preds[0], "occurrences": 5}], "malformed annotation object"),
+        (lambda preds: [{**preds[0], "occurrences": [5]}], "malformed annotation object"),
+    ], ids=["predictions-int", "predictions-string", "top-level-int", "masks-int",
+            "mask-int", "occurrences-int", "occurrence-int"])
+    def test_malformed_predictions_rejected(self, dataset, tmp_path, capsys, mangle, expected):
+        manifest = load_manifest(dataset)
+        preds = [json.loads((dataset / e["gt"]).read_text()) for e in manifest["scenes"]]
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(json.dumps(mangle(preds)))
+        assert run_cli("eval", "--gt", dataset, "--pred", pred_path) == 1
+        assert expected in one_json_error_line(capsys.readouterr().err)
+
 
 class TestInferEvalEquivalence:
     def test_cli_matches_library(self, dataset, tmp_path, capsys):

@@ -1,0 +1,219 @@
+"""Fused attention heads against their composed references, bit for bit.
+
+`autodiff.attention_head` and `autodiff.weighted_attention_head` replace
+per-head graphs of narrow/transpose/matmul/scale/softmax/exp nodes. They run
+the same arithmetic in the same order, so values and every gradient must be
+byte-equal to the composed forms in `tests/oracles.py`, down to the order in
+which gradients sum into shared nodes.
+"""
+
+import numpy as np
+import pytest
+
+from vqs import autodiff as ad
+from vqs import pipeline
+from vqs.autodiff import AttentionParams, tensor
+from vqs.pipeline import (
+    KIND_DISTRACTOR,
+    KIND_QUERY_INIT,
+    KIND_TARGET,
+    MemoryBank,
+    MemoryEntry,
+    PipelineConfig,
+    init_params,
+)
+from vqs.synth import SceneConfig, generate_scene
+from vqs.training import scene_losses, total_loss
+
+from .oracles import (
+    composed_attention,
+    composed_attention_head,
+    composed_memory_attention,
+    composed_weighted_attention_head,
+)
+
+
+def assert_bytes_equal(got, expected, what=""):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape, what
+    assert got.tobytes() == expected.tobytes(), f"{what}: max |diff| {np.max(np.abs(got - expected))}"
+
+
+def leaves(rng, shapes, prefix):
+    return [tensor(rng.normal(size=shape), name=f"{prefix}{i}") for i, shape in enumerate(shapes)]
+
+
+def grads_of(loss, nodes):
+    """Gradients of loss for each node, copied out before another backward pass."""
+    return ad.gradient_map(loss, {str(i): n for i, n in enumerate(nodes)}).values()
+
+
+def run_heads(head_fn, rng_seed, build):
+    """Value and parent gradients of a head graph built by `build(head_fn, rng)`."""
+    rng = np.random.default_rng(rng_seed)
+    heads, parents = build(head_fn, rng)
+    merged = ad.concat(heads, axis=1) if len(heads) > 1 else heads[0]
+    probe = tensor(rng.normal(size=merged.shape))
+    loss = ad.sum_all(ad.multiply(merged, probe))
+    return [h.value for h in heads], list(grads_of(loss, parents))
+
+
+def compare(fused, composed, label):
+    (f_values, f_grads), (c_values, c_grads) = fused, composed
+    for h, (fv, cv) in enumerate(zip(f_values, c_values)):
+        assert_bytes_equal(fv, cv, f"{label} head {h} value")
+    for i, (fg, cg) in enumerate(zip(f_grads, c_grads)):
+        assert_bytes_equal(fg, cg, f"{label} parent {i} gradient")
+
+
+@pytest.mark.parametrize("num_heads", [1, 2])
+def test_attention_head_matches_composed(num_heads):
+    d = 4 * num_heads
+    d_head = d // num_heads
+
+    def build(head_fn, rng):
+        q, k, v = leaves(rng, [(7, d), (9, d), (9, d)], "qkv")
+        heads = [head_fn(q, k, v, h * d_head, d_head) for h in range(num_heads)]
+        return heads, [q, k, v]
+
+    compare(run_heads(ad.attention_head, 5, build),
+            run_heads(composed_attention_head, 5, build), f"{num_heads} heads")
+
+
+@pytest.mark.parametrize("num_heads", [1, 2])
+def test_attention_block_matches_composed(num_heads):
+    def run(attention_fn):
+        rng = np.random.default_rng(8)
+        x = tensor(rng.normal(size=(10, 8)), name="x")
+        params = AttentionParams(*leaves(rng, [(8, 8)] * 4, "w"))
+        out = attention_fn(x, x, x, params, num_heads)
+        loss = ad.sum_all(ad.multiply(out, tensor(rng.normal(size=out.shape))))
+        return [out.value], list(grads_of(loss, [x, params.wq, params.wk, params.wv, params.wo]))
+
+    compare(run(ad.attention), run(composed_attention), f"attention, {num_heads} heads")
+
+
+def memory_head_builder(row_counts, weight_values, shared=None):
+    """Heads over len(row_counts) entries; `shared` names two entries with one weight node."""
+
+    def build(head_fn, rng):
+        q = tensor(rng.normal(size=(6, 8)), name="q")
+        keys = leaves(rng, [(n, 8) for n in row_counts], "k")
+        values = leaves(rng, [(n, 8) for n in row_counts], "v")
+        weights = [tensor(w, name=f"w{i}") for i, w in enumerate(weight_values)]
+        if shared is not None:
+            a, b = shared
+            weights[b] = weights[a]
+        heads = [head_fn(q, keys, values, weights, h * 4, 4) for h in range(2)]
+        distinct = list({id(w): w for w in weights}.values())
+        return heads, [q, *keys, *values, *distinct]
+
+    return build
+
+
+@pytest.mark.parametrize("row_counts, weight_values, shared", [
+    ((5,), (1.0,), None),
+    ((5, 3), (0.7, 0.3), None),
+    ((5, 3, 4), (0.5, 0.2, 0.3), (1, 2)),
+    ((5, 3, 4, 6), (0.4, 0.25, 0.25, 0.1), (1, 2)),
+    ((2, 3, 4, 5), (1.5, 0.05, 0.8, 2.0), None),
+], ids=["1-entry", "2-entries", "3-entries-shared", "4-entries-shared", "4-entries"])
+def test_weighted_attention_head_matches_composed(row_counts, weight_values, shared):
+    build = memory_head_builder(row_counts, weight_values, shared)
+    compare(run_heads(ad.weighted_attention_head, 13, build),
+            run_heads(composed_weighted_attention_head, 13, build), f"{len(row_counts)} entries")
+
+
+def test_memory_attention_with_zero_scale_entry_matches_composed():
+    cfg = PipelineConfig(model_dim=8, num_heads=2, seed=4)
+
+    def run(memory_attention_fn):
+        store = init_params(cfg)
+        rng = np.random.default_rng(21)
+        features = tensor(rng.normal(size=(9, 8)), name="features")
+        tokens = leaves(rng, [(9, 8)] * 4, "tokens")
+        target_scale = tensor(0.35, name="target")
+        scales = [tensor(0.3, name="init"), target_scale, target_scale, tensor(0.0, name="zero")]
+        kinds = [KIND_QUERY_INIT, KIND_TARGET, KIND_TARGET, KIND_DISTRACTOR]
+        bank = MemoryBank(tuple(MemoryEntry(t, kind, s) for t, kind, s in zip(tokens, kinds, scales)))
+        out = memory_attention_fn(features, bank, cfg, store)
+        loss = ad.sum_all(ad.multiply(out, tensor(rng.normal(size=out.shape))))
+        mem_params = [store[f"mem_attn.w{p}"] for p in "qkvo"]
+        nodes = [features, *tokens, scales[0], target_scale, scales[3], *mem_params]
+        return [out.value], list(grads_of(loss, nodes))
+
+    compare(run(pipeline.memory_attention), run(composed_memory_attention), "memory_attention")
+
+
+def test_weighted_attention_replay_keeps_shift_frozen():
+    rng = np.random.default_rng(2)
+    q = tensor(rng.normal(size=(4, 4)), name="q")
+    keys = leaves(rng, [(3, 4), (5, 4)], "k")
+    values = leaves(rng, [(3, 4), (5, 4)], "v")
+    weights = [tensor(0.6), tensor(0.4)]
+    fused = ad.weighted_attention_head(q, keys, values, weights, 0, 4)
+    composed = composed_weighted_attention_head(q, keys, values, weights, 0, 4)
+    fused_record, composed_record = ad.trace(fused), ad.trace(composed)
+
+    q.value *= 3.0  # moves every row max away from the shift taken at build time
+    ad.replay(fused_record)
+    ad.replay(composed_record)
+    assert_bytes_equal(fused.value, composed.value, "replayed value")
+    rebuilt = ad.weighted_attention_head(q, keys, values, weights, 0, 4)
+    assert fused.value.tobytes() != rebuilt.value.tobytes()
+
+    q.value *= 400.0  # exp(score - stale shift) overflows: the shift was not recomputed
+    with np.errstate(over="ignore", invalid="ignore"):
+        ad.replay(fused_record)
+    assert not np.isfinite(fused.value).all()
+    assert np.isfinite(ad.weighted_attention_head(q, keys, values, weights, 0, 4).value).all()
+
+
+def test_fused_heads_save_nothing_without_record():
+    rng = np.random.default_rng(6)
+    q, k, v = leaves(rng, [(4, 4), (5, 4), (5, 4)], "qkv")
+    recorded = [ad.attention_head(q, k, v, 2, 2),
+                ad.weighted_attention_head(q, [k], [v], [tensor(1.0)], 2, 2)]
+    with ad.no_record():
+        unrecorded = [ad.attention_head(q, k, v, 2, 2),
+                      ad.weighted_attention_head(q, [k], [v], [tensor(1.0)], 2, 2)]
+    for node, reference in zip(unrecorded, recorded):
+        assert node.parents == () and node._fwd is None and node._vjp is None
+        assert_bytes_equal(node.value, reference.value, "no-record value")
+
+
+def test_weighted_attention_parent_order():
+    rng = np.random.default_rng(1)
+    q = tensor(rng.normal(size=(2, 4)))
+    keys, values = leaves(rng, [(3, 4)] * 2, "k"), leaves(rng, [(3, 4)] * 2, "v")
+    weights = [tensor(0.5), tensor(0.5)]
+    node = ad.weighted_attention_head(q, keys, values, weights, 0, 4)
+    expected = [q, *values, *keys, weights[0], weights[0], weights[1], weights[1]]
+    assert [id(p) for p in node.parents] == [id(p) for p in expected]
+
+
+TRAIN_SCENE = SceneConfig(
+    frame_size=(48, 48), num_frames=16, num_occurrences=2, distractor_count=1,
+    target_shape="rectangle", appearance_drift=0.15, target_scale=0.38, seed=21,
+)
+TRAIN_CFG = PipelineConfig(num_stages=2, clip_len=4, patch_size=4, model_dim=16,
+                           num_heads=2, stage_weights=(0.5, 1.0), seed=3)
+
+
+def training_step_gradients():
+    scene = generate_scene(TRAIN_SCENE, video_id="overfit")
+    store = init_params(TRAIN_CFG)
+    node, _ = total_loss(scene_losses(scene, TRAIN_CFG, store), TRAIN_CFG.stage_weights)
+    return float(node.value), ad.gradient_map(node, store.params)
+
+
+def test_training_step_gradients_match_composed(monkeypatch):
+    fused_loss, fused = training_step_gradients()
+    monkeypatch.setattr(ad, "attention", composed_attention)
+    monkeypatch.setattr(pipeline, "memory_attention", composed_memory_attention)
+    composed_loss, composed = training_step_gradients()
+    assert fused_loss == composed_loss
+    assert fused.keys() == composed.keys()
+    for name in composed:
+        assert_bytes_equal(fused[name], composed[name], name)
+

@@ -8,6 +8,7 @@ from vqs.masks import (
     BoundingBox,
     CorruptMaskError,
     MaskDimensionError,
+    MaskError,
     Masklet,
     ResponseSet,
     RleMask,
@@ -245,6 +246,15 @@ class TestOccurrences:
         back, h, w = annotation_from_dict(obj)
         assert (h, w) == (4, 4)
         assert back == rs
+
+    @pytest.mark.parametrize("occurrences", [
+        5, [5], [{"start": 0, "end": 0, "masks": 5}], [{"start": 0, "end": 0, "masks": [5]}],
+        [{"start": 0, "end": 0}],
+    ], ids=["occurrences-int", "occurrence-int", "masks-int", "mask-int", "masks-missing"])
+    def test_malformed_occurrences_raise_mask_error(self, occurrences):
+        obj = {"video_id": "v", "height": 4, "width": 4, "occurrences": occurrences}
+        with pytest.raises(MaskError, match="malformed annotation object"):
+            annotation_from_dict(obj)
 
     def test_annotation_dims_must_match(self):
         a = block_mask(4, 4, 0, 0, 2, 2)
