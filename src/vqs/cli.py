@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -22,13 +23,7 @@ import numpy as np
 
 from .autodiff import NonFiniteValueError, Tensor
 from .masks import MaskError, ResponseSet, annotation_from_dict, annotation_to_dict
-from .metrics import (
-    DEFAULT_SUBSET_BOUNDS,
-    EvaluationError,
-    MetricReport,
-    aggregate_metrics,
-    evaluate_video,
-)
+from .metrics import EvaluationError, MetricReport, evaluate_run
 from .optim import CheckpointError, ParamStore, load_params, save_params
 from .parallel import parallel_map
 from .pipeline import PipelineConfig, PipelineConfigError, config_digest, infer_video, init_params
@@ -246,8 +241,6 @@ def _infer_one(work: tuple) -> dict:
 def _cmd_infer(args: argparse.Namespace) -> int:
     cfg = _pipeline_config(args)
     manifest = load_manifest(args.data)
-    from dataclasses import asdict
-
     cfg_kwargs = asdict(cfg)
     # read once here, so a bad checkpoint fails before any worker starts; work
     # items carry bare arrays, without the store's optimizer moments
@@ -284,19 +277,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
     tcfg = TrainConfig(
         steps=args.steps, lr=args.lr, beta1=args.beta1, beta2=args.beta2,
         eps=args.eps, weight_decay=args.weight_decay,
-        stage_weights=cfg.stage_weights, log_interval=args.log_interval, seed=args.seed,
+        stage_weights=cfg.stage_weights, seed=args.seed,
     )
     store, curve = overfit_train(record, cfg, tcfg)
     for pt in curve:
-        if pt.step == 1 or pt.step % tcfg.log_interval == 0 or pt.step == len(curve):
+        if pt.step == 1 or pt.step % args.log_interval == 0 or pt.step == len(curve):
             print(f"step {pt.step:5d}  total {pt.total:.6f}  dice {pt.dice:.6f}  "
                   f"bce {pt.mask_bce:.6f}  iou {pt.iou_head:.6f}  occ {pt.occlusion_bce:.6f}")
     save_params(store, args.ckpt_out)
-    from dataclasses import asdict
-
     _write_sidecar(Path(args.ckpt_out), "train", {
         "data": str(args.data), "scene": args.scene, "train": asdict(tcfg),
-        "pipeline": asdict(cfg),
+        "log_interval": args.log_interval, "pipeline": asdict(cfg),
     })
     if args.curve_out:
         write_curve_csv(curve, args.curve_out)
@@ -372,11 +363,6 @@ def _check_frame_range(pred: ResponseSet, num_frames: Optional[int]) -> None:
                        f"the video has {num_frames} frames (0 to {num_frames - 1})")
 
 
-def _eval_one(pair: tuple) -> tuple:
-    vid, gt, pred = pair
-    return vid, evaluate_video(gt, pred)
-
-
 def _report_csv_text(report: MetricReport) -> str:
     return "\n".join(",".join(row) for row in report.csv_rows()) + "\n"
 
@@ -384,17 +370,12 @@ def _report_csv_text(report: MetricReport) -> str:
 def _cmd_eval(args: argparse.Namespace) -> int:
     gt, lengths = _load_gt_responses(args.gt)
     pred = _load_pred_responses(args.pred)
-    missing = sorted(set(gt) - set(pred))
-    if missing:
-        raise CliError(f"missing predictions for video ids: {', '.join(missing)}")
     for vid in sorted(gt):
-        _check_frame_range(pred[vid], lengths[vid])
-    work = [(vid, gt[vid], pred[vid]) for vid in sorted(gt)]
-    results = dict(parallel_map(_eval_one, work, args.jobs))
-    evals = [results[vid] for vid in sorted(results)]
-    report = aggregate_metrics(evals, DEFAULT_SUBSET_BOUNDS)
+        if vid in pred:
+            _check_frame_range(pred[vid], lengths[vid])
+    report = evaluate_run(gt, pred, jobs=args.jobs)
     body = report.as_dict()
-    body["videos"] = len(evals)
+    body["videos"] = len(gt)
     if args.format == "csv":
         sys.stdout.write(_report_csv_text(report))
     else:

@@ -9,7 +9,7 @@ so they can be shared freely across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -144,10 +144,6 @@ def mask_intersection_area(a: RleMask, b: RleMask) -> int:
     return inter
 
 
-def mask_area(a: RleMask) -> int:
-    return a.area()
-
-
 def mask_iou(a: RleMask, b: RleMask) -> float:
     """Intersection over union. Two empty masks agree perfectly -> 1.0."""
     _check_same_shape(a, b)
@@ -156,39 +152,6 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
         return 1.0
     inter = mask_intersection_area(a, b)
     return inter / (area_a + area_b - inter)
-
-
-def divergence_score(best: RleMask, alt: RleMask) -> float:
-    """Spatial discrepancy between a best mask and an alternative: 1 - IoU."""
-    return 1.0 - mask_iou(best, alt)
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Inclusive pixel-coordinate box."""
-
-    x_min: int
-    y_min: int
-    x_max: int
-    y_max: int
-
-    def __post_init__(self) -> None:
-        if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise MaskError(f"degenerate box {self}")
-
-
-def mask_to_bbox(a: RleMask) -> Optional[BoundingBox]:
-    """Tight box over foreground pixels; None for an empty mask."""
-    if a.area() == 0:
-        return None
-    grid = rle_decode(a)
-    rows, cols = np.nonzero(grid)
-    return BoundingBox(
-        x_min=int(cols.min()),
-        y_min=int(rows.min()),
-        x_max=int(cols.max()),
-        y_max=int(rows.max()),
-    )
 
 
 @dataclass(frozen=True)

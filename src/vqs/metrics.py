@@ -21,6 +21,7 @@ from .masks import (
     mask_intersection_area,
     mask_iou,
 )
+from .parallel import parallel_map
 
 SUBSET_SMALL = "Small"
 SUBSET_MEDIUM = "Medium"
@@ -245,25 +246,29 @@ def aggregate_metrics(
     return MetricReport(overall=_scores(evals), per_subset=per_subset, video_counts=counts)
 
 
+def _evaluate_item(item: tuple[str, ResponseSet, ResponseSet]) -> VideoEval:
+    vid, gt, pred = item
+    try:
+        return evaluate_video(gt, pred)
+    except MaskError as exc:
+        raise EvaluationError(f"video {vid!r}: {exc}") from exc
+
+
 def evaluate_run(
     gt_responses: Mapping[str, ResponseSet],
     pred_responses: Mapping[str, ResponseSet],
     subset_bounds: tuple[float, float] = DEFAULT_SUBSET_BOUNDS,
+    jobs: int = 1,
 ) -> MetricReport:
     """Evaluate predictions against ground truth over a whole run.
 
     Every gt video id must have a prediction entry (an empty ResponseSet is a
     valid prediction). Prediction entries without a gt counterpart are ignored.
+    Videos are scored over up to `jobs` processes; the report does not depend
+    on `jobs`.
     """
     missing = [vid for vid in gt_responses if vid not in pred_responses]
     if missing:
         raise MissingPredictionsError(missing)
-    evals = []
-    for vid in sorted(gt_responses):
-        gt = gt_responses[vid]
-        pred = pred_responses[vid]
-        try:
-            evals.append(evaluate_video(gt, pred))
-        except MaskError as exc:
-            raise EvaluationError(f"video {vid!r}: {exc}") from exc
-    return aggregate_metrics(evals, subset_bounds)
+    work = [(vid, gt_responses[vid], pred_responses[vid]) for vid in sorted(gt_responses)]
+    return aggregate_metrics(parallel_map(_evaluate_item, work, jobs), subset_bounds)

@@ -10,6 +10,11 @@ the original query memory under learned softmax importance weights to form
 the next stage's bank. The final stage emits one mask per frame, gated on
 the occlusion score.
 
+Masks stay on the feature grid inside the pipeline: a candidate's mask is
+the boolean grid of its logits above zero, and overlaps are exact integer
+counts per patch. Run-length encoding appears only where masks enter (the
+query mask) and where they leave (`finalize_predictions`).
+
 Memory entries carry a scalar importance weight. Attention aggregates each
 entry's contribution weighted by that scalar in both the softmax numerator
 and denominator, so an entry weighted zero drops out exactly and halving a
@@ -20,8 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
-from typing import Optional, Sequence
+from dataclasses import dataclass, asdict
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .autodiff import AttentionParams, Tensor
 from .masks import (
     RleMask,
     ResponseSet,
-    divergence_score,
     group_into_masklets,
     rle_decode,
     rle_encode,
@@ -209,11 +213,32 @@ def encode_frame(frame: np.ndarray, cfg: PipelineConfig, params: ParamStore) -> 
     return ad.add(projected, pe)
 
 
+def mask_patch_counts(mask: RleMask, patch_size: int) -> np.ndarray:
+    """Foreground pixels per patch on the feature grid, as exact integers."""
+    gh, gw = feature_grid(mask.shape, patch_size)
+    grid = rle_decode(mask).reshape(gh, patch_size, gw, patch_size)
+    return grid.sum(axis=(1, 3), dtype=np.int64)
+
+
 def mask_patch_fractions(mask: RleMask, patch_size: int) -> np.ndarray:
     """Per-patch foreground fraction on the feature grid."""
-    gh, gw = feature_grid(mask.shape, patch_size)
-    grid = rle_decode(mask).astype(np.float64)
-    return grid.reshape(gh, patch_size, gw, patch_size).mean(axis=(1, 3))
+    return mask_patch_counts(mask, patch_size) / (patch_size * patch_size)
+
+
+def grid_iou(grid: np.ndarray, counts: np.ndarray, patch_area: int = 1) -> float:
+    """IoU of a patch-replicated boolean grid against another mask's patch counts.
+
+    Each True cell of `grid` covers `patch_area` pixels; `counts` holds the
+    other mask's foreground pixels per patch (a boolean grid at patch_area 1
+    counts itself). Every term is an exact integer, so this equals `mask_iou`
+    of the pixel masks bit for bit; two empty masks give 1.0.
+    """
+    inter = int(counts[grid].sum())
+    area_a = int(grid.sum()) * patch_area
+    area_b = int(counts.sum())
+    if area_a == 0 and area_b == 0:
+        return 1.0
+    return inter / (area_a + area_b - inter)
 
 
 @dataclass
@@ -251,15 +276,13 @@ class MemoryBank:
 
 def encode_memory(
     features: Tensor,
-    mask: RleMask,
-    cfg: PipelineConfig,
+    fractions: np.ndarray,
     params: ParamStore,
     kind: str = KIND_QUERY_INIT,
 ) -> MemoryEntry:
-    """Fuse a frame's tokens with its mask's patch-fraction channel."""
+    """Fuse a frame's tokens with a mask's per-patch foreground fractions."""
     n = features.value.shape[0]
-    fractions = mask_patch_fractions(mask, cfg.patch_size).reshape(n, 1)
-    joined = ad.concat([features, ad.tensor(fractions)], axis=1)
+    joined = ad.concat([features, ad.tensor(fractions.reshape(n, 1))], axis=1)
     tokens = ad.linear(joined, params["mem_enc.w"], params["mem_enc.b"])
     return MemoryEntry(tokens=tokens, kind=kind, scale=unit_scale())
 
@@ -324,6 +347,11 @@ class MaskCandidate:
     occlusion_score: Tensor      # raw logit; positive means target present
 
     @property
+    def grid(self) -> np.ndarray:
+        """The binarized mask on the feature grid: logits above zero."""
+        return self.mask_logits.value > 0
+
+    @property
     def iou(self) -> float:
         return float(self.iou_score.value)
 
@@ -374,7 +402,7 @@ def decode_masks(
 
 def binarize_candidate(candidate: MaskCandidate, frame_hw: tuple[int, int]) -> RleMask:
     """Threshold logits at zero, then patch-replicate up to frame resolution."""
-    grid = candidate.mask_logits.value > 0
+    grid = candidate.grid
     gh, gw = grid.shape
     h, w = frame_hw
     if h % gh or w % gw:
@@ -423,7 +451,6 @@ class SelectedCandidate:
 def tfg_select(
     stage_candidates: Sequence[FrameCandidates],
     clip_features: Sequence[Tensor],
-    frame_hw: tuple[int, int],
     cfg: PipelineConfig,
     params: ParamStore,
 ) -> tuple[list[MemoryEntry], list[SelectedCandidate]]:
@@ -443,8 +470,8 @@ def tfg_select(
     entries: list[MemoryEntry] = []
     provenance: list[SelectedCandidate] = []
     for local_idx, cand_idx, cand in per_frame[: cfg.num_targets]:
-        mask = binarize_candidate(cand, frame_hw)
-        entries.append(encode_memory(clip_features[local_idx], mask, cfg, params, KIND_TARGET))
+        fractions = cand.grid.astype(np.float64)
+        entries.append(encode_memory(clip_features[local_idx], fractions, params, KIND_TARGET))
         provenance.append(
             SelectedCandidate(
                 frame_index=stage_candidates[local_idx].frame_index,
@@ -460,34 +487,34 @@ def tfg_select(
 def dfg_select(
     stage_candidates: Sequence[FrameCandidates],
     clip_features: Sequence[Tensor],
-    frame_hw: tuple[int, int],
     cfg: PipelineConfig,
     params: ParamStore,
 ) -> tuple[list[MemoryEntry], list[SelectedCandidate]]:
     """Mine up to n_d confusable alternative masks as distractor memory.
 
     For each frame's non-best candidates, divergence = 1 - IoU against the
-    best candidate's binarized mask. Alternatives qualify with divergence
-    strictly above tau_divergence and predicted IoU strictly above tau_score,
-    then rank by divergence * IoU (ties: lower frame, lower candidate index).
+    best candidate's binarized mask on the feature grid. Alternatives qualify
+    with divergence strictly above tau_divergence and predicted IoU strictly
+    above tau_score, then rank by divergence * IoU (ties: lower frame, lower
+    candidate index).
     An empty selection is valid.
     """
     qualified = []
     for local_idx, frame in enumerate(stage_candidates):
         best_idx = best_candidate_index(frame)
-        best_mask = binarize_candidate(frame.candidates[best_idx], frame_hw)
+        best_grid = frame.candidates[best_idx].grid
         for cand_idx, cand in enumerate(frame.candidates):
             if cand_idx == best_idx:
                 continue
-            divergence = divergence_score(best_mask, binarize_candidate(cand, frame_hw))
+            divergence = 1.0 - grid_iou(cand.grid, best_grid)
             if divergence > cfg.tau_divergence and cand.iou > cfg.tau_score:
                 qualified.append((local_idx, cand_idx, cand, divergence, divergence * cand.iou))
     qualified.sort(key=lambda item: (-item[4], item[0], item[1]))
     entries: list[MemoryEntry] = []
     provenance: list[SelectedCandidate] = []
     for local_idx, cand_idx, cand, divergence, product in qualified[: cfg.num_distractors]:
-        mask = binarize_candidate(cand, frame_hw)
-        entries.append(encode_memory(clip_features[local_idx], mask, cfg, params, KIND_DISTRACTOR))
+        fractions = cand.grid.astype(np.float64)
+        entries.append(encode_memory(clip_features[local_idx], fractions, params, KIND_DISTRACTOR))
         provenance.append(
             SelectedCandidate(
                 frame_index=stage_candidates[local_idx].frame_index,
@@ -582,8 +609,7 @@ def run_stage(
         raise PipelineConfigError("empty clip")
     if len(frames) > cfg.clip_len:
         raise PipelineConfigError(f"clip of {len(frames)} frames exceeds clip_len {cfg.clip_len}")
-    frame_hw = frames[0].shape[:2]
-    grid_hw = feature_grid(frame_hw, cfg.patch_size)
+    grid_hw = feature_grid(frames[0].shape[:2], cfg.patch_size)
     features = [encode_frame(f, cfg, params) for f in frames]
     attended = [memory_attention(f, bank, cfg, params) for f in features]
     enhanced = stt_block(attended, cfg, params)
@@ -593,8 +619,8 @@ def run_stage(
     )
     if is_final:
         return StageOutput(candidates=candidates, targets=(), distractors=(), new_bank=None)
-    target_entries, target_prov = tfg_select(candidates, features, frame_hw, cfg, params)
-    distractor_entries, distractor_prov = dfg_select(candidates, features, frame_hw, cfg, params)
+    target_entries, target_prov = tfg_select(candidates, features, cfg, params)
+    distractor_entries, distractor_prov = dfg_select(candidates, features, cfg, params)
     new_bank = amg_fuse(bank.query_init(), target_entries, distractor_entries, cfg, params)
     return StageOutput(
         candidates=candidates,
@@ -644,20 +670,17 @@ def clip_spans(num_frames: int, clip_len: int) -> list[tuple[int, int]]:
     return [(s, min(s + clip_len, num_frames)) for s in range(0, num_frames, clip_len)]
 
 
-@ad.no_record()
-def infer_video(
+def run_video(
     frames: Sequence[np.ndarray],
     query_frame: np.ndarray,
     query_mask: RleMask,
     cfg: PipelineConfig,
     params: ParamStore,
-    video_id: str = "video",
-) -> tuple[ResponseSet, dict]:
-    """Segment all query-object occurrences in a video, clip by clip.
+) -> Iterator[tuple[int, int, list[StageOutput]]]:
+    """Check a video's inputs, encode its query once, then run it clip by clip.
 
-    Returns the assembled response plus a provenance block recording the
-    mined target/distractor candidates of every non-final stage. Runs in
-    autodiff's no-record mode: nothing here is ever differentiated.
+    Yields `(start, stop, stage_outputs)` for each [start, stop) clip span.
+    Inference and training both run their videos through here.
     """
     if not frames:
         raise PipelineConfigError("video has no frames")
@@ -673,13 +696,31 @@ def infer_video(
             f"query mask {query_mask.shape} does not match video frames {frame_hw}"
         )
     query_features = encode_frame(query_frame, cfg, params)
-    init_entry = encode_memory(query_features, query_mask, cfg, params, KIND_QUERY_INIT)
+    fractions = mask_patch_fractions(query_mask, cfg.patch_size)
+    init_entry = encode_memory(query_features, fractions, params, KIND_QUERY_INIT)
+    for start, stop in clip_spans(len(frames), cfg.clip_len):
+        yield start, stop, run_clip(frames[start:stop], init_entry, cfg, params, frame_offset=start)
 
+
+@ad.no_record()
+def infer_video(
+    frames: Sequence[np.ndarray],
+    query_frame: np.ndarray,
+    query_mask: RleMask,
+    cfg: PipelineConfig,
+    params: ParamStore,
+    video_id: str = "video",
+) -> tuple[ResponseSet, dict]:
+    """Segment all query-object occurrences in a video, clip by clip.
+
+    Returns the assembled response plus a provenance block recording the
+    mined target/distractor candidates of every non-final stage. Runs in
+    autodiff's no-record mode: nothing here is ever differentiated.
+    """
     per_frame: list[Optional[RleMask]] = []
     clip_records = []
-    for start, stop in clip_spans(len(frames), cfg.clip_len):
-        stage_outputs = run_clip(frames[start:stop], init_entry, cfg, params, frame_offset=start)
-        per_frame.extend(finalize_predictions(stage_outputs[-1].candidates, frame_hw))
+    for start, stop, stage_outputs in run_video(frames, query_frame, query_mask, cfg, params):
+        per_frame.extend(finalize_predictions(stage_outputs[-1].candidates, frames[0].shape[:2]))
         clip_records.append(
             {
                 "start": start,

@@ -18,8 +18,7 @@ import colorsys
 import hashlib
 import json
 import math
-import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -32,6 +31,7 @@ from .masks import (
     RleMask,
     annotation_from_dict,
     annotation_to_dict,
+    mask_iou,
     rle_encode,
 )
 from .parallel import parallel_map
@@ -581,8 +581,6 @@ def _histogram(values: Sequence[float], bins: int = 10) -> dict:
 
 def compute_stats(dataset_dir: str | Path, bins: int = 10) -> dict:
     """Dataset distributions: lengths, occurrences, areas, motion statistics."""
-    from .masks import mask_iou  # local import keeps module load light
-
     manifest = load_manifest(dataset_dir)
     video_lengths = []
     response_lengths = []

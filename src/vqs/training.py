@@ -1,10 +1,11 @@
 """Training objective and the desk-scale single-scene overfit trainer.
 
 Each frame supervises only the candidate whose binarized mask best overlaps
-the ground truth (lowest index on ties): soft dice and mask BCE on the
-sigmoid logits against the patch-fraction downsampled gt, an L1 penalty on
-the predicted-IoU head against the realized IoU, and BCE of the occlusion
-score against a presence indicator. Frames without ground truth train only
+the ground truth (lowest index on ties; overlaps are counted exactly on the
+feature grid): soft dice and mask BCE on the sigmoid logits against the
+patch-fraction downsampled gt, an L1 penalty on the predicted-IoU head
+against the realized IoU, and BCE of the occlusion score against a presence
+indicator. Frames without ground truth train only
 the occlusion head. Stage losses sum per frame and combine under the
 per-stage weights.
 """
@@ -19,18 +20,20 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .masks import RleMask, mask_iou
+from .masks import RleMask, rle_encode
 from .optim import ADAMW_DEFAULTS, ParamStore, adamw_step, seeded_init
 from .pipeline import (
     FrameCandidates,
+    MemoryBank,
     PipelineConfig,
-    binarize_candidate,
-    clip_spans,
     encode_frame,
     encode_memory,
+    grid_iou,
+    mask_patch_counts,
     mask_patch_fractions,
     param_shapes,
-    run_clip,
+    run_stage,
+    run_video,
 )
 from .synth import SceneRecord
 
@@ -72,7 +75,6 @@ class TrainConfig:
     weight_decay: float = ADAMW_DEFAULTS["weight_decay"]
     stage_weights: Optional[tuple[float, ...]] = None   # None: use pipeline's
     component_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    log_interval: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,13 +82,15 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
 
 
-def _routed_candidate(candidates: FrameCandidates, gt_mask: Optional[RleMask],
-                      frame_hw: tuple[int, int]) -> tuple[int, float]:
-    """Candidate index with max realized IoU against gt, and that IoU."""
-    reference = gt_mask if gt_mask is not None else RleMask.empty(*frame_hw)
+def _routed_candidate(candidates: FrameCandidates, gt_counts: np.ndarray,
+                      patch_size: int) -> tuple[int, float]:
+    """Candidate index with max realized IoU against gt, and that IoU.
+
+    `gt_counts` holds the gt's foreground pixels per patch (all zero without gt).
+    """
     best_idx, best_iou = 0, -1.0
     for idx, cand in enumerate(candidates.candidates):
-        iou = mask_iou(binarize_candidate(cand, frame_hw), reference)
+        iou = grid_iou(cand.grid, gt_counts, patch_size * patch_size)
         if iou > best_iou:
             best_idx, best_iou = idx, iou
     return best_idx, best_iou
@@ -95,16 +99,17 @@ def _routed_candidate(candidates: FrameCandidates, gt_mask: Optional[RleMask],
 def frame_loss(
     candidates: FrameCandidates,
     gt_mask: Optional[RleMask],
-    frame_hw: tuple[int, int],
     cfg: PipelineConfig,
     component_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
 ) -> LossBreakdown:
     """Best-candidate-routed supervision for one frame."""
     if gt_mask is not None and gt_mask.area() == 0:
         gt_mask = None
-    idx, actual_iou = _routed_candidate(candidates, gt_mask, frame_hw)
-    cand = candidates.candidates[idx]
     present = gt_mask is not None
+    gt_counts = (mask_patch_counts(gt_mask, cfg.patch_size) if present
+                 else np.zeros_like(candidates.candidates[0].grid, dtype=np.int64))
+    idx, actual_iou = _routed_candidate(candidates, gt_counts, cfg.patch_size)
+    cand = candidates.candidates[idx]
     w_dice, w_bce, w_iou, w_occ = component_weights
 
     occ_target = ad.tensor(1.0 if present else 0.0)
@@ -112,8 +117,7 @@ def frame_loss(
     terms = [ad.scale(occlusion_node, w_occ)]
 
     if present:
-        fractions = mask_patch_fractions(gt_mask, cfg.patch_size)
-        g = ad.tensor(fractions)
+        g = ad.tensor(gt_counts / (cfg.patch_size * cfg.patch_size))
         p = ad.sigmoid(cand.mask_logits)
         overlap = ad.sum_all(ad.multiply(p, g))
         denom = ad.add(ad.sum_all(p), ad.sum_all(g))
@@ -191,20 +195,16 @@ def scene_losses(
     component_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
 ) -> list[list[LossBreakdown]]:
     """Forward all stages over all clips of a scene; per-stage frame losses."""
-    frame_hw = scene.frames[0].shape[:2]
     gt_masks = scene.gt.frame_masks()
-    query_features = encode_frame(scene.query_frame, cfg, params)
-    init_entry = encode_memory(query_features, scene.query_mask, cfg, params)
     per_stage: list[list[LossBreakdown]] = [[] for _ in range(cfg.num_stages)]
-    for start, stop in clip_spans(len(scene.frames), cfg.clip_len):
-        stage_outputs = run_clip(scene.frames[start:stop], init_entry, cfg, params, frame_offset=start)
+    video = run_video(scene.frames, scene.query_frame, scene.query_mask, cfg, params)
+    for _, _, stage_outputs in video:
         for stage_idx, stage_out in enumerate(stage_outputs):
             for frame_cands in stage_out.candidates:
                 per_stage[stage_idx].append(
                     frame_loss(
                         frame_cands,
                         gt_masks.get(frame_cands.frame_index),
-                        frame_hw,
                         cfg,
                         component_weights,
                     )
@@ -281,8 +281,6 @@ def gradient_check_report(
     check("quadratic_linear", *_quadratic_linear_graph())
 
     # composed: one full stage plus the routed frame loss at toy dims
-    from .pipeline import MemoryBank, run_stage
-
     cfg = PipelineConfig(
         num_stages=1, clip_len=4, patch_size=4, model_dim=8, num_heads=2,
         stage_weights=(1.0,), seed=seed,
@@ -292,13 +290,11 @@ def gradient_check_report(
     frames = [frame_rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8) for _ in range(3)]
     gt_grid = (frame_rng.random((8, 8)) < 0.4).astype(np.uint8)
     gt_grid[0, 0] = 1
-    from .masks import rle_encode
-
     gt_mask = rle_encode(gt_grid)
     query_feats = encode_frame(frames[0], cfg, store)
-    init_entry = encode_memory(query_feats, gt_mask, cfg, store)
+    init_entry = encode_memory(query_feats, mask_patch_fractions(gt_mask, cfg.patch_size), store)
     out = run_stage(frames, MemoryBank((init_entry,)), cfg, store, is_final=True)
-    losses = [frame_loss(fc, gt_mask if fc.frame_index != 1 else None, (8, 8), cfg)
+    losses = [frame_loss(fc, gt_mask if fc.frame_index != 1 else None, cfg)
               for fc in out.candidates]
     node, _ = total_loss([losses], (1.0,))
     report["stage_frame_loss"] = ad.grad_check(
@@ -345,35 +341,38 @@ def overfit_train(
         raise ValueError(f"{len(stage_weights)} stage weights for {cfg.num_stages} stages")
     store = seeded_init(param_shapes(cfg), tcfg.seed)
     curve: list[CurvePoint] = []
-    for step in range(1, tcfg.steps + 1):
-        try:
-            per_stage = scene_losses(scene, cfg, store, tcfg.component_weights)
-            node, agg = total_loss(per_stage, stage_weights)
-        except ad.NonFiniteValueError as exc:
-            raise TrainingDivergedError(step) from exc
-        if not np.isfinite(agg["total"]):
-            raise TrainingDivergedError(step)
-        grads = ad.gradient_map(node, store.params)
-        adamw_step(
-            store,
-            grads,
-            lr=tcfg.lr,
-            beta1=tcfg.beta1,
-            beta2=tcfg.beta2,
-            eps=tcfg.eps,
-            weight_decay=tcfg.weight_decay,
-        )
-        for name, p in store.params.items():
-            if not np.all(np.isfinite(p.value)):
-                raise TrainingDivergedError(step, f"parameter {name}")
-        curve.append(
-            CurvePoint(
-                step=step,
-                total=agg["total"],
-                dice=agg["dice"],
-                mask_bce=agg["mask_bce"],
-                iou_head=agg["iou_head"],
-                occlusion_bce=agg["occlusion_bce"],
+    # a diverging run is reported as TrainingDivergedError; numpy's own
+    # overflow warnings would only precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, tcfg.steps + 1):
+            try:
+                per_stage = scene_losses(scene, cfg, store, tcfg.component_weights)
+                node, agg = total_loss(per_stage, stage_weights)
+            except ad.NonFiniteValueError as exc:
+                raise TrainingDivergedError(step) from exc
+            if not np.isfinite(agg["total"]):
+                raise TrainingDivergedError(step)
+            grads = ad.gradient_map(node, store.params)
+            adamw_step(
+                store,
+                grads,
+                lr=tcfg.lr,
+                beta1=tcfg.beta1,
+                beta2=tcfg.beta2,
+                eps=tcfg.eps,
+                weight_decay=tcfg.weight_decay,
             )
-        )
+            for name, p in store.params.items():
+                if not np.all(np.isfinite(p.value)):
+                    raise TrainingDivergedError(step, f"parameter {name}")
+            curve.append(
+                CurvePoint(
+                    step=step,
+                    total=agg["total"],
+                    dice=agg["dice"],
+                    mask_bce=agg["mask_bce"],
+                    iou_head=agg["iou_head"],
+                    occlusion_bce=agg["occlusion_bce"],
+                )
+            )
     return store, curve

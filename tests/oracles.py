@@ -4,6 +4,12 @@ The metric evaluators recompute from first principles: masks are decoded with
 a local run-length decoder and all overlaps are counted per pixel with numpy
 boolean arrays. Nothing is shared with the metric implementations under test.
 
+The mask references are the pixel-domain forms the pipeline used before its
+masks stayed on the feature grid: candidates are patch-replicated to frame
+resolution, run-length encoded and compared with `mask_iou`, and patch
+fractions are float means of decoded pixels. The grid forms must match them
+bit for bit.
+
 The attention references build each head from autodiff primitives, one node
 per narrow, transpose, matmul, scale, softmax or exp, as the library did
 before its heads became single fused nodes. The fused nodes must match them
@@ -17,6 +23,8 @@ import math
 import numpy as np
 
 from vqs import autodiff as ad
+from vqs.masks import RleMask, mask_iou, rle_decode
+from vqs.pipeline import binarize_candidate
 
 
 def decode_runs(runs, height, width):
@@ -121,6 +129,27 @@ def brute_report(gt_by_id: dict, pred_by_id: dict, bounds=(3.6e3, 4.0e4)) -> dic
         "per_subset": {k: brute_aggregate(v) for k, v in subsets.items() if v},
         "video_counts": {k: len(v) for k, v in subsets.items()},
     }
+
+
+# --- Pixel-domain masks ---------------------------------------------------------
+
+
+def rle_patch_fractions(mask, patch_size):
+    """Per-patch foreground fraction as the mean of the decoded pixels."""
+    h, w = mask.shape
+    grid = rle_decode(mask).astype(np.float64)
+    return grid.reshape(h // patch_size, patch_size, w // patch_size, patch_size).mean(axis=(1, 3))
+
+
+def rle_routed_candidate(candidates, gt_mask, frame_hw):
+    """Candidate index with max pixel IoU against gt (an empty mask for None), and that IoU."""
+    reference = gt_mask if gt_mask is not None else RleMask.empty(*frame_hw)
+    best_idx, best_iou = 0, -1.0
+    for idx, cand in enumerate(candidates.candidates):
+        iou = mask_iou(binarize_candidate(cand, frame_hw), reference)
+        if iou > best_iou:
+            best_idx, best_iou = idx, iou
+    return best_idx, best_iou
 
 
 # --- Composed attention ---------------------------------------------------------

@@ -159,10 +159,10 @@ class TestCriterion5SelectionOracles:
                 for fi in range(n_frames)
             ]
             feats = [ad.tensor(np.zeros((16, cfg.model_dim))) for _ in range(n_frames)]
-            _, tprov = tfg_select(frames, feats, (4, 4), cfg, params)
+            _, tprov = tfg_select(frames, feats, cfg, params)
             got_t = [(p.frame_index, p.candidate_index) for p in tprov]
             want_t = oracle_tfg(frames, cfg.tau_target, cfg.num_targets)
-            _, dprov = dfg_select(frames, feats, (4, 4), cfg, params)
+            _, dprov = dfg_select(frames, feats, cfg, params)
             got_d = [(p.frame_index, p.candidate_index) for p in dprov]
             want_d = oracle_dfg(frames, cfg.tau_divergence, cfg.tau_score,
                                 cfg.num_distractors, (4, 4))

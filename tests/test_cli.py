@@ -1,6 +1,7 @@
 import ctypes
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -201,6 +202,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert "missing predictions" in err
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mask_size_mismatch_names_video(self, tmp_path, capsys, jobs):
+        def annotation(vid, size):
+            return {"video_id": vid, "height": size, "width": size,
+                    "occurrences": [{"start": 0, "end": 0, "masks": [f"0,{size * size}"]}]}
+
+        gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+        gt_path.write_text(json.dumps([annotation("scene_0000", 64), annotation("scene_0001", 64)]))
+        pred_path.write_text(json.dumps([annotation("scene_0000", 32), annotation("scene_0001", 64)]))
+        assert run_cli("eval", "--gt", gt_path, "--pred", pred_path, "--jobs", jobs) == 1
+        message = one_json_error_line(capsys.readouterr().err)
+        assert message == "video 'scene_0000': gt masks are (64, 64), predictions are (32, 32)"
 
     @pytest.mark.parametrize("frame_of", [lambda n: -5, lambda n: -1, lambda n: n, lambda n: 900],
                              ids=["minus-5", "minus-1", "num-frames", "900"])
@@ -304,7 +317,22 @@ class TestTrain:
         store = load_params(str(ckpt))
         assert len(store.params) > 10
         assert curve.read_text().count("\n") == 3
-        assert (tmp_path / "model.bin.config.json").exists()
+        sidecar = json.loads((tmp_path / "model.bin.config.json").read_text())
+        assert sidecar["options"]["log_interval"] == 10
+        assert "log_interval" not in sidecar["options"]["train"]
+
+    def test_empty_query_mask_rejected(self, two_videos, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(two_videos, data)
+        gt_path = data / load_manifest(data)["scenes"][0]["gt"]
+        gt = json.loads(gt_path.read_text())
+        gt["query_mask"] = str(gt["height"] * gt["width"])
+        gt_path.write_text(json.dumps(gt))
+        code = run_cli("train", "--data", data, "--steps", 1, "--model-dim", 16,
+                       "--ckpt-out", tmp_path / "t.ckpt")
+        assert code == 1
+        assert capsys.readouterr().err.strip() == '{"error": "query mask is empty"}'
+        assert not (tmp_path / "t.ckpt").exists()
 
     def test_bad_scene_index(self, dataset, capsys):
         code = run_cli("train", "--data", dataset, "--scene", 99, "--steps", 1,

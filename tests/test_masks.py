@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from vqs.masks import (
-    BoundingBox,
     CorruptMaskError,
     MaskDimensionError,
     MaskError,
@@ -14,12 +13,9 @@ from vqs.masks import (
     RleMask,
     annotation_from_dict,
     annotation_to_dict,
-    divergence_score,
     group_into_masklets,
-    mask_area,
     mask_intersection_area,
     mask_iou,
-    mask_to_bbox,
     rle_decode,
     rle_encode,
 )
@@ -144,50 +140,6 @@ class TestAlgebra:
             union = a.area() + b.area() - inter
             assert inter + union == a.area() + b.area()
             assert union == int(np.logical_or(ga, gb).sum())
-
-    def test_area(self):
-        assert mask_area(RleMask.empty(5, 5)) == 0
-        assert mask_area(RleMask.full(8, 8)) == 64
-        assert mask_area(RleMask(2, 3, (1, 3, 2))) == 3
-
-    def test_divergence(self):
-        a = block_mask(4, 4, 0, 0, 2, 2)
-        b = block_mask(4, 4, 0, 1, 2, 2)
-        assert divergence_score(a, a) == 0.0
-        assert divergence_score(a, block_mask(4, 4, 2, 2, 2, 2)) == 1.0
-        assert divergence_score(a, b) == pytest.approx(1 - 2 / 6, abs=1e-12)
-
-
-class TestBoundingBox:
-    def test_empty_mask(self):
-        assert mask_to_bbox(RleMask.empty(4, 4)) is None
-
-    def test_single_pixel(self):
-        g = np.zeros((4, 8), dtype=np.uint8)
-        g[2, 5] = 1
-        assert mask_to_bbox(rle_encode(g)) == BoundingBox(5, 2, 5, 2)
-
-    def test_two_pixels(self):
-        g = np.zeros((5, 6), dtype=np.uint8)
-        g[1, 1] = 1
-        g[3, 4] = 1
-        assert mask_to_bbox(rle_encode(g)) == BoundingBox(1, 1, 4, 3)
-
-    def test_box_matches_nonzero_extents(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            g = (rng.random((7, 9)) < 0.3).astype(np.uint8)
-            box = mask_to_bbox(rle_encode(g))
-            if g.sum() == 0:
-                assert box is None
-                continue
-            rows, cols = np.nonzero(g)
-            assert (box.x_min, box.y_min, box.x_max, box.y_max) == (
-                cols.min(),
-                rows.min(),
-                cols.max(),
-                rows.max(),
-            )
 
 
 class TestOccurrences:

@@ -119,7 +119,7 @@ class TestEncodeMemory:
         assert np.array_equal(fr, np.zeros((8, 8)))
         params = init_params(TOY)
         feats = encode_frame(np.zeros((64, 64, 3), dtype=np.uint8), TOY, params)
-        entry = encode_memory(feats, RleMask.empty(64, 64), TOY, params)
+        entry = encode_memory(feats, fr, params)
         assert entry.kind == KIND_QUERY_INIT
         assert entry.tokens.value.shape == (64, TOY.model_dim)
 
@@ -294,7 +294,7 @@ class TestTfgSelect:
                 make_candidate(line_logits({3}), max(0.0, s - 0.4)),
             ]
             frames.append(frame_of(cands, index=i))
-        entries, prov = tfg_select(frames, feats, (1, 10), cfg, params)
+        entries, prov = tfg_select(frames, feats, cfg, params)
         assert [p.frame_index for p in prov] == [0, 1]
         assert [p.iou_score for p in prov] == [0.9, 0.6]
         assert all(e.kind == KIND_TARGET for e in entries)
@@ -304,7 +304,7 @@ class TestTfgSelect:
         params = init_params(cfg)
         feats = [ad.tensor(np.zeros((10, 4)))]
         frames = [frame_of([make_candidate(line_logits({0}), 0.4)] * 3)]
-        entries, prov = tfg_select(frames, feats, (1, 10), cfg, params)
+        entries, prov = tfg_select(frames, feats, cfg, params)
         assert entries == [] and prov == []
 
     def test_threshold_inclusive(self):
@@ -314,7 +314,7 @@ class TestTfgSelect:
         frames = [frame_of([make_candidate(line_logits({0}), 0.5),
                             make_candidate(line_logits({1}), 0.1),
                             make_candidate(line_logits({2}), 0.1)])]
-        entries, prov = tfg_select(frames, feats, (1, 10), cfg, params)
+        entries, prov = tfg_select(frames, feats, cfg, params)
         assert len(entries) == 1 and prov[0].iou_score == 0.5
 
     def test_single_qualifier_gives_one_entry(self):
@@ -325,7 +325,7 @@ class TestTfgSelect:
             frame_of([make_candidate(line_logits({0}), 0.8)] * 3, index=0),
             frame_of([make_candidate(line_logits({1}), 0.2)] * 3, index=1),
         ]
-        entries, _ = tfg_select(frames, feats, (1, 10), cfg, params)
+        entries, _ = tfg_select(frames, feats, cfg, params)
         assert len(entries) == 1
 
 
@@ -351,7 +351,7 @@ class TestDfgSelect:
             ],
             index=1,
         )
-        entries, prov = dfg_select([frame0, frame1], feats, (1, 10), cfg, params)
+        entries, prov = dfg_select([frame0, frame1], feats, cfg, params)
         assert len(prov) == 1
         assert (prov[0].frame_index, prov[0].candidate_index) == (0, 1)
         assert prov[0].divergence == pytest.approx(0.8, abs=1e-12)
@@ -364,7 +364,7 @@ class TestDfgSelect:
         feats = [ad.tensor(np.zeros((10, 4)))]
         same = line_logits({0, 1, 2})
         frames = [frame_of([make_candidate(same, 0.9), make_candidate(same, 0.8), make_candidate(same, 0.75)])]
-        entries, prov = dfg_select(frames, feats, (1, 10), cfg, params)
+        entries, prov = dfg_select(frames, feats, cfg, params)
         assert entries == [] and prov == []
 
     def test_empty_selection_is_valid(self):
@@ -374,7 +374,7 @@ class TestDfgSelect:
         frames = [frame_of([make_candidate(line_logits({0}), 0.9),
                             make_candidate(line_logits({5}), 0.2),
                             make_candidate(line_logits({6}), 0.3)])]
-        entries, prov = dfg_select(frames, feats, (1, 10), cfg, params)
+        entries, prov = dfg_select(frames, feats, cfg, params)
         assert entries == []
 
 
@@ -436,11 +436,11 @@ class TestSelectionOracles:
                 ]
                 frames.append(frame_of(cands, index=fi))
             feats = [ad.tensor(np.zeros((16, 4))) for _ in range(n_frames)]
-            _, tprov = tfg_select(frames, feats, (4, 4), cfg, params)
+            _, tprov = tfg_select(frames, feats, cfg, params)
             assert [(p.frame_index, p.candidate_index) for p in tprov] == oracle_tfg(
                 frames, cfg.tau_target, cfg.num_targets
             )
-            _, dprov = dfg_select(frames, feats, (4, 4), cfg, params)
+            _, dprov = dfg_select(frames, feats, cfg, params)
             assert [(p.frame_index, p.candidate_index) for p in dprov] == oracle_dfg(
                 frames, cfg.tau_divergence, cfg.tau_score, cfg.num_distractors, (4, 4)
             )
@@ -511,7 +511,7 @@ class TestRunStage:
         params = init_params(TOY)
         frames = [rand_frame(rng) for _ in range(3)]
         feats = encode_frame(frames[0], TOY, params)
-        init = encode_memory(feats, RleMask.full(64, 64), TOY, params)
+        init = encode_memory(feats, np.ones((8, 8)), params)
         bank = MemoryBank((init,))
         out = run_stage(frames, bank, TOY, params, is_final=True)
         assert out.new_bank is None
@@ -523,7 +523,7 @@ class TestRunStage:
         params = init_params(TOY)
         frames = [rand_frame(rng) for _ in range(4)]
         feats = encode_frame(frames[0], TOY, params)
-        init = encode_memory(feats, RleMask.full(64, 64), TOY, params)
+        init = encode_memory(feats, np.ones((8, 8)), params)
         out = run_stage(frames, MemoryBank((init,)), TOY, params, is_final=False)
         bank = out.new_bank
         assert bank is not None
@@ -537,7 +537,7 @@ class TestRunStage:
         params = init_params(TOY)
         frames = [rand_frame(rng) for _ in range(TOY.clip_len + 1)]
         feats = encode_frame(frames[0], TOY, params)
-        init = encode_memory(feats, RleMask.full(64, 64), TOY, params)
+        init = encode_memory(feats, np.ones((8, 8)), params)
         with pytest.raises(PipelineConfigError):
             run_stage(frames, MemoryBank((init,)), TOY, params, is_final=True)
 
@@ -548,7 +548,7 @@ class TestRunStage:
         params = init_params(cfg)
         frames = [rand_frame(rng) for _ in range(2)]
         feats = encode_frame(frames[0], cfg, params)
-        init = encode_memory(feats, RleMask.full(64, 64), cfg, params)
+        init = encode_memory(feats, np.ones((8, 8)), params)
         outs = run_clip(frames, init, cfg, params)
         assert len(outs) == 1 and outs[0].new_bank is None
 

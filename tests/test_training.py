@@ -1,4 +1,5 @@
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,13 +52,13 @@ class TestFrameLoss:
         logits = np.array([[1000.0, 1000.0], [-1000.0, -1000.0]])
         cands = [make_candidate(logits, 0.9), make_candidate(-logits, 0.2),
                  make_candidate(np.zeros((2, 2)), 0.5)]
-        out = frame_loss(frame_of(cands), gt, (2, 2), CFG_1PX)
+        out = frame_loss(frame_of(cands), gt, CFG_1PX)
         assert out.dice == 0.0
         assert out.mask_bce == 0.0
 
     def test_empty_gt_only_occlusion(self):
         cands = [make_candidate(np.ones((2, 2)), 0.9, occ=2.0) for _ in range(3)]
-        out = frame_loss(frame_of(cands), None, (2, 2), CFG_1PX)
+        out = frame_loss(frame_of(cands), None, CFG_1PX)
         assert out.dice == 0.0 and out.mask_bce == 0.0 and out.iou_head == 0.0
         assert out.occlusion_bce > 0.0
         assert out.total == pytest.approx(out.occlusion_bce)
@@ -71,7 +72,7 @@ class TestFrameLoss:
                  make_candidate(-np.ones((2, 2)), 0.3)]
         # candidate 0 binarizes to empty too (logits 0 -> not > 0): all tie at
         # IoU 0 against gt, lowest index routed
-        out = frame_loss(frame_of(cands), gt, (2, 2), CFG_1PX)
+        out = frame_loss(frame_of(cands), gt, CFG_1PX)
         assert out.dice == pytest.approx(0.5, abs=1e-12)
 
     def test_routing_picks_best_overlap(self):
@@ -80,7 +81,7 @@ class TestFrameLoss:
         miss = -np.ones((2, 2)); miss[1, 1] = 5.0
         cands = [make_candidate(miss, 0.9), make_candidate(hit, 0.1),
                  make_candidate(-np.ones((2, 2)), 0.5)]
-        out = frame_loss(frame_of(cands), gt, (2, 2), CFG_1PX)
+        out = frame_loss(frame_of(cands), gt, CFG_1PX)
         # routed candidate is the hit (index 1): its iou_head = |0.1 - 1.0|
         assert out.iou_head == pytest.approx(0.9, abs=1e-12)
 
@@ -91,7 +92,7 @@ class TestFrameLoss:
             gt = rle_encode(gt_grid) if gt_grid.any() else None
             cands = [make_candidate(rng.normal(size=(2, 2)) * 3, float(rng.random()),
                                     occ=float(rng.normal())) for _ in range(3)]
-            out = frame_loss(frame_of(cands), gt, (2, 2), CFG_1PX)
+            out = frame_loss(frame_of(cands), gt, CFG_1PX)
             assert out.dice >= 0 and out.mask_bce >= 0
             assert out.iou_head >= 0 and out.occlusion_bce >= 0
             assert 0.0 <= out.dice <= 1.0
@@ -247,10 +248,12 @@ class TestOverfitTrain:
         # a step this large pushes parameters to ~1e160, so the next forward
         # pass overflows in the attention scores
         tcfg = TrainConfig(steps=50, lr=1e160, weight_decay=0.0, seed=0)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(TrainingDivergedError) as exc:
                 overfit_train(scene, cfg, tcfg)
         assert exc.value.step >= 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_non_finite_parameter_aborts_at_that_step(self, monkeypatch):
         real_step = training.adamw_step
