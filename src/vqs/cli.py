@@ -26,7 +26,7 @@ from .masks import MaskError, ResponseSet, annotation_from_dict, annotation_to_d
 from .metrics import EvaluationError, MetricReport, evaluate_run
 from .optim import CheckpointError, ParamStore, load_params, save_params
 from .parallel import parallel_map
-from .pipeline import PipelineConfig, PipelineConfigError, config_digest, infer_video, init_params
+from .pipeline import PipelineConfig, PipelineConfigError, config_digest, infer_video, init_params, param_shapes
 from .synth import (
     SHAPES,
     DatasetConfig,
@@ -36,7 +36,6 @@ from .synth import (
     load_manifest,
     load_scene_gt,
     load_scene_record,
-    read_ppm,
     validate_manifest,
 )
 from .training import (
@@ -225,17 +224,26 @@ def _infer_one(work: tuple) -> dict:
     data_dir, entry, cfg_kwargs, values = work
     cfg = PipelineConfig(**cfg_kwargs)
     params = ParamStore({name: Tensor(value, name=name) for name, value in values.items()})
-    root = Path(data_dir)
-    frames = [read_ppm(root / rel) for rel in entry["frames"]]
-    _, h, w, qmask = load_scene_gt(root, entry)
-    query = read_ppm(root / entry["query"])
+    scene = load_scene_record(data_dir, entry)
     try:
-        response, provenance = infer_video(frames, query, qmask, cfg, params, video_id=entry["id"])
+        response, provenance = infer_video(scene.frames, scene.query_frame, scene.query_mask,
+                                           cfg, params, video_id=scene.video_id)
     except NonFiniteValueError as exc:
-        raise NonFiniteValueError(f"video {entry['id']!r}: {exc}") from exc
-    record = annotation_to_dict(response, h, w)
+        raise NonFiniteValueError(f"video {scene.video_id!r}: {exc}") from exc
+    record = annotation_to_dict(response, *scene.query_mask.shape)
     record["provenance"] = provenance
     return record
+
+
+def _check_checkpoint_fits(values: dict[str, np.ndarray], cfg: PipelineConfig, path: str) -> None:
+    """CliError naming the first parameter, by name, that the checkpoint and the model disagree on."""
+    expected = param_shapes(cfg)
+    for name in sorted(set(expected) | set(values)):
+        have = values[name].shape if name in values else None
+        if have != expected.get(name):
+            found = "is missing" if have is None else f"has shape {have}"
+            wanted = f"expects shape {expected[name]}" if name in expected else "has no such parameter"
+            raise CliError(f"{path}: checkpoint parameter {name!r} {found}; the model {wanted}")
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
@@ -245,6 +253,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     # read once here, so a bad checkpoint fails before any worker starts; work
     # items carry bare arrays, without the store's optimizer moments
     values = (load_params(args.ckpt) if args.ckpt else init_params(cfg)).copy_values()
+    if args.ckpt:
+        _check_checkpoint_fits(values, cfg, args.ckpt)
     work = [(args.data, entry, cfg_kwargs, values) for entry in manifest["scenes"]]
     records = parallel_map(_infer_one, work, args.jobs)
     payload = {
@@ -276,8 +286,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     record = load_scene_record(args.data, scenes[args.scene])
     tcfg = TrainConfig(
         steps=args.steps, lr=args.lr, beta1=args.beta1, beta2=args.beta2,
-        eps=args.eps, weight_decay=args.weight_decay,
-        stage_weights=cfg.stage_weights, seed=args.seed,
+        eps=args.eps, weight_decay=args.weight_decay, seed=args.seed,
     )
     store, curve = overfit_train(record, cfg, tcfg)
     for pt in curve:
@@ -306,29 +315,34 @@ def _gt_length(record: dict, video_id: str) -> Optional[int]:
     return n
 
 
+def _by_video_id(path_text: str, items: list, what: str) -> tuple[dict[str, ResponseSet], dict[str, dict]]:
+    """An annotation array's parsed responses and raw objects by video id; a repeated id is an error."""
+    responses: dict[str, ResponseSet] = {}
+    objects: dict[str, dict] = {}
+    for obj in items:
+        response, _, _ = annotation_from_dict(obj)
+        if response.video_id in responses:
+            raise CliError(f"{path_text}: duplicate {what} for {response.video_id!r}")
+        responses[response.video_id] = response
+        objects[response.video_id] = obj
+    return responses, objects
+
+
 def _load_gt_responses(path_text: str) -> tuple[dict[str, ResponseSet], dict[str, Optional[int]]]:
     """gt responses and video lengths by id; a length is None where the gt gives none."""
     path = Path(path_text)
-    out: dict[str, ResponseSet] = {}
-    lengths: dict[str, Optional[int]] = {}
     if path.is_dir():
-        manifest = load_manifest(path)
-        for entry in manifest["scenes"]:
-            response, _, _, _ = load_scene_gt(path, entry)
-            out[entry["id"]] = response
-            lengths[entry["id"]] = _gt_length(entry, entry["id"])
+        sources = {entry["id"]: entry for entry in load_manifest(path)["scenes"]}
+        out = {vid: load_scene_gt(path, entry)[0] for vid, entry in sources.items()}
     else:
         with open(path) as fh:
             items = json.load(fh)
         if not isinstance(items, list):
             raise CliError(f"{path}: expected a JSON array of annotations")
-        for obj in items:
-            response, _, _ = annotation_from_dict(obj)
-            out[response.video_id] = response
-            lengths[response.video_id] = _gt_length(obj, response.video_id)
+        out, sources = _by_video_id(path_text, items, "ground truth")
     if not out:
         raise CliError(f"{path}: no ground-truth videos found")
-    return out, lengths
+    return out, {vid: _gt_length(sources[vid], vid) for vid in out}
 
 
 def _load_pred_responses(path_text: str) -> dict[str, ResponseSet]:
@@ -342,25 +356,7 @@ def _load_pred_responses(path_text: str) -> dict[str, ResponseSet]:
         items = payload
     if not isinstance(items, list):
         raise CliError(f"{path_text}: predictions must be an array of objects")
-    out: dict[str, ResponseSet] = {}
-    for obj in items:
-        response, _, _ = annotation_from_dict(obj)
-        if response.video_id in out:
-            raise CliError(f"{path_text}: duplicate prediction for {response.video_id!r}")
-        out[response.video_id] = response
-    return out
-
-
-def _check_frame_range(pred: ResponseSet, num_frames: Optional[int]) -> None:
-    """Reject predicted frames before 0 or, where the video length is known, past its end."""
-    if not pred.occurrences:
-        return
-    first, last = pred.occurrences[0].start_frame, pred.occurrences[-1].end_frame
-    if first < 0:
-        raise CliError(f"prediction for {pred.video_id!r} has frame {first}; frames start at 0")
-    if num_frames is not None and last >= num_frames:
-        raise CliError(f"prediction for {pred.video_id!r} has frame {last}; "
-                       f"the video has {num_frames} frames (0 to {num_frames - 1})")
+    return _by_video_id(path_text, items, "prediction")[0]
 
 
 def _report_csv_text(report: MetricReport) -> str:
@@ -370,10 +366,7 @@ def _report_csv_text(report: MetricReport) -> str:
 def _cmd_eval(args: argparse.Namespace) -> int:
     gt, lengths = _load_gt_responses(args.gt)
     pred = _load_pred_responses(args.pred)
-    for vid in sorted(gt):
-        if vid in pred:
-            _check_frame_range(pred[vid], lengths[vid])
-    report = evaluate_run(gt, pred, jobs=args.jobs)
+    report = evaluate_run(gt, pred, jobs=args.jobs, num_frames=lengths)
     body = report.as_dict()
     body["videos"] = len(gt)
     if args.format == "csv":

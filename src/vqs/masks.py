@@ -219,10 +219,7 @@ class ResponseSet:
         return out
 
     def covered_frames(self) -> set[int]:
-        frames: set[int] = set()
-        for occ in self.occurrences:
-            frames.update(occ.frames())
-        return frames
+        return set(self.frame_masks())
 
 
 def group_into_masklets(per_frame: Sequence[Optional[RleMask]]) -> tuple[Masklet, ...]:

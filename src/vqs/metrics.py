@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .masks import (
     MaskDimensionError,
@@ -259,14 +259,28 @@ def evaluate_run(
     pred_responses: Mapping[str, ResponseSet],
     subset_bounds: tuple[float, float] = DEFAULT_SUBSET_BOUNDS,
     jobs: int = 1,
+    num_frames: Optional[Mapping[str, Optional[int]]] = None,
 ) -> MetricReport:
     """Evaluate predictions against ground truth over a whole run.
 
     Every gt video id must have a prediction entry (an empty ResponseSet is a
     valid prediction). Prediction entries without a gt counterpart are ignored.
-    Videos are scored over up to `jobs` processes; the report does not depend
-    on `jobs`.
+    A prediction may not name a frame before 0 or, where `num_frames` gives
+    the video's length, past its end; that check runs before the missing-id
+    check. Videos are scored over up to `jobs` processes; the report does not
+    depend on `jobs`.
     """
+    lengths = num_frames or {}
+    for vid in sorted(gt_responses):
+        occs = pred_responses[vid].occurrences if vid in pred_responses else ()
+        if not occs:
+            continue
+        first, last, n = occs[0].start_frame, occs[-1].end_frame, lengths.get(vid)
+        if first < 0:
+            raise EvaluationError(f"prediction for {vid!r} has frame {first}; frames start at 0")
+        if n is not None and last >= n:
+            raise EvaluationError(f"prediction for {vid!r} has frame {last}; "
+                                  f"the video has {n} frames (0 to {n - 1})")
     missing = [vid for vid in gt_responses if vid not in pred_responses]
     if missing:
         raise MissingPredictionsError(missing)

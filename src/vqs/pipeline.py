@@ -270,9 +270,6 @@ class MemoryBank:
     def query_init(self) -> MemoryEntry:
         return next(e for e in self.entries if e.kind == KIND_QUERY_INIT)
 
-    def of_kind(self, kind: str) -> list[MemoryEntry]:
-        return [e for e in self.entries if e.kind == kind]
-
 
 def encode_memory(
     features: Tensor,

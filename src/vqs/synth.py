@@ -51,7 +51,7 @@ _SAMPLER_SALT = 0x51D7
 
 
 class SceneConfigError(ValueError):
-    """Raised when a scene configuration cannot be realized."""
+    """Raised when a scene configuration cannot be realized or a manifest is malformed."""
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -241,7 +241,7 @@ class Trajectory:
 
 @dataclass
 class SceneRecord:
-    config: SceneConfig
+    config: Optional[SceneConfig]               # None when loaded from disk
     frames: list[np.ndarray]
     query_frame: np.ndarray
     query_mask: RleMask
@@ -519,9 +519,23 @@ def generate_dataset(
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
-    path = Path(dataset_dir) / MANIFEST_NAME
-    with open(path) as fh:
-        return json.load(fh)
+    """The parsed manifest; SceneConfigError when its shape is not a manifest's."""
+    with open(Path(dataset_dir) / MANIFEST_NAME) as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise SceneConfigError("manifest: top level must be an object")
+    if not isinstance(manifest.get("scenes", []), list):
+        raise SceneConfigError("manifest: 'scenes' must be a list")
+    for i, entry in enumerate(manifest.get("scenes", [])):
+        if not isinstance(entry, dict):
+            raise SceneConfigError(f"manifest: scenes[{i}] must be an object")
+        frames = entry.get("frames", [])
+        if not isinstance(frames, list) or not all(isinstance(f, str) for f in frames):
+            raise SceneConfigError(f"manifest: scenes[{i}]: 'frames' must be a list of strings")
+        for key in ("id", "query", "gt"):
+            if key in entry and not isinstance(entry[key], str):
+                raise SceneConfigError(f"manifest: scenes[{i}]: {key!r} must be a string")
+    return manifest
 
 
 def load_scene_gt(dataset_dir: str | Path, scene_entry: dict) -> tuple[ResponseSet, int, int, RleMask]:
@@ -534,24 +548,16 @@ def load_scene_gt(dataset_dir: str | Path, scene_entry: dict) -> tuple[ResponseS
 
 
 def load_scene_record(dataset_dir: str | Path, scene_entry: dict) -> SceneRecord:
-    """Rehydrate a scene from disk (for training/inference on stored data).
+    """Read one scene's frames, query and annotations, each file once.
 
-    Trajectory states are not persisted, so the returned record carries the
-    rendered frames, query, and annotations only.
+    Neither the generating config nor the trajectory states are persisted, so
+    `config` and `query_state` are None and `target_states` is empty.
     """
     root = Path(dataset_dir)
-    response, h, w, qmask = load_scene_gt(root, scene_entry)
-    frames = [read_ppm(root / rel) for rel in scene_entry["frames"]]
-    cfg = SceneConfig(
-        frame_size=(h, w),
-        num_frames=len(frames),
-        num_occurrences=max(1, len(response.occurrences)),
-        seed=scene_entry.get("seed", 0),
-        fps=scene_entry.get("fps", 6),
-    )
+    response, _, _, qmask = load_scene_gt(root, scene_entry)
     return SceneRecord(
-        config=cfg,
-        frames=frames,
+        config=None,
+        frames=[read_ppm(root / rel) for rel in scene_entry["frames"]],
         query_frame=read_ppm(root / scene_entry["query"]),
         query_mask=qmask,
         gt=response,
@@ -630,6 +636,8 @@ def validate_manifest(dataset_dir: str | Path) -> list[str]:
         manifest = load_manifest(root)
     except (OSError, json.JSONDecodeError) as exc:
         return [f"manifest: unreadable ({exc})"]
+    except SceneConfigError as exc:
+        return [str(exc)]
     if manifest.get("format") != MANIFEST_FORMAT:
         violations.append(f"manifest: unknown format {manifest.get('format')!r}")
     scenes = manifest.get("scenes", [])

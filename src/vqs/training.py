@@ -73,8 +73,6 @@ class TrainConfig:
     beta2: float = ADAMW_DEFAULTS["beta2"]
     eps: float = ADAMW_DEFAULTS["eps"]
     weight_decay: float = ADAMW_DEFAULTS["weight_decay"]
-    stage_weights: Optional[tuple[float, ...]] = None   # None: use pipeline's
-    component_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -100,7 +98,6 @@ def frame_loss(
     candidates: FrameCandidates,
     gt_mask: Optional[RleMask],
     cfg: PipelineConfig,
-    component_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
 ) -> LossBreakdown:
     """Best-candidate-routed supervision for one frame."""
     if gt_mask is not None and gt_mask.area() == 0:
@@ -110,11 +107,10 @@ def frame_loss(
                  else np.zeros_like(candidates.candidates[0].grid, dtype=np.int64))
     idx, actual_iou = _routed_candidate(candidates, gt_counts, cfg.patch_size)
     cand = candidates.candidates[idx]
-    w_dice, w_bce, w_iou, w_occ = component_weights
 
     occ_target = ad.tensor(1.0 if present else 0.0)
     occlusion_node = ad.bce_with_logits(cand.occlusion_score, occ_target)
-    terms = [ad.scale(occlusion_node, w_occ)]
+    terms = [occlusion_node]
 
     if present:
         g = ad.tensor(gt_counts / (cfg.patch_size * cfg.patch_size))
@@ -124,7 +120,7 @@ def frame_loss(
         dice_node = ad.subtract(ad.tensor(1.0), ad.divide(ad.scale(overlap, 2.0), denom))
         bce_node = ad.mean_all(ad.bce_with_logits(cand.mask_logits, g))
         iou_node = ad.abs_(ad.subtract(cand.iou_score, ad.tensor(actual_iou)))
-        terms.extend([ad.scale(dice_node, w_dice), ad.scale(bce_node, w_bce), ad.scale(iou_node, w_iou)])
+        terms.extend([dice_node, bce_node, iou_node])
         dice_val = float(dice_node.value)
         bce_val = float(bce_node.value)
         iou_val = float(iou_node.value)
@@ -192,7 +188,6 @@ def scene_losses(
     scene: SceneRecord,
     cfg: PipelineConfig,
     params: ParamStore,
-    component_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
 ) -> list[list[LossBreakdown]]:
     """Forward all stages over all clips of a scene; per-stage frame losses."""
     gt_masks = scene.gt.frame_masks()
@@ -202,12 +197,7 @@ def scene_losses(
         for stage_idx, stage_out in enumerate(stage_outputs):
             for frame_cands in stage_out.candidates:
                 per_stage[stage_idx].append(
-                    frame_loss(
-                        frame_cands,
-                        gt_masks.get(frame_cands.frame_index),
-                        cfg,
-                        component_weights,
-                    )
+                    frame_loss(frame_cands, gt_masks.get(frame_cands.frame_index), cfg)
                 )
     return per_stage
 
@@ -336,9 +326,6 @@ def overfit_train(
     TrainingDivergedError when the forward pass, the loss or the updated
     parameters turn non-finite.
     """
-    stage_weights = tcfg.stage_weights if tcfg.stage_weights is not None else cfg.stage_weights
-    if len(stage_weights) != cfg.num_stages:
-        raise ValueError(f"{len(stage_weights)} stage weights for {cfg.num_stages} stages")
     store = seeded_init(param_shapes(cfg), tcfg.seed)
     curve: list[CurvePoint] = []
     # a diverging run is reported as TrainingDivergedError; numpy's own
@@ -346,8 +333,8 @@ def overfit_train(
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, tcfg.steps + 1):
             try:
-                per_stage = scene_losses(scene, cfg, store, tcfg.component_weights)
-                node, agg = total_loss(per_stage, stage_weights)
+                per_stage = scene_losses(scene, cfg, store)
+                node, agg = total_loss(per_stage, cfg.stage_weights)
             except ad.NonFiniteValueError as exc:
                 raise TrainingDivergedError(step) from exc
             if not np.isfinite(agg["total"]):

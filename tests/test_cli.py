@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from vqs.cli import dispatch
 from vqs.masks import annotation_from_dict
 from vqs.metrics import evaluate_run
 from vqs.optim import load_params, save_params
+from vqs.autodiff import Tensor
+from vqs.optim import ParamStore
 from vqs.pipeline import PipelineConfig, init_params
 from vqs.synth import load_manifest, load_scene_gt
 
@@ -263,6 +266,18 @@ class TestEval:
         assert run_cli("eval", "--gt", dataset, "--pred", pred_path) == 1
         assert expected in one_json_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("which", ["gt", "pred"])
+    def test_repeated_video_id_rejected(self, dataset, tmp_path, capsys, which):
+        manifest = load_manifest(dataset)
+        objects = [json.loads((dataset / e["gt"]).read_text()) for e in manifest["scenes"]]
+        paths = {"gt": tmp_path / "gt.json", "pred": tmp_path / "pred.json"}
+        for name, path in paths.items():
+            path.write_text(json.dumps(objects + [objects[0]] if name == which else objects))
+        assert run_cli("eval", "--gt", paths["gt"], "--pred", paths["pred"]) == 1
+        what = {"gt": "ground truth", "pred": "prediction"}[which]
+        assert one_json_error_line(capsys.readouterr().err) == \
+            f"{paths[which]}: duplicate {what} for 'scene_0000'"
+
 
 class TestInferEvalEquivalence:
     def test_cli_matches_library(self, dataset, tmp_path, capsys):
@@ -333,6 +348,22 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.strip() == '{"error": "query mask is empty"}'
         assert not (tmp_path / "t.ckpt").exists()
+
+    def test_adjacent_one_frame_occurrences_accepted(self, tmp_path, capsys):
+        data = tmp_path / "ds"
+        assert run_cli("gen", "--scenes", 2, "--seed", 13, "--frames", "14:14", "--out", data) == 0
+        gt_path = data / load_manifest(data)["scenes"][0]["gt"]
+        gt = json.loads(gt_path.read_text())
+        mask = gt["occurrences"][0]["masks"][0]
+        gt["occurrences"] = [{"start": t, "end": t, "masks": [mask]} for t in range(8)]
+        gt_path.write_text(json.dumps(gt))
+        ckpt = tmp_path / "t.ckpt"
+        assert run_cli("train", "--data", data, "--steps", 1, "--model-dim", 16,
+                       "--ckpt-out", ckpt) == 0
+        capsys.readouterr()
+        sidecar = json.loads((tmp_path / "t.ckpt.config.json").read_text())
+        assert set(sidecar["options"]["train"]) == {
+            "steps", "lr", "beta1", "beta2", "eps", "weight_decay", "seed"}
 
     def test_bad_scene_index(self, dataset, capsys):
         code = run_cli("train", "--data", dataset, "--scene", 99, "--steps", 1,
@@ -415,6 +446,107 @@ class TestJobsFlag:
         assert run_cli(*argv, "--jobs", jobs) == 1
         assert "--jobs" in one_json_error_line(capsys.readouterr().err)
         assert not out.exists()
+
+
+MANIFEST_DEFECTS = {
+    "top-level-list": (lambda m: [m], "manifest: top level must be an object"),
+    "scenes-object": (lambda m: {**m, "scenes": {}}, "manifest: 'scenes' must be a list"),
+    "entry-int": (lambda m: {**m, "scenes": [5]}, "manifest: scenes[0] must be an object"),
+    "frames-string": (lambda m: {**m, "scenes": [{**m["scenes"][0], "frames": "f.ppm"}]},
+                      "manifest: scenes[0]: 'frames' must be a list of strings"),
+    "frame-int": (lambda m: {**m, "scenes": [m["scenes"][0], {**m["scenes"][1], "frames": [3]}]},
+                  "manifest: scenes[1]: 'frames' must be a list of strings"),
+    "id-int": (lambda m: {**m, "scenes": [{**m["scenes"][0], "id": 7}]},
+               "manifest: scenes[0]: 'id' must be a string"),
+    "query-list": (lambda m: {**m, "scenes": [{**m["scenes"][0], "query": ["q.ppm"]}]},
+                   "manifest: scenes[0]: 'query' must be a string"),
+    "gt-null": (lambda m: {**m, "scenes": [{**m["scenes"][0], "gt": None}]},
+                "manifest: scenes[0]: 'gt' must be a string"),
+}
+
+
+class TestManifestShape:
+    @pytest.mark.parametrize("command", ["validate", "infer", "stats", "train", "eval"])
+    @pytest.mark.parametrize("defect", sorted(MANIFEST_DEFECTS))
+    def test_malformed_manifest_is_one_error(self, two_videos, tmp_path, capsys, command, defect):
+        mangle, message = MANIFEST_DEFECTS[defect]
+        data = tmp_path / "ds"
+        shutil.copytree(two_videos, data)
+        manifest_path = data / "manifest.json"
+        manifest_path.write_text(json.dumps(mangle(json.loads(manifest_path.read_text()))))
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text("[]")
+        argv = {
+            "validate": ["validate", "--data", data],
+            "infer": ["infer", "--data", data, "--out", tmp_path / "p.json"],
+            "stats": ["stats", "--data", data],
+            "train": ["train", "--data", data, "--ckpt-out", tmp_path / "t.ckpt"],
+            "eval": ["eval", "--gt", data, "--pred", pred_path],
+        }[command]
+        assert run_cli(*argv) == 1
+        out = capsys.readouterr()
+        if command == "validate":
+            assert out.out.splitlines() == [f"violation: {message}", f"1 violation(s) in {data}"]
+        else:
+            assert one_json_error_line(out.err) == message
+
+
+class TestCheckpointFit:
+    def run_infer(self, data, tmp_path, store):
+        ckpt = tmp_path / "c.ckpt"
+        save_params(store, str(ckpt))
+        code = run_cli("infer", "--data", data, "--out", tmp_path / "p.json", "--ckpt", ckpt)
+        assert not (tmp_path / "p.json").exists()
+        return code, ckpt
+
+    def test_extra_parameter_named(self, two_videos, tmp_path, capsys):
+        params = dict(init_params(PipelineConfig()).params)
+        params["extra.w"] = Tensor(np.zeros(2), name="extra.w")
+        code, ckpt = self.run_infer(two_videos, tmp_path, ParamStore(params))
+        assert code == 1
+        assert one_json_error_line(capsys.readouterr().err) == \
+            f"{ckpt}: checkpoint parameter 'extra.w' has shape (2,); the model has no such parameter"
+
+    def test_missing_parameter_named(self, two_videos, tmp_path, capsys):
+        params = dict(init_params(PipelineConfig()).params)
+        del params["dec_mask.w"]
+        code, ckpt = self.run_infer(two_videos, tmp_path, ParamStore(params))
+        assert code == 1
+        assert one_json_error_line(capsys.readouterr().err) == \
+            f"{ckpt}: checkpoint parameter 'dec_mask.w' is missing; the model expects shape (32, 3)"
+
+    def test_model_dim_mismatch_named(self, two_videos, tmp_path, capsys):
+        code, ckpt = self.run_infer(two_videos, tmp_path, init_params(PipelineConfig(model_dim=16)))
+        assert code == 1
+        assert one_json_error_line(capsys.readouterr().err) == \
+            f"{ckpt}: checkpoint parameter 'amg_distractor.b1' has shape (16,); the model expects shape (32,)"
+
+
+class TestInferReadsOnce:
+    def test_each_scene_file_read_once(self, two_videos, monkeypatch):
+        """`infer` reads a scene through the loader `train` uses, each file once."""
+        root = two_videos.resolve()
+        entry = load_manifest(two_videos)["scenes"][0]
+        cfg = PipelineConfig(model_dim=16)
+        opened, loads = [], []
+        real_open, real_load = open, cli.load_scene_record
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(Path(path).resolve())
+            return real_open(path, *args, **kwargs)
+
+        def counting_load(*args):
+            loads.append(args)
+            return real_load(*args)
+
+        monkeypatch.setattr(cli, "load_scene_record", counting_load)
+        monkeypatch.setattr("builtins.open", counting_open)
+        record = cli._infer_one((str(two_videos), entry, asdict(cfg), init_params(cfg).copy_values()))
+        monkeypatch.undo()
+        assert record["video_id"] == entry["id"]
+        assert loads == [(str(two_videos), entry)]
+        expected = sorted(root / rel for rel in [*entry["frames"], entry["query"], entry["gt"]])
+        assert sorted(opened) == expected
 
 
 class TestCheckpointReadOnce:

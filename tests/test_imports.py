@@ -1,12 +1,16 @@
-"""Every name a `vqs` module imports is used in that module."""
+"""Every name a `vqs` module imports is used in that module, and every function,
+class and method `vqs` defines is referenced somewhere in the project."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vqs"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vqs"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the console-script entry point, called from pyproject.toml
+ENTRY_POINTS = {("cli.py", "main")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +37,44 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """Module-level functions and classes, and the methods of those classes,
+    except dunders, as (name, line)."""
+    found = []
+    for node in ast.parse(source).body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for item in [node, *members]:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    found.append((item.name, item.lineno))
+    return found
+
+
+def referenced_names(sources: list[str]) -> set[str]:
+    """Every name read as a variable or an attribute anywhere in `sources`."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_detector_finds_an_unreferenced_definition():
+    source = ("class A:\n    def used(self): pass\n    def idle(self): pass\n"
+              "    def __repr__(self): return ''\n"
+              "def helper(): pass\ndef orphan(): pass\n")
+    refs = referenced_names([source, "A().used()\nhelper()\n"])
+    assert [(n, line) for n, line in definitions(source) if n not in refs] == [("idle", 3), ("orphan", 6)]
+
+
+def test_every_definition_is_referenced():
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    refs = referenced_names([p.read_text() for p in files])
+    dead = [f"{path.name}:{line}: {name}" for path in MODULES for name, line in definitions(path.read_text())
+            if name not in refs and (path.name, name) not in ENTRY_POINTS]
+    assert dead == []

@@ -4,6 +4,7 @@ import pytest
 from vqs.masks import Masklet, ResponseSet, RleMask
 from vqs.metrics import (
     DEFAULT_SUBSET_BOUNDS,
+    EvaluationError,
     MetricReport,
     MissingPredictionsError,
     VideoEval,
@@ -207,6 +208,30 @@ class TestEvaluateRun:
         with pytest.raises(Exception) as exc:
             evaluate_run({"v": gt}, {"v": wrong})
         assert "v" in str(exc.value)
+
+    @pytest.mark.parametrize("start, num_frames, message", [
+        (5, {"v": 4}, "prediction for 'v' has frame 6; the video has 4 frames (0 to 3)"),
+        (-1, None, "prediction for 'v' has frame -1; frames start at 0"),
+    ], ids=["past-end", "negative"])
+    def test_out_of_range_frame_rejected(self, start, num_frames, message):
+        gt, _ = two_frame_pair()
+        m = block_mask(4, 4, 0, 0, 2, 2)
+        pred = ResponseSet("v", (Masklet(start, start + 1, (m, m)),))
+        with pytest.raises(EvaluationError) as exc:
+            evaluate_run({"v": gt}, {"v": pred}, num_frames=num_frames)
+        assert str(exc.value) == message
+
+    def test_frame_range_checked_before_missing_ids(self):
+        gt, _ = two_frame_pair()
+        m = block_mask(4, 4, 0, 0, 2, 2)
+        late = ResponseSet("w", (Masklet(9, 9, (m,)),))
+        with pytest.raises(EvaluationError, match="has frame 9"):
+            evaluate_run({"v": gt, "w": gt}, {"w": late}, num_frames={"v": 4, "w": 4})
+
+    def test_lengths_within_range_accepted(self):
+        gt, pred = two_frame_pair()
+        ok = evaluate_run({"v": gt}, {"v": pred}, num_frames={"v": 4})
+        assert ok == evaluate_run({"v": gt}, {"v": pred})
 
     def test_perfect_run(self):
         rng = np.random.default_rng(5)
