@@ -9,7 +9,8 @@ so they can be shared freely across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,13 +44,13 @@ class RleMask:
             raise MaskDimensionError(
                 f"mask dimensions must be positive, got {self.height}x{self.width}"
             )
-        runs = tuple(int(r) for r in self.runs)
+        runs = tuple(map(int, self.runs))
         object.__setattr__(self, "runs", runs)
         if not runs:
             raise CorruptMaskError("run list is empty")
-        if any(r < 0 for r in runs):
+        if min(runs) < 0:
             raise CorruptMaskError("negative run length")
-        if any(r == 0 for r in runs[1:]):
+        if 0 in runs[1:]:
             raise CorruptMaskError("zero-length run after the first")
         total = sum(runs)
         if total != self.height * self.width:
@@ -65,23 +66,13 @@ class RleMask:
         """Foreground pixel count (sum of the odd-indexed runs)."""
         return sum(self.runs[1::2])
 
-    def foreground_intervals(self) -> list[tuple[int, int]]:
-        """Half-open [start, stop) foreground intervals over the flat bitmap."""
-        out = []
-        pos = 0
-        for i, r in enumerate(self.runs):
-            if i % 2 == 1:
-                out.append((pos, pos + r))
-            pos += r
-        return out
-
     def to_runs_csv(self) -> str:
         return ",".join(str(r) for r in self.runs)
 
     @classmethod
     def from_runs_csv(cls, text: str, height: int, width: int) -> "RleMask":
         try:
-            runs = tuple(int(tok) for tok in text.split(","))
+            runs = tuple(map(int, text.split(",")))
         except ValueError as exc:
             raise CorruptMaskError(f"bad run list {text!r}") from exc
         return cls(height, width, runs)
@@ -115,10 +106,8 @@ def rle_encode(bitmap: np.ndarray | Sequence[Sequence[int]]) -> RleMask:
 
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Decode to a row-major uint8 grid of shape (height, width)."""
-    flat = np.zeros(mask.height * mask.width, dtype=np.uint8)
-    for start, stop in mask.foreground_intervals():
-        flat[start:stop] = 1
-    return flat.reshape(mask.height, mask.width)
+    parity = (np.arange(len(mask.runs)) & 1).astype(np.uint8)
+    return np.repeat(parity, mask.runs).reshape(mask.height, mask.width)
 
 
 def _check_same_shape(a: RleMask, b: RleMask) -> None:
@@ -126,32 +115,69 @@ def _check_same_shape(a: RleMask, b: RleMask) -> None:
         raise MaskDimensionError(f"mask shape mismatch: {a.shape} vs {b.shape}")
 
 
+def _foreground(masks: Sequence[RleMask], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Foreground intervals of `masks` laid end to end, as global [start, stop)
+    offsets, plus each mask's interval count. Mask i starts at i*H*W because
+    every mask's runs sum to H*W."""
+    lengths = np.fromiter(map(len, (m.runs for m in masks)), dtype=np.intp, count=len(masks))
+    runs = np.fromiter(chain.from_iterable(m.runs for m in masks), dtype=dtype, count=int(lengths.sum()))
+    stops = np.cumsum(runs)
+    # a run is foreground when its index within its own mask is odd
+    local = np.arange(runs.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    fg = (local & 1).astype(bool)
+    return stops[fg] - runs[fg], stops[fg], lengths // 2
+
+
+def intersection_areas(pairs: Sequence[tuple[RleMask, RleMask]]) -> list[int]:
+    """Exact foreground overlap of every (a, b) pair, in one O(runs) pass.
+
+    The pairs are laid end to end, so every foreground interval has a global
+    offset. Prefix sums of b's interval lengths, with `np.searchsorted` to find
+    the interval an offset falls in, count b's foreground before any offset;
+    each of a's intervals covers the difference of two such counts, and the
+    per-pair sums are differences of one integer cumsum. No bitmap is decoded.
+    Offsets that int64 cannot hold are counted in Python ints.
+    """
+    shapes = {m.shape for pair in pairs for m in pair}
+    if len(shapes) > 1:
+        raise MaskDimensionError(f"mask shapes differ: {sorted(shapes)}")
+    if not pairs:
+        return []
+    height, width = shapes.pop()
+    end = len(pairs) * height * width
+    dtype = np.int64 if end < 2**63 else object
+    a_start, a_stop, a_count = _foreground([a for a, _ in pairs], dtype)
+    b_start, b_stop, _ = _foreground([b for _, b in pairs], dtype)
+    b_before = np.concatenate(([0], np.cumsum(b_stop - b_start)))
+    # past b's last interval an offset lies inside none: its start is `end`
+    b_start = np.append(b_start, end)
+
+    def b_covered(offsets: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(b_stop, offsets, side="right")  # b intervals ended by then
+        return b_before[k] + np.maximum(offsets - b_start[k], 0)
+
+    totals = np.concatenate(([0], np.cumsum(b_covered(a_stop) - b_covered(a_start))))
+    bounds = np.concatenate(([0], np.cumsum(a_count)))
+    return (totals[bounds[1:]] - totals[bounds[:-1]]).tolist()
+
+
 def mask_intersection_area(a: RleMask, b: RleMask) -> int:
-    """Foreground overlap in pixels, by a two-pointer walk over run intervals."""
+    """Foreground overlap in pixels."""
     _check_same_shape(a, b)
-    ia, ib = a.foreground_intervals(), b.foreground_intervals()
-    i = j = 0
-    inter = 0
-    while i < len(ia) and j < len(ib):
-        lo = max(ia[i][0], ib[j][0])
-        hi = min(ia[i][1], ib[j][1])
-        if hi > lo:
-            inter += hi - lo
-        if ia[i][1] <= ib[j][1]:
-            i += 1
-        else:
-            j += 1
-    return inter
+    return intersection_areas([(a, b)])[0]
+
+
+def iou_from_areas(inter: int, area_a: int, area_b: int) -> float:
+    """Intersection over union from exact pixel counts; two empty masks -> 1.0."""
+    if area_a == 0 and area_b == 0:
+        return 1.0
+    return inter / (area_a + area_b - inter)
 
 
 def mask_iou(a: RleMask, b: RleMask) -> float:
     """Intersection over union. Two empty masks agree perfectly -> 1.0."""
     _check_same_shape(a, b)
-    area_a, area_b = a.area(), b.area()
-    if area_a == 0 and area_b == 0:
-        return 1.0
-    inter = mask_intersection_area(a, b)
-    return inter / (area_a + area_b - inter)
+    return iou_from_areas(mask_intersection_area(a, b), a.area(), b.area())
 
 
 @dataclass(frozen=True)
@@ -269,8 +295,37 @@ def annotation_to_dict(response: ResponseSet, height: int, width: int) -> dict:
     }
 
 
+def _parsed_run_lists(obj: dict) -> Optional[Iterator[tuple[int, ...]]]:
+    """Every run list of an annotation, in order, converted in one numpy pass.
+
+    None unless every token is 1 to 18 ASCII digits, which numpy's parser and
+    int() read alike and which cannot overflow int64; the caller then parses
+    list by list with int(), so every error keeps its class and text.
+    """
+    try:
+        texts = [text for raw in obj["occurrences"] for text in raw["masks"]]
+        data = ",".join(texts).encode("ascii")
+    except (KeyError, TypeError, UnicodeEncodeError):
+        return None
+    chars = np.frombuffer(data, dtype=np.uint8)
+    commas = np.flatnonzero(chars == ord(","))
+    digits = np.count_nonzero((chars >= ord("0")) & (chars <= ord("9")))
+    token_lengths = np.diff(commas, prepend=-1, append=chars.size) - 1
+    if digits + commas.size != chars.size or not 1 <= token_lengths.min() <= token_lengths.max() <= 18:
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=",").tolist()
+    out = []
+    pos = 0
+    for text in texts:
+        count = text.count(",") + 1
+        out.append(tuple(values[pos:pos + count]))
+        pos += count
+    return iter(out)
+
+
 def annotation_from_dict(obj: dict) -> tuple[ResponseSet, int, int]:
     """Parse one annotation or prediction object; MaskError if it is malformed."""
+    parsed = _parsed_run_lists(obj)
     try:
         video_id = str(obj["video_id"])
         height = int(obj["height"])
@@ -279,7 +334,8 @@ def annotation_from_dict(obj: dict) -> tuple[ResponseSet, int, int]:
             Masklet(
                 int(raw["start"]),
                 int(raw["end"]),
-                tuple(RleMask.from_runs_csv(text, height, width) for text in raw["masks"]),
+                tuple(RleMask(height, width, next(parsed)) if parsed is not None
+                      else RleMask.from_runs_csv(text, height, width) for text in raw["masks"]),
             )
             for raw in obj["occurrences"]
         ]

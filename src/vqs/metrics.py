@@ -18,8 +18,8 @@ from .masks import (
     MaskDimensionError,
     MaskError,
     ResponseSet,
-    mask_intersection_area,
-    mask_iou,
+    intersection_areas,
+    iou_from_areas,
 )
 from .parallel import parallel_map
 
@@ -114,13 +114,32 @@ class MetricReport:
         return rows
 
 
-def st_iou(gt: ResponseSet, pred: ResponseSet) -> float:
-    """Pixel overlap across the union of annotated frames.
+@dataclass(frozen=True)
+class FrameOverlaps:
+    """Exact pixel counts of one video: the mask area of every gt and every
+    predicted frame, and the intersection of every frame annotated in both."""
 
-    intersection(t) counts only frames annotated in both responses; the gt and
-    pred pixel sums each run over their own annotated frames. Two responses
-    with no foreground anywhere agree perfectly -> 1.0.
-    """
+    gt_area: dict[int, int]
+    pred_area: dict[int, int]
+    inter: dict[int, int]
+
+    def st_iou(self) -> float:
+        inter = sum(self.inter.values())
+        denom = sum(self.gt_area.values()) + sum(self.pred_area.values()) - inter
+        if denom == 0:
+            return 1.0
+        return inter / denom
+
+    def recovery(self) -> float:
+        if not self.gt_area:
+            return 100.0
+        hits = sum(1 for t, inter in self.inter.items()
+                   if iou_from_areas(inter, self.pred_area[t], self.gt_area[t]) > RECOVERY_IOU_THRESHOLD)
+        return 100.0 * hits / len(self.gt_area)
+
+
+def frame_overlaps(gt: ResponseSet, pred: ResponseSet) -> FrameOverlaps:
+    """Both responses' per-frame areas and one overlap pass over their common frames."""
     gt_masks = gt.frame_masks()
     pred_masks = pred.frame_masks()
     if gt_masks and pred_masks:
@@ -128,17 +147,22 @@ def st_iou(gt: ResponseSet, pred: ResponseSet) -> float:
         pshape = next(iter(pred_masks.values())).shape
         if gshape != pshape:
             raise MaskDimensionError(f"gt masks are {gshape}, predictions are {pshape}")
-    inter = 0
-    gt_sum = sum(m.area() for m in gt_masks.values())
-    pred_sum = sum(m.area() for m in pred_masks.values())
-    for t, gmask in gt_masks.items():
-        pmask = pred_masks.get(t)
-        if pmask is not None:
-            inter += mask_intersection_area(gmask, pmask)
-    denom = gt_sum + pred_sum - inter
-    if denom == 0:
-        return 1.0
-    return inter / denom
+    common = [t for t in gt_masks if t in pred_masks]
+    return FrameOverlaps(
+        gt_area={t: m.area() for t, m in gt_masks.items()},
+        pred_area={t: m.area() for t, m in pred_masks.items()},
+        inter=dict(zip(common, intersection_areas([(gt_masks[t], pred_masks[t]) for t in common]))),
+    )
+
+
+def st_iou(gt: ResponseSet, pred: ResponseSet) -> float:
+    """Pixel overlap across the union of annotated frames.
+
+    intersection(t) counts only frames annotated in both responses; the gt and
+    pred pixel sums each run over their own annotated frames. Two responses
+    with no foreground anywhere agree perfectly -> 1.0.
+    """
+    return frame_overlaps(gt, pred).st_iou()
 
 
 def t_iou(gt: ResponseSet, pred: ResponseSet) -> float:
@@ -157,18 +181,7 @@ def recovery(gt: ResponseSet, pred: ResponseSet) -> float:
     A frame with no prediction counts as IoU 0. A video with no gt frames is
     fully recovered by convention (100).
     """
-    gt_masks = gt.frame_masks()
-    if not gt_masks:
-        return 100.0
-    pred_masks = pred.frame_masks()
-    hits = 0
-    for t, gmask in gt_masks.items():
-        pmask = pred_masks.get(t)
-        if pmask is None:
-            continue
-        if mask_iou(pmask, gmask) > RECOVERY_IOU_THRESHOLD:
-            hits += 1
-    return 100.0 * hits / len(gt_masks)
+    return frame_overlaps(gt, pred).recovery()
 
 
 def success(gt: ResponseSet, pred: ResponseSet) -> bool:
@@ -185,12 +198,13 @@ def mean_gt_area(gt: ResponseSet) -> float:
 
 
 def evaluate_video(gt: ResponseSet, pred: ResponseSet) -> VideoEval:
-    st = st_iou(gt, pred)
+    overlaps = frame_overlaps(gt, pred)
+    st = overlaps.st_iou()
     return VideoEval(
         video_id=gt.video_id,
         st_iou=st,
         t_iou=t_iou(gt, pred),
-        recovery=recovery(gt, pred),
+        recovery=overlaps.recovery(),
         success=st > SUCCESS_STIOU_THRESHOLD,
         mean_gt_area=mean_gt_area(gt),
     )

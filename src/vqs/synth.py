@@ -31,7 +31,8 @@ from .masks import (
     RleMask,
     annotation_from_dict,
     annotation_to_dict,
-    mask_iou,
+    intersection_areas,
+    iou_from_areas,
     rle_encode,
 )
 from .parallel import parallel_map
@@ -51,7 +52,8 @@ _SAMPLER_SALT = 0x51D7
 
 
 class SceneConfigError(ValueError):
-    """Raised when a scene configuration cannot be realized or a manifest is malformed."""
+    """Raised when a scene configuration cannot be realized, a manifest is malformed
+    or a scene's ground truth lies past its frames."""
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -526,6 +528,7 @@ def load_manifest(dataset_dir: str | Path) -> dict:
         raise SceneConfigError("manifest: top level must be an object")
     if not isinstance(manifest.get("scenes", []), list):
         raise SceneConfigError("manifest: 'scenes' must be a list")
+    ids = set()
     for i, entry in enumerate(manifest.get("scenes", [])):
         if not isinstance(entry, dict):
             raise SceneConfigError(f"manifest: scenes[{i}] must be an object")
@@ -535,6 +538,10 @@ def load_manifest(dataset_dir: str | Path) -> dict:
         for key in ("id", "query", "gt"):
             if key in entry and not isinstance(entry[key], str):
                 raise SceneConfigError(f"manifest: scenes[{i}]: {key!r} must be a string")
+        if "id" in entry:
+            if entry["id"] in ids:
+                raise SceneConfigError(f"manifest: scenes[{i}]: repeated id {entry['id']!r}")
+            ids.add(entry["id"])
     return manifest
 
 
@@ -609,8 +616,9 @@ def compute_stats(dataset_dir: str | Path, bins: int = 10) -> dict:
                     first_area = float(area) if area else None
                 if first_area:
                     relative_areas.append(area / first_area)
-            for a, b in zip(occ.masks, occ.masks[1:]):
-                adjacent_ious.append(mask_iou(a, b))
+            pairs = list(zip(occ.masks, occ.masks[1:]))
+            for (a, b), inter in zip(pairs, intersection_areas(pairs)):
+                adjacent_ious.append(iou_from_areas(inter, a.area(), b.area()))
     return {
         "scenes": len(manifest["scenes"]),
         "video_length_sec": _histogram(video_lengths, bins),

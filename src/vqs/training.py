@@ -35,7 +35,7 @@ from .pipeline import (
     run_stage,
     run_video,
 )
-from .synth import SceneRecord
+from .synth import SceneConfigError, SceneRecord
 
 
 class TrainingDivergedError(RuntimeError):
@@ -323,9 +323,15 @@ def overfit_train(
     """Overfit the pipeline to one scene; deterministic in the seed.
 
     Returns the trained parameters and the per-step loss curve. Raises
+    SceneConfigError when the scene's gt names a frame past its video, and
     TrainingDivergedError when the forward pass, the loss or the updated
     parameters turn non-finite.
     """
+    n = len(scene.frames)
+    late = [occ for occ in scene.gt.occurrences if occ.end_frame >= n]
+    if late:
+        raise SceneConfigError(f"video {scene.video_id!r}: ground truth has frame "
+                               f"{max(late[0].start_frame, n)}, but the video has {n} frames")
     store = seeded_init(param_shapes(cfg), tcfg.seed)
     curve: list[CurvePoint] = []
     # a diverging run is reported as TrainingDivergedError; numpy's own

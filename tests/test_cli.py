@@ -365,6 +365,23 @@ class TestTrain:
         assert set(sidecar["options"]["train"]) == {
             "steps", "lr", "beta1", "beta2", "eps", "weight_decay", "seed"}
 
+    @pytest.mark.parametrize("start,end,first_late", [(20, 21, 20), (6, 9, 8)], ids=["past", "straddling"])
+    def test_gt_past_the_video_rejected(self, two_videos, tmp_path, capsys, start, end, first_late):
+        data = tmp_path / "ds"
+        shutil.copytree(two_videos, data)
+        entry = load_manifest(data)["scenes"][0]
+        gt_path = data / entry["gt"]
+        gt = json.loads(gt_path.read_text())
+        mask = gt["occurrences"][0]["masks"][0]
+        gt["occurrences"] = [{"start": start, "end": end, "masks": [mask] * (end - start + 1)}]
+        gt_path.write_text(json.dumps(gt))
+        code = run_cli("train", "--data", data, "--steps", 1, "--model-dim", 16,
+                       "--ckpt-out", tmp_path / "t.ckpt")
+        assert code == 1
+        assert one_json_error_line(capsys.readouterr().err) == (
+            f"video {entry['id']!r}: ground truth has frame {first_late}, but the video has 8 frames")
+        assert not (tmp_path / "t.ckpt").exists()
+
     def test_bad_scene_index(self, dataset, capsys):
         code = run_cli("train", "--data", dataset, "--scene", 99, "--steps", 1,
                        "--ckpt-out", "/tmp/never.bin")
@@ -462,6 +479,8 @@ MANIFEST_DEFECTS = {
                    "manifest: scenes[0]: 'query' must be a string"),
     "gt-null": (lambda m: {**m, "scenes": [{**m["scenes"][0], "gt": None}]},
                 "manifest: scenes[0]: 'gt' must be a string"),
+    "repeated-id": (lambda m: {**m, "scenes": [m["scenes"][0], {**m["scenes"][1], "id": m["scenes"][0]["id"]}]},
+                    "manifest: scenes[1]: repeated id 'scene_0000'"),
 }
 
 
