@@ -1,15 +1,17 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
-Every operation returns a `Tensor` node that remembers its parents, how to
-recompute its value from them, and how to push a gradient back to them. The
-topologically ordered node list (`trace`) doubles as a computation record:
-`backward` walks it once in reverse, and `replay` re-executes the recorded
-forward with the current leaf values, which is what makes finite-difference
-gradient checks measure exactly the function the tape differentiates (all
-data-dependent choices stay frozen).
+Leaves come from `tensor`. Every operation builds its node with `_node`,
+passing its forward computation once, as a closure over its parents: `_node`
+runs it for the value and, when recording, keeps it together with the parents
+and the VJP. The topologically ordered node list (`trace`) doubles as a
+computation record: `backward` walks it once in reverse, and `replay` reruns
+each kept forward with the current leaf values. The value and its replay are
+thus one piece of code, which is what makes finite-difference gradient checks
+measure exactly the function the tape differentiates (all data-dependent
+choices stay frozen).
 
-Inside `no_record()` operations keep only their values: no parents, no
-recompute closure, no VJP. Inference (`pipeline.infer_video`) always runs
+Inside `no_record()` `_node` keeps only the value: no parents, no forward
+closure, no VJP. Inference (`pipeline.infer_video`) always runs
 that way, since it never calls `backward`; training and gradient checks
 record in full. A VJP receives its node's output value from `backward`
 instead of closing over the node, so no node refers to itself and reference
@@ -20,8 +22,10 @@ Each attention head is one fused node with a hand-written VJP:
 attention over several scalar-weighted key/value sets. The forward runs the
 same numpy operations in the same order as the equivalent graph of
 primitives (narrow, transpose, matmul, scale, softmax or exp, ...), in place
-on one score buffer, and the VJP reuses the saved softmax, so values and
-gradients are bit-identical to that graph. Two rules keep gradients so.
+on one score buffer, and the VJP reuses the softmax that the forward saved in
+its closure, so values and gradients are bit-identical to that graph. Replay
+refreshes the saved intermediates together with the value, and `no_record()`
+drops them along with the forward. Two rules keep gradients so.
 Parents are listed in an order under which `backward` sums gradients into
 the shared projections and parameters upstream in the same order as through
 the primitive graph: the parent order decides where `trace` meets them, and
@@ -78,32 +82,17 @@ class Tensor:
 
     __slots__ = ("value", "grad", "parents", "_fwd", "_vjp", "name")
 
-    def __init__(
-        self,
-        value,
-        parents: tuple["Tensor", ...] = (),
-        fwd: Optional[Callable[[], Array]] = None,
-        vjp: Optional[Callable[[Array, Array], Sequence[Optional[Array]]]] = None,
-        name: Optional[str] = None,
-    ):
+    def __init__(self, value, name: Optional[str] = None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Optional[Array] = None
-        if _recording.get():
-            self.parents = parents
-            self._fwd = fwd
-            self._vjp = vjp
-        else:
-            self.parents = ()
-            self._fwd = None
-            self._vjp = None
+        self.parents: tuple[Tensor, ...] = ()
+        self._fwd: Optional[Callable[[], Array]] = None
+        self._vjp: Optional[Callable[[Array, Array], Sequence[Optional[Array]]]] = None
         self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    def item(self) -> float:
-        return float(self.value)
 
     def __repr__(self) -> str:
         label = self.name or ("leaf" if not self.parents else "node")
@@ -118,6 +107,23 @@ def tensor(value, name: Optional[str] = None) -> Tensor:
     return Tensor(value, name=name)
 
 
+def _node(
+    forward: Callable[[], Array],
+    parents: tuple[Tensor, ...],
+    vjp: Callable[[Array, Array], Sequence[Optional[Array]]],
+) -> Tensor:
+    """The node of one operation: its value is `forward()`.
+
+    `vjp(grad, value)` returns one gradient (or None) per parent. When
+    recording, the node keeps `parents`, `vjp` and `forward`, which `replay`
+    reruns; inside no_record() it keeps only the value.
+    """
+    node = Tensor(forward())
+    if _recording.get():
+        node.parents, node._fwd, node._vjp = parents, forward, vjp
+    return node
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Reduce a broadcast gradient back to the operand's shape."""
     while grad.ndim > len(shape):
@@ -129,31 +135,31 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.value + b.value, (a, b), fwd=lambda: a.value + b.value,
-                  vjp=lambda g, y: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
+    return _node(lambda: a.value + b.value, (a, b),
+                 lambda g, y: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.value - b.value, (a, b), fwd=lambda: a.value - b.value,
-                  vjp=lambda g, y: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
+    return _node(lambda: a.value - b.value, (a, b),
+                 lambda g, y: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.value * b.value, (a, b), fwd=lambda: a.value * b.value, vjp=lambda g, y: (
+    return _node(lambda: a.value * b.value, (a, b), lambda g, y: (
         _unbroadcast(g * b.value, a.value.shape),
         _unbroadcast(g * a.value, b.value.shape),
     ))
 
 
 def divide(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.value / b.value, (a, b), fwd=lambda: a.value / b.value, vjp=lambda g, y: (
+    return _node(lambda: a.value / b.value, (a, b), lambda g, y: (
         _unbroadcast(g / b.value, a.value.shape),
         _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
     ))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    return Tensor(a.value * c, (a,), fwd=lambda: a.value * c, vjp=lambda g, y: (g * c,))
+    return _node(lambda: a.value * c, (a,), lambda g, y: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -161,17 +167,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.value.shape} @ {b.value.shape}")
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
-    return Tensor(a.value @ b.value, (a, b), fwd=lambda: a.value @ b.value,
-                  vjp=lambda g, y: (g @ b.value.T, a.value.T @ g))
-
-
-def transpose(a: Tensor) -> Tensor:
-    return Tensor(a.value.T.copy(), (a,), fwd=lambda: a.value.T.copy(), vjp=lambda g, y: (g.T,))
+    return _node(lambda: a.value @ b.value, (a, b), lambda g, y: (g @ b.value.T, a.value.T @ g))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return Tensor(a.value.reshape(shape), (a,), fwd=lambda: a.value.reshape(shape),
-                  vjp=lambda g, y: (g.reshape(a.value.shape),))
+    return _node(lambda: a.value.reshape(shape), (a,), lambda g, y: (g.reshape(a.value.shape),))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -190,12 +190,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             offset += size
         return tuple(grads)
 
-    return Tensor(
-        np.concatenate([p.value for p in parts], axis=axis),
-        parts,
-        fwd=lambda: np.concatenate([p.value for p in parts], axis=axis),
-        vjp=vjp,
-    )
+    return _node(lambda: np.concatenate([p.value for p in parts], axis=axis), parts, vjp)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -208,12 +203,12 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[index] = g
         return (full,)
 
-    return Tensor(a.value[index].copy(), (a,), fwd=lambda: a.value[index].copy(), vjp=vjp)
+    return _node(lambda: a.value[index].copy(), (a,), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return Tensor(a.value.sum(), (a,), fwd=lambda: a.value.sum(),
-                  vjp=lambda g, y: (np.broadcast_to(g, a.value.shape).copy(),))
+    return _node(lambda: a.value.sum(), (a,),
+                 lambda g, y: (np.broadcast_to(g, a.value.shape).copy(),))
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -226,25 +221,15 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.value.shape).copy(),)
 
-    return Tensor(
-        a.value.sum(axis=axis, keepdims=keepdims),
-        (a,),
-        fwd=lambda: a.value.sum(axis=axis, keepdims=keepdims),
-        vjp=vjp,
-    )
+    return _node(lambda: a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return scale(sum_axis(a, axis, keepdims), 1.0 / a.value.shape[axis])
 
 
-def exp(a: Tensor) -> Tensor:
-    return Tensor(np.exp(a.value), (a,), fwd=lambda: np.exp(a.value), vjp=lambda g, y: (g * y,))
-
-
 def tanh(a: Tensor) -> Tensor:
-    return Tensor(np.tanh(a.value), (a,), fwd=lambda: np.tanh(a.value),
-                  vjp=lambda g, y: (g * (1.0 - y * y),))
+    return _node(lambda: np.tanh(a.value), (a,), lambda g, y: (g * (1.0 - y * y),))
 
 
 def _stable_sigmoid(x: Array) -> Array:
@@ -258,17 +243,15 @@ def _stable_sigmoid(x: Array) -> Array:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    return Tensor(_stable_sigmoid(a.value), (a,), fwd=lambda: _stable_sigmoid(a.value),
-                  vjp=lambda g, y: (g * y * (1.0 - y),))
+    return _node(lambda: _stable_sigmoid(a.value), (a,), lambda g, y: (g * y * (1.0 - y),))
 
 
 def abs_(a: Tensor) -> Tensor:
-    return Tensor(np.abs(a.value), (a,), fwd=lambda: np.abs(a.value),
-                  vjp=lambda g, y: (g * np.sign(a.value),))
+    return _node(lambda: np.abs(a.value), (a,), lambda g, y: (g * np.sign(a.value),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    def fwd():
+    def forward():
         shifted = a.value - a.value.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=axis, keepdims=True)
@@ -276,13 +259,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def vjp(g, y):
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
-    return Tensor(fwd(), (a,), fwd=fwd, vjp=vjp)
+    return _node(forward, (a,), vjp)
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     """Elementwise binary cross-entropy on logits, numerically stable."""
 
-    def fwd():
+    def forward():
         x, z = logits.value, targets.value
         return np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
 
@@ -293,7 +276,7 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
             _unbroadcast(g * (-x), z.shape),
         )
 
-    return Tensor(fwd(), (logits, targets), fwd=fwd, vjp=vjp)
+    return _node(forward, (logits, targets), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -315,29 +298,6 @@ class AttentionParams:
     wo: Tensor
 
 
-def _fused_node(
-    forward: Callable[[], tuple[Array, tuple]],
-    parents: tuple[Tensor, ...],
-    vjp: Callable[[Array, tuple], Sequence[Optional[Array]]],
-) -> Tensor:
-    """One node for a whole sub-computation with a hand-written VJP.
-
-    `forward()` returns the value plus the intermediates `vjp(grad, saved)`
-    reads. Inside no_record() the intermediates are dropped at once; replay
-    refreshes them together with the value.
-    """
-    value, saved = forward()
-    if not _recording.get():
-        return Tensor(value)
-
-    def fwd():
-        nonlocal saved
-        out, saved = forward()
-        return out
-
-    return Tensor(value, parents, fwd=fwd, vjp=lambda g, y: vjp(g, saved))
-
-
 def _padded(like: Array, cols: slice, part: Array) -> Array:
     """Zeros shaped like `like` with `part` in columns `cols`: narrow's VJP."""
     full = np.zeros_like(like)
@@ -355,8 +315,10 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, start: int, length: int) -> 
     """
     cols = slice(start, start + length)
     c = 1.0 / math.sqrt(length)
+    saved: tuple = ()
 
     def forward():
+        nonlocal saved
         qs = q.value[:, cols].copy()
         kt = k.value[:, cols].T.copy()
         vs = v.value[:, cols].copy()
@@ -365,9 +327,10 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, start: int, length: int) -> 
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        return p @ vs, (qs, kt, vs, p)
+        saved = (qs, kt, vs, p)
+        return p @ vs
 
-    def vjp(g, saved):
+    def vjp(g, y):
         qs, kt, vs, p = saved
         g_p = g @ vs.T
         g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
@@ -378,7 +341,7 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, start: int, length: int) -> 
             _padded(v.value, cols, p.T @ g),
         )
 
-    return _fused_node(forward, (q, k, v), vjp)
+    return _node(forward, (q, k, v), vjp)
 
 
 def weighted_attention_head(
@@ -405,9 +368,10 @@ def weighted_attention_head(
     cols = slice(start, start + length)
     c = 1.0 / math.sqrt(length)
     shift: Optional[Array] = None
+    saved: tuple = ()
 
     def forward():
-        nonlocal shift
+        nonlocal shift, saved
         qs = q.value[:, cols].copy()
         qs *= c
         kts = [k.value[:, cols].T.copy() for k in keys]
@@ -424,9 +388,10 @@ def weighted_attention_head(
             sums.append(p.sum(axis=1, keepdims=True))
             num = mats[-1] * w.value if num is None else num + mats[-1] * w.value
             den = sums[-1] * w.value if den is None else den + sums[-1] * w.value
-        return num / den, (qs, kts, vss, exps, mats, sums, num, den)
+        saved = (qs, kts, vss, exps, mats, sums, num, den)
+        return num / den
 
-    def vjp(g, saved):
+    def vjp(g, y):
         qs, kts, vss, exps, mats, sums, num, den = saved
         g_num = g / den
         g_den = _unbroadcast(-g * num / (den * den), den.shape)
@@ -455,7 +420,7 @@ def weighted_attention_head(
         )
 
     parents = (q, *values, *keys, *(w for w in weights for _ in range(2)))
-    return _fused_node(forward, parents, vjp)
+    return _node(forward, parents, vjp)
 
 
 def attention(

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteValueError, Tensor
+from .autodiff import NonFiniteValueError, tensor
 from .masks import MaskError, ResponseSet, annotation_from_dict, annotation_to_dict
 from .metrics import EvaluationError, MetricReport, evaluate_run
 from .optim import CheckpointError, ParamStore, load_params, save_params
@@ -223,7 +223,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _infer_one(work: tuple) -> dict:
     data_dir, entry, cfg_kwargs, values = work
     cfg = PipelineConfig(**cfg_kwargs)
-    params = ParamStore({name: Tensor(value, name=name) for name, value in values.items()})
+    params = ParamStore({name: tensor(value, name) for name, value in values.items()})
     scene = load_scene_record(data_dir, entry)
     try:
         response, provenance = infer_video(scene.frames, scene.query_frame, scene.query_mask,

@@ -124,11 +124,12 @@ class FrameOverlaps:
     inter: dict[int, int]
 
     def st_iou(self) -> float:
-        inter = sum(self.inter.values())
-        denom = sum(self.gt_area.values()) + sum(self.pred_area.values()) - inter
-        if denom == 0:
-            return 1.0
-        return inter / denom
+        return iou_from_areas(sum(self.inter.values()), sum(self.gt_area.values()),
+                              sum(self.pred_area.values()))
+
+    def t_iou(self) -> float:
+        union = len(self.gt_area) + len(self.pred_area) - len(self.inter)
+        return len(self.inter) / union if union else 1.0
 
     def recovery(self) -> float:
         if not self.gt_area:
@@ -136,6 +137,9 @@ class FrameOverlaps:
         hits = sum(1 for t, inter in self.inter.items()
                    if iou_from_areas(inter, self.pred_area[t], self.gt_area[t]) > RECOVERY_IOU_THRESHOLD)
         return 100.0 * hits / len(self.gt_area)
+
+    def mean_gt_area(self) -> float:
+        return sum(self.gt_area.values()) / len(self.gt_area) if self.gt_area else 0.0
 
 
 def frame_overlaps(gt: ResponseSet, pred: ResponseSet) -> FrameOverlaps:
@@ -167,12 +171,7 @@ def st_iou(gt: ResponseSet, pred: ResponseSet) -> float:
 
 def t_iou(gt: ResponseSet, pred: ResponseSet) -> float:
     """Temporal IoU between the annotated frame sets; 1.0 when both are empty."""
-    gf = gt.covered_frames()
-    pf = pred.covered_frames()
-    union = gf | pf
-    if not union:
-        return 1.0
-    return len(gf & pf) / len(union)
+    return frame_overlaps(gt, pred).t_iou()
 
 
 def recovery(gt: ResponseSet, pred: ResponseSet) -> float:
@@ -191,10 +190,7 @@ def success(gt: ResponseSet, pred: ResponseSet) -> bool:
 
 def mean_gt_area(gt: ResponseSet) -> float:
     """Mean mask area over all gt-annotated frames; 0 for an empty response."""
-    masks = gt.frame_masks()
-    if not masks:
-        return 0.0
-    return sum(m.area() for m in masks.values()) / len(masks)
+    return frame_overlaps(gt, ResponseSet(gt.video_id, ())).mean_gt_area()
 
 
 def evaluate_video(gt: ResponseSet, pred: ResponseSet) -> VideoEval:
@@ -203,10 +199,10 @@ def evaluate_video(gt: ResponseSet, pred: ResponseSet) -> VideoEval:
     return VideoEval(
         video_id=gt.video_id,
         st_iou=st,
-        t_iou=t_iou(gt, pred),
+        t_iou=overlaps.t_iou(),
         recovery=overlaps.recovery(),
         success=st > SUCCESS_STIOU_THRESHOLD,
-        mean_gt_area=mean_gt_area(gt),
+        mean_gt_area=overlaps.mean_gt_area(),
     )
 
 

@@ -10,7 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, tensor
 
 ADAMW_DEFAULTS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "weight_decay": 0.01}
 
@@ -72,7 +72,7 @@ def seeded_init(shapes: Mapping[str, tuple[int, ...]], seed: int) -> ParamStore:
             bound = 1.0 / np.sqrt(shape[0])
             rng = np.random.default_rng(np.random.SeedSequence(_stream_seed(seed, name)))
             value = rng.uniform(-bound, bound, size=shape)
-        params[name] = Tensor(value, name=name)
+        params[name] = tensor(value, name)
     return ParamStore(params=params, init_seed=seed)
 
 
@@ -166,7 +166,7 @@ def load_params(path: str) -> ParamStore:
         offset += 8 * n
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{path}: non-finite value in parameter {name}")
-        params[name] = Tensor(arr.astype(np.float64, copy=True), name=name)
+        params[name] = tensor(arr.astype(np.float64, copy=True), name)
     if offset != len(payload):
         raise CheckpointError(f"{path}: trailing bytes in payload")
     return ParamStore(params=params, init_seed=int(seed))

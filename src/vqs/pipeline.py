@@ -36,6 +36,7 @@ from .masks import (
     RleMask,
     ResponseSet,
     group_into_masklets,
+    iou_from_areas,
     rle_decode,
     rle_encode,
 )
@@ -233,12 +234,7 @@ def grid_iou(grid: np.ndarray, counts: np.ndarray, patch_area: int = 1) -> float
     counts itself). Every term is an exact integer, so this equals `mask_iou`
     of the pixel masks bit for bit; two empty masks give 1.0.
     """
-    inter = int(counts[grid].sum())
-    area_a = int(grid.sum()) * patch_area
-    area_b = int(counts.sum())
-    if area_a == 0 and area_b == 0:
-        return 1.0
-    return inter / (area_a + area_b - inter)
+    return iou_from_areas(int(counts[grid].sum()), int(grid.sum()) * patch_area, int(counts.sum()))
 
 
 @dataclass

@@ -538,6 +538,11 @@ def load_manifest(dataset_dir: str | Path) -> dict:
         for key in ("id", "query", "gt"):
             if key in entry and not isinstance(entry[key], str):
                 raise SceneConfigError(f"manifest: scenes[{i}]: {key!r} must be a string")
+        for key in ("height", "width", "num_frames", "fps"):
+            value = entry.get(key, 1)  # an absent field passes
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise SceneConfigError(
+                    f"manifest: scenes[{i}]: {key!r} must be a positive integer, got {value!r}")
         if "id" in entry:
             if entry["id"] in ids:
                 raise SceneConfigError(f"manifest: scenes[{i}]: repeated id {entry['id']!r}")
@@ -545,13 +550,21 @@ def load_manifest(dataset_dir: str | Path) -> dict:
     return manifest
 
 
-def load_scene_gt(dataset_dir: str | Path, scene_entry: dict) -> tuple[ResponseSet, int, int, RleMask]:
+def _query_mask(obj: dict, height: int, width: int) -> RleMask:
+    """The query mask of a parsed gt file; MaskError unless it is a run list string."""
+    text = obj.get("query_mask")
+    if not isinstance(text, str):
+        raise MaskError("missing query_mask" if text is None
+                        else f"query_mask must be a string of runs, got {text!r}")
+    return RleMask.from_runs_csv(text, height, width)
+
+
+def load_scene_gt(dataset_dir: str | Path, scene_entry: dict) -> tuple[ResponseSet, RleMask]:
     """gt annotation plus the query mask for one manifest scene entry."""
     with open(Path(dataset_dir) / scene_entry["gt"]) as fh:
         obj = json.load(fh)
     response, h, w = annotation_from_dict(obj)
-    qmask = RleMask.from_runs_csv(obj["query_mask"], h, w)
-    return response, h, w, qmask
+    return response, _query_mask(obj, h, w)
 
 
 def load_scene_record(dataset_dir: str | Path, scene_entry: dict) -> SceneRecord:
@@ -561,7 +574,7 @@ def load_scene_record(dataset_dir: str | Path, scene_entry: dict) -> SceneRecord
     `config` and `query_state` are None and `target_states` is empty.
     """
     root = Path(dataset_dir)
-    response, _, _, qmask = load_scene_gt(root, scene_entry)
+    response, qmask = load_scene_gt(root, scene_entry)
     return SceneRecord(
         config=None,
         frames=[read_ppm(root / rel) for rel in scene_entry["frames"]],
@@ -602,7 +615,7 @@ def compute_stats(dataset_dir: str | Path, bins: int = 10) -> dict:
     relative_areas = []
     adjacent_ious = []
     for entry in manifest["scenes"]:
-        response, _, _, _ = load_scene_gt(dataset_dir, entry)
+        response, _ = load_scene_gt(dataset_dir, entry)
         fps = entry.get("fps", 6)
         video_lengths.append(entry["num_frames"] / fps)
         occurrence_counts.append(len(response.occurrences))
@@ -687,10 +700,9 @@ def validate_manifest(dataset_dir: str | Path) -> list[str]:
             if last >= entry["num_frames"]:
                 violations.append(f"{sid}: occurrence ends at frame {last} beyond video length")
         try:
-            qmask = RleMask.from_runs_csv(obj["query_mask"], h, w)
-            if qmask.area() == 0:
+            if _query_mask(obj, h, w).area() == 0:
                 violations.append(f"{sid}: query mask is empty")
-        except (KeyError, MaskError) as exc:
+        except MaskError as exc:
             violations.append(f"{sid}: bad query mask ({exc})")
 
         query_rel = entry.get("query")

@@ -233,8 +233,6 @@ def gradient_check_report(
     check("divide", ad.sum_all(ad.divide(dnum, dden)), [dnum, dden])
     mm = leaf((3, 4), "mm")
     check("matmul", ad.sum_all(ad.matmul(mm, leaf((4, 2), "b"))), [mm])
-    tr = leaf((2, 5), "tr")
-    check("transpose", ad.sum_all(ad.multiply(ad.transpose(tr), leaf((5, 2), "b"))), [tr])
     rs = leaf((2, 6), "rs")
     check("reshape", ad.sum_all(ad.multiply(ad.reshape(rs, (3, 4)), leaf((3, 4), "b"))), [rs])
     c1, c2 = leaf((2, 3), "c1"), leaf((2, 3), "c2")
@@ -245,8 +243,6 @@ def gradient_check_report(
     check("sum_axis", ad.sum_all(ad.multiply(ad.sum_axis(sa, 1, keepdims=True), leaf((3, 1), "b"))), [sa])
     me = leaf((4, 4), "me")
     check("mean_all", ad.mean_all(ad.multiply(me, me)), [me])
-    ex = leaf((3, 3), "ex")
-    check("exp", ad.sum_all(ad.exp(ex)), [ex])
     th = leaf((3, 3), "th")
     check("tanh", ad.sum_all(ad.tanh(th)), [th])
     sg = leaf((3, 3), "sg")

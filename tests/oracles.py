@@ -13,7 +13,9 @@ bit for bit.
 The attention references build each head from autodiff primitives, one node
 per narrow, transpose, matmul, scale, softmax or exp, as the library did
 before its heads became single fused nodes. The fused nodes must match them
-bit for bit, in values and in gradients.
+bit for bit, in values and in gradients. The library no longer needs
+`transpose` and `exp` nodes of its own, so they are defined here, on the
+library's node constructor, exactly as it defined them.
 """
 
 from __future__ import annotations
@@ -155,11 +157,20 @@ def rle_routed_candidate(candidates, gt_mask, frame_hw):
 # --- Composed attention ---------------------------------------------------------
 
 
+def transpose(a):
+    return ad._node(lambda: a.value.T.copy(), (a,), lambda g, y: (g.T,))
+
+
+def exp(a):
+    return ad._node(lambda: np.exp(a.value), (a,), lambda g, y: (g * y,))
+
+
+
 def composed_attention_head(q, k, v, start, length):
     qs = ad.narrow(q, 1, start, length)
     ks = ad.narrow(k, 1, start, length)
     vs = ad.narrow(v, 1, start, length)
-    scores = ad.scale(ad.matmul(qs, ad.transpose(ks)), 1.0 / math.sqrt(length))
+    scores = ad.scale(ad.matmul(qs, transpose(ks)), 1.0 / math.sqrt(length))
     return ad.matmul(ad.softmax(scores, axis=-1), vs)
 
 
@@ -176,13 +187,13 @@ def composed_attention(q_in, k_in, v_in, params, num_heads):
 
 def composed_weighted_attention_head(q, keys, values, weights, start, length):
     qs = ad.scale(ad.narrow(q, 1, start, length), 1.0 / math.sqrt(length))
-    scores = [ad.matmul(qs, ad.transpose(ad.narrow(k, 1, start, length))) for k in keys]
+    scores = [ad.matmul(qs, transpose(ad.narrow(k, 1, start, length))) for k in keys]
     row_max = np.max(np.concatenate([s.value for s in scores], axis=1), axis=1, keepdims=True)
     shift = ad.tensor(row_max)
     numerator = denominator = None
     for weight, score, value in zip(weights, scores, values):
         vs = ad.narrow(value, 1, start, length)
-        exps = ad.exp(ad.subtract(score, shift))
+        exps = exp(ad.subtract(score, shift))
         num_term = ad.multiply(ad.matmul(exps, vs), weight)
         den_term = ad.multiply(ad.sum_axis(exps, 1, keepdims=True), weight)
         numerator = num_term if numerator is None else ad.add(numerator, num_term)

@@ -293,7 +293,7 @@ class TestInferEvalEquivalence:
         manifest = load_manifest(dataset)
         gt = {}
         for entry in manifest["scenes"]:
-            response, _, _, _ = load_scene_gt(dataset, entry)
+            response, _ = load_scene_gt(dataset, entry)
             gt[entry["id"]] = response
         payload = json.loads(preds.read_text())
         pred = {}
@@ -481,6 +481,18 @@ MANIFEST_DEFECTS = {
                 "manifest: scenes[0]: 'gt' must be a string"),
     "repeated-id": (lambda m: {**m, "scenes": [m["scenes"][0], {**m["scenes"][1], "id": m["scenes"][0]["id"]}]},
                     "manifest: scenes[1]: repeated id 'scene_0000'"),
+    "fps-zero": (lambda m: {**m, "scenes": [{**m["scenes"][0], "fps": 0}]},
+                 "manifest: scenes[0]: 'fps' must be a positive integer, got 0"),
+    "fps-string": (lambda m: {**m, "scenes": [m["scenes"][0], {**m["scenes"][1], "fps": "6"}]},
+                   "manifest: scenes[1]: 'fps' must be a positive integer, got '6'"),
+    "num-frames-null": (lambda m: {**m, "scenes": [{**m["scenes"][0], "num_frames": None}]},
+                        "manifest: scenes[0]: 'num_frames' must be a positive integer, got None"),
+    "num-frames-string": (lambda m: {**m, "scenes": [{**m["scenes"][0], "num_frames": "8"}]},
+                          "manifest: scenes[0]: 'num_frames' must be a positive integer, got '8'"),
+    "height-bool": (lambda m: {**m, "scenes": [{**m["scenes"][0], "height": True}]},
+                    "manifest: scenes[0]: 'height' must be a positive integer, got True"),
+    "width-negative": (lambda m: {**m, "scenes": [{**m["scenes"][0], "width": -32}]},
+                       "manifest: scenes[0]: 'width' must be a positive integer, got -32"),
 }
 
 
@@ -508,6 +520,45 @@ class TestManifestShape:
             assert out.out.splitlines() == [f"violation: {message}", f"1 violation(s) in {data}"]
         else:
             assert one_json_error_line(out.err) == message
+
+
+QUERY_MASK_DEFECTS = {
+    "int": (lambda gt: {**gt, "query_mask": 5}, "query_mask must be a string of runs, got 5"),
+    "list": (lambda gt: {**gt, "query_mask": [1023, 1]}, "query_mask must be a string of runs, got [1023, 1]"),
+    "missing": (lambda gt: {k: v for k, v in gt.items() if k != "query_mask"}, "missing query_mask"),
+}
+
+
+class TestQueryMaskField:
+    @pytest.mark.parametrize("command", ["validate", "infer", "stats", "train", "eval"])
+    @pytest.mark.parametrize("defect", sorted(QUERY_MASK_DEFECTS))
+    def test_bad_query_mask_is_one_error(self, two_videos, tmp_path, capsys, command, defect):
+        mangle, message = QUERY_MASK_DEFECTS[defect]
+        data = tmp_path / "ds"
+        shutil.copytree(two_videos, data)
+        entry = load_manifest(data)["scenes"][0]
+        gt_path = data / entry["gt"]
+        gt_path.write_text(json.dumps(mangle(json.loads(gt_path.read_text()))))
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text("[]")
+        argv = {
+            "validate": ["validate", "--data", data],
+            "infer": ["infer", "--data", data, "--out", tmp_path / "p.json"],
+            "stats": ["stats", "--data", data],
+            "train": ["train", "--data", data, "--ckpt-out", tmp_path / "t.ckpt"],
+            "eval": ["eval", "--gt", data, "--pred", pred_path],
+        }[command]
+        assert run_cli(*argv) == 1
+        out = capsys.readouterr()
+        if command == "validate":
+            assert out.out.splitlines() == [
+                "violation: manifest: digest does not match dataset content",
+                f"violation: {entry['id']}: bad query mask ({message})",
+                f"2 violation(s) in {data}",
+            ]
+        else:
+            assert one_json_error_line(out.err) == message
+        assert not (tmp_path / "p.json").exists() and not (tmp_path / "t.ckpt").exists()
 
 
 class TestCheckpointFit:

@@ -48,13 +48,21 @@ def grads_of(loss, nodes):
     return ad.gradient_map(loss, {str(i): n for i, n in enumerate(nodes)}).values()
 
 
-def run_heads(head_fn, rng_seed, build):
-    """Value and parent gradients of a head graph built by `build(head_fn, rng)`."""
+def run_heads(head_fn, rng_seed, build, moved=None):
+    """Value and parent gradients of a head graph built by `build(head_fn, rng)`.
+
+    With `moved`, every parent's value is scaled by it after the build and the
+    graph is replayed before the backward pass.
+    """
     rng = np.random.default_rng(rng_seed)
     heads, parents = build(head_fn, rng)
     merged = ad.concat(heads, axis=1) if len(heads) > 1 else heads[0]
     probe = tensor(rng.normal(size=merged.shape))
     loss = ad.sum_all(ad.multiply(merged, probe))
+    if moved is not None:
+        for parent in parents:
+            parent.value *= moved
+        ad.replay(ad.trace(loss))
     return [h.value for h in heads], list(grads_of(loss, parents))
 
 
@@ -122,6 +130,23 @@ def test_weighted_attention_head_matches_composed(row_counts, weight_values, sha
     build = memory_head_builder(row_counts, weight_values, shared)
     compare(run_heads(ad.weighted_attention_head, 13, build),
             run_heads(composed_weighted_attention_head, 13, build), f"{len(row_counts)} entries")
+
+
+def attention_head_builder(head_fn, rng):
+    q, k, v = leaves(rng, [(7, 8), (9, 8), (9, 8)], "qkv")
+    return [head_fn(q, k, v, h * 4, 4) for h in range(2)], [q, k, v]
+
+
+@pytest.mark.parametrize("fused, composed, build", [
+    (ad.attention_head, composed_attention_head, attention_head_builder),
+    (ad.weighted_attention_head, composed_weighted_attention_head,
+     memory_head_builder((5, 3, 4), (0.5, 0.2, 0.3), (1, 2))),
+], ids=["attention_head", "weighted_attention_head"])
+def test_backward_after_replay_matches_composed(fused, composed, build):
+    # replay refreshes the intermediates a fused VJP reads, so after the
+    # leaves move the gradients still equal the replayed composed graph's
+    compare(run_heads(fused, 17, build, moved=1.5),
+            run_heads(composed, 17, build, moved=1.5), "replayed")
 
 
 def test_memory_attention_with_zero_scale_entry_matches_composed():

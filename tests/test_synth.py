@@ -188,8 +188,8 @@ class TestGenerateDataset:
     def test_gt_loadable(self, tmp_path):
         out, manifest = small_dataset(tmp_path, n=2)
         for entry in manifest["scenes"]:
-            response, h, w, qmask = load_scene_gt(out, entry)
-            assert (h, w) == (entry["height"], entry["width"])
+            response, qmask = load_scene_gt(out, entry)
+            assert qmask.shape == (entry["height"], entry["width"])
             assert qmask.area() > 0
             assert len(response.occurrences) >= 1
 
@@ -208,7 +208,7 @@ class TestGenerateDataset:
         manifest = generate_dataset(50, dist, 5, out)
         gts = {}
         for entry in manifest["scenes"]:
-            response, _, _, _ = load_scene_gt(out, entry)
+            response, _ = load_scene_gt(out, entry)
             gts[entry["id"]] = response
         report = evaluate_run(gts, dict(gts))
         assert all(report.video_counts[name] > 0 for name in ("Small", "Medium", "Large"))
