@@ -18,6 +18,9 @@ import colorsys
 import hashlib
 import json
 import math
+import os
+import re
+import stat
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -79,30 +82,38 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
         fh.write(image.tobytes())
 
 
+_PPM_HEADER = re.compile(rb"P6\s*(\S+)\s+(\S+)\s+(\S+)\s")
+
+
+def parse_ppm(blob: bytes, name: str | Path) -> np.ndarray:
+    """The HxWx3 image held in a binary PPM's bytes, as a read-only view of them.
+
+    ValueError naming `name` unless the header gives a positive integer width
+    and height and maxval 255, and the payload holds all H*W*3 bytes. The sizes
+    are checked before any array is made, so a header never sizes an allocation.
+    """
+    if not blob.startswith(b"P6"):
+        raise ValueError(f"{name}: not a binary PPM")
+    header = _PPM_HEADER.match(blob)
+    if header is None:
+        raise ValueError(f"{name}: truncated PPM header")
+    w, h, maxval = header.groups()  # bytes.isdigit() admits ASCII digits only
+    if not (w.isdigit() and h.isdigit() and int(w) > 0 and int(h) > 0):
+        raise ValueError(f"{name}: PPM width and height must be positive integers, "
+                         f"got {w.decode('latin-1')} {h.decode('latin-1')}")
+    if not (maxval.isdigit() and int(maxval) == 255):
+        raise ValueError(f"{name}: unsupported maxval {maxval.decode('latin-1')}")
+    h, w = int(h), int(w)
+    pos = header.end()
+    if len(blob) - pos < h * w * 3:
+        raise ValueError(f"{name}: pixel payload holds {len(blob) - pos} bytes, "
+                         f"a {w}x{h} image needs {h * w * 3}")
+    return np.frombuffer(blob, dtype=np.uint8, offset=pos, count=h * w * 3).reshape(h, w, 3)
+
+
 def read_ppm(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(b"P6"):
-        raise ValueError(f"{path}: not a binary PPM")
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PPM header")
-        tokens.append(blob[start:pos])
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    data = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=h * w * 3)
-    if data.size != h * w * 3:
-        raise ValueError(f"{path}: pixel payload truncated")
-    return data.reshape(h, w, 3).copy()
+        return parse_ppm(fh.read(), path).copy()
 
 
 # --- Shapes -------------------------------------------------------------------
@@ -464,13 +475,18 @@ def _write_scene(out_dir: Path, scene_id: str, record: SceneRecord) -> dict:
     }
 
 
-def _dataset_files(manifest: dict) -> list[str]:
-    files: list[str] = []
-    for scene in manifest["scenes"]:
-        files.extend(scene["frames"])
-        files.append(scene["query"])
-        files.append(scene["gt"])
-    return sorted(files)
+def _dataset_files(scenes: list[dict]) -> list[str]:
+    """Every file the manifest's scenes name, in digest order, repeats included."""
+    return sorted(rel for scene in scenes
+                  for rel in (*scene.get("frames", []), scene.get("query"), scene.get("gt"))
+                  if rel is not None)
+
+
+def _digest_file(digest, rel: str, blob: bytes) -> None:
+    """Feed one file to a dataset digest: its relative path, a NUL, its bytes."""
+    digest.update(rel.encode("utf-8"))
+    digest.update(b"\0")
+    digest.update(blob)
 
 
 def compute_digest(root: str | Path, files: Iterable[str]) -> str:
@@ -478,9 +494,7 @@ def compute_digest(root: str | Path, files: Iterable[str]) -> str:
     root = Path(root)
     digest = hashlib.sha256()
     for rel in sorted(files):
-        digest.update(rel.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update((root / rel).read_bytes())
+        _digest_file(digest, rel, (root / rel).read_bytes())
     return digest.hexdigest()
 
 
@@ -513,7 +527,7 @@ def generate_dataset(
         "config": asdict(dist_cfg),
         "scenes": entries,
     }
-    manifest["digest"] = compute_digest(out, _dataset_files(manifest))
+    manifest["digest"] = compute_digest(out, _dataset_files(entries))
     with open(out / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -538,8 +552,11 @@ def load_manifest(dataset_dir: str | Path) -> dict:
         for key in ("id", "query", "gt"):
             if key in entry and not isinstance(entry[key], str):
                 raise SceneConfigError(f"manifest: scenes[{i}]: {key!r} must be a string")
+        for key in ("num_frames", "fps"):
+            if key not in entry:
+                raise SceneConfigError(f"manifest: scenes[{i}]: missing {key!r}")
         for key in ("height", "width", "num_frames", "fps"):
-            value = entry.get(key, 1)  # an absent field passes
+            value = entry.get(key, 1)  # an absent height or width passes
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise SceneConfigError(
                     f"manifest: scenes[{i}]: {key!r} must be a positive integer, got {value!r}")
@@ -616,7 +633,7 @@ def compute_stats(dataset_dir: str | Path, bins: int = 10) -> dict:
     adjacent_ious = []
     for entry in manifest["scenes"]:
         response, _ = load_scene_gt(dataset_dir, entry)
-        fps = entry.get("fps", 6)
+        fps = entry["fps"]
         video_lengths.append(entry["num_frames"] / fps)
         occurrence_counts.append(len(response.occurrences))
         first_area = None
@@ -646,10 +663,55 @@ def compute_stats(dataset_dir: str | Path, bins: int = 10) -> dict:
 # --- Validation ----------------------------------------------------------------
 
 
+def _read_regular_file(path: Path) -> Optional[bytes]:
+    """A regular file's bytes; None when it cannot be opened or read, or is not
+    a regular file: a FIFO could stall the open and a device need not end."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:
+        return None
+    try:
+        info = os.fstat(fd)
+        return os.read(fd, info.st_size) if stat.S_ISREG(info.st_mode) else None
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+
+
+def _gt_violations(sid: str, entry: dict, blob: bytes) -> tuple[list[str], bool]:
+    """What is wrong with one scene's gt file, given its bytes, and whether its
+    annotation could be read at all; the scene's other checks need it."""
+    try:
+        obj = json.loads(blob)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return [f"{sid}: gt unreadable ({exc})"], False
+    try:
+        response, h, w = annotation_from_dict(obj)
+    except MaskError as exc:
+        return [f"{sid}: {exc}"], False
+    violations = []
+    if (h, w) != (entry.get("height"), entry.get("width")):
+        violations.append(f"{sid}: gt dimensions {h}x{w} do not match manifest entry")
+    if response.occurrences and response.occurrences[-1].end_frame >= entry["num_frames"]:
+        violations.append(f"{sid}: occurrence ends at frame "
+                          f"{response.occurrences[-1].end_frame} beyond video length")
+    try:
+        if _query_mask(obj, h, w).area() == 0:
+            violations.append(f"{sid}: query mask is empty")
+    except MaskError as exc:
+        violations.append(f"{sid}: bad query mask ({exc})")
+    return violations, True
+
+
 def validate_manifest(dataset_dir: str | Path) -> list[str]:
     """All invariant violations in a dataset directory; empty list when clean.
 
-    Unreadable or missing files are reported as violations, never raised.
+    One pass in digest order reads each file once. Its bytes feed the digest,
+    a frame's PPM parse and a gt file's checks; the query-equality check
+    compares each file's sha256, so no file's bytes outlive its turn. A file
+    that cannot be opened or read, or is not a regular file, is reported
+    missing; nothing is raised.
     """
     root = Path(dataset_dir)
     violations: list[str] = []
@@ -662,68 +724,64 @@ def validate_manifest(dataset_dir: str | Path) -> list[str]:
     if manifest.get("format") != MANIFEST_FORMAT:
         violations.append(f"manifest: unknown format {manifest.get('format')!r}")
     scenes = manifest.get("scenes", [])
+    frame_files = {rel for entry in scenes for rel in entry.get("frames", [])}
+    gt_users: dict[str, list[int]] = {}
+    for i, entry in enumerate(scenes):
+        gt_users.setdefault(entry.get("gt"), []).append(i)
+
+    digest = hashlib.sha256()
+    shas: dict[str, bytes] = {}                    # every file that opened
+    frame_shapes: dict[str, tuple | str] = {}      # (height, width) or the parse error
+    gt_checks: dict[int, tuple[list[str], bool]] = {}
+    blob = b""
+    for rel in _dataset_files(scenes):
+        if rel not in shas:  # sorted, so a repeated file follows its first listing
+            path = root / rel
+            blob = _read_regular_file(path)
+            if blob is None:
+                continue
+            shas[rel] = hashlib.sha256(blob).digest()
+            if rel in frame_files:
+                try:
+                    frame_shapes[rel] = parse_ppm(blob, path).shape[:2]
+                except ValueError as exc:
+                    frame_shapes[rel] = str(exc)
+            for i in gt_users.get(rel, ()):
+                gt_checks[i] = _gt_violations(scenes[i].get("id", "<missing id>"), scenes[i], blob)
+        _digest_file(digest, rel, blob)
+
     missing_files = False
     for entry in scenes:
         sid = entry.get("id", "<missing id>")
         for rel in [*entry.get("frames", []), entry.get("query"), entry.get("gt")]:
-            if rel is None or not (root / rel).is_file():
+            if rel not in shas:
                 violations.append(f"{sid}: missing file {rel}")
                 missing_files = True
-    if not missing_files and "digest" in manifest:
-        try:
-            actual = compute_digest(root, _dataset_files(manifest))
-            if actual != manifest["digest"]:
-                violations.append("manifest: digest does not match dataset content")
-        except OSError as exc:
-            violations.append(f"manifest: digest recompute failed ({exc})")
+    if not missing_files and "digest" in manifest and digest.hexdigest() != manifest["digest"]:
+        violations.append("manifest: digest does not match dataset content")
 
-    for entry in scenes:
+    for i, entry in enumerate(scenes):
         sid = entry.get("id", "<missing id>")
-        gt_rel = entry.get("gt")
-        if gt_rel is None or not (root / gt_rel).is_file():
+        frames = entry.get("frames", [])
+        if entry["num_frames"] != len(frames):
+            violations.append(f"{sid}: num_frames is {entry['num_frames']}, "
+                              f"but {len(frames)} frames are listed")
+        if i not in gt_checks:
             continue
-        try:
-            with open(root / gt_rel) as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            violations.append(f"{sid}: gt unreadable ({exc})")
+        gt_violations, annotation_read = gt_checks[i]
+        violations.extend(gt_violations)
+        if not annotation_read:
             continue
-        try:
-            response, h, w = annotation_from_dict(obj)
-        except MaskError as exc:
-            violations.append(f"{sid}: {exc}")
-            continue
-        if (h, w) != (entry.get("height"), entry.get("width")):
-            violations.append(f"{sid}: gt dimensions {h}x{w} do not match manifest entry")
-        if response.occurrences and entry.get("num_frames") is not None:
-            last = response.occurrences[-1].end_frame
-            if last >= entry["num_frames"]:
-                violations.append(f"{sid}: occurrence ends at frame {last} beyond video length")
-        try:
-            if _query_mask(obj, h, w).area() == 0:
-                violations.append(f"{sid}: query mask is empty")
-        except MaskError as exc:
-            violations.append(f"{sid}: bad query mask ({exc})")
-
-        query_rel = entry.get("query")
-        if query_rel and (root / query_rel).is_file():
-            try:
-                qbytes = (root / query_rel).read_bytes()
-                for frame_rel in entry.get("frames", []):
-                    if (root / frame_rel).is_file() and (root / frame_rel).read_bytes() == qbytes:
-                        violations.append(f"{sid}: query frame identical to video frame {frame_rel}")
-                        break
-            except OSError as exc:
-                violations.append(f"{sid}: query unreadable ({exc})")
-        for frame_rel in entry.get("frames", []):
-            path = root / frame_rel
-            if not path.is_file():
-                continue
-            try:
-                img = read_ppm(path)
-            except ValueError as exc:
-                violations.append(f"{sid}: {exc}")
-                continue
-            if img.shape[:2] != (entry.get("height"), entry.get("width")):
-                violations.append(f"{sid}: frame {frame_rel} has shape {img.shape[:2]}")
+        query_sha = shas.get(entry.get("query"))
+        if query_sha is not None:
+            for frame_rel in frames:
+                if shas.get(frame_rel) == query_sha:
+                    violations.append(f"{sid}: query frame identical to video frame {frame_rel}")
+                    break
+        for frame_rel in frames:
+            shape = frame_shapes.get(frame_rel)
+            if isinstance(shape, str):
+                violations.append(f"{sid}: {shape}")
+            elif shape is not None and shape != (entry.get("height"), entry.get("width")):
+                violations.append(f"{sid}: frame {frame_rel} has shape {shape}")
     return violations

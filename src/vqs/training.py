@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .masks import RleMask, rle_encode
+from .masks import rle_encode
 from .optim import ADAMW_DEFAULTS, ParamStore, adamw_step, seeded_init
 from .pipeline import (
     FrameCandidates,
@@ -94,17 +94,25 @@ def _routed_candidate(candidates: FrameCandidates, gt_counts: np.ndarray,
     return best_idx, best_iou
 
 
+def gt_patch_counts(scene: SceneRecord, patch_size: int) -> dict[int, np.ndarray]:
+    """Foreground pixels per patch of each frame's non-empty gt mask, by frame."""
+    return {t: mask_patch_counts(mask, patch_size)
+            for t, mask in scene.gt.frame_masks().items() if mask.area() > 0}
+
+
 def frame_loss(
     candidates: FrameCandidates,
-    gt_mask: Optional[RleMask],
+    gt_counts: Optional[np.ndarray],
     cfg: PipelineConfig,
 ) -> LossBreakdown:
-    """Best-candidate-routed supervision for one frame."""
-    if gt_mask is not None and gt_mask.area() == 0:
-        gt_mask = None
-    present = gt_mask is not None
-    gt_counts = (mask_patch_counts(gt_mask, cfg.patch_size) if present
-                 else np.zeros_like(candidates.candidates[0].grid, dtype=np.int64))
+    """Best-candidate-routed supervision for one frame.
+
+    `gt_counts` is the frame's entry of `gt_patch_counts`, None when its gt
+    has no foreground.
+    """
+    present = gt_counts is not None
+    if not present:
+        gt_counts = np.zeros_like(candidates.candidates[0].grid, dtype=np.int64)
     idx, actual_iou = _routed_candidate(candidates, gt_counts, cfg.patch_size)
     cand = candidates.candidates[idx]
 
@@ -188,16 +196,20 @@ def scene_losses(
     scene: SceneRecord,
     cfg: PipelineConfig,
     params: ParamStore,
+    gt_counts: dict[int, np.ndarray],
 ) -> list[list[LossBreakdown]]:
-    """Forward all stages over all clips of a scene; per-stage frame losses."""
-    gt_masks = scene.gt.frame_masks()
+    """Forward all stages over all clips of a scene; per-stage frame losses.
+
+    `gt_counts` is `gt_patch_counts(scene, cfg.patch_size)`, which stays the
+    same for every step of a training run.
+    """
     per_stage: list[list[LossBreakdown]] = [[] for _ in range(cfg.num_stages)]
     video = run_video(scene.frames, scene.query_frame, scene.query_mask, cfg, params)
     for _, _, stage_outputs in video:
         for stage_idx, stage_out in enumerate(stage_outputs):
             for frame_cands in stage_out.candidates:
                 per_stage[stage_idx].append(
-                    frame_loss(frame_cands, gt_masks.get(frame_cands.frame_index), cfg)
+                    frame_loss(frame_cands, gt_counts.get(frame_cands.frame_index), cfg)
                 )
     return per_stage
 
@@ -280,7 +292,8 @@ def gradient_check_report(
     query_feats = encode_frame(frames[0], cfg, store)
     init_entry = encode_memory(query_feats, mask_patch_fractions(gt_mask, cfg.patch_size), store)
     out = run_stage(frames, MemoryBank((init_entry,)), cfg, store, is_final=True)
-    losses = [frame_loss(fc, gt_mask if fc.frame_index != 1 else None, cfg)
+    gt_counts = mask_patch_counts(gt_mask, cfg.patch_size)
+    losses = [frame_loss(fc, gt_counts if fc.frame_index != 1 else None, cfg)
               for fc in out.candidates]
     node, _ = total_loss([losses], (1.0,))
     report["stage_frame_loss"] = ad.grad_check(
@@ -329,13 +342,14 @@ def overfit_train(
         raise SceneConfigError(f"video {scene.video_id!r}: ground truth has frame "
                                f"{max(late[0].start_frame, n)}, but the video has {n} frames")
     store = seeded_init(param_shapes(cfg), tcfg.seed)
+    gt_counts = gt_patch_counts(scene, cfg.patch_size)
     curve: list[CurvePoint] = []
     # a diverging run is reported as TrainingDivergedError; numpy's own
     # overflow warnings would only precede it
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, tcfg.steps + 1):
             try:
-                per_stage = scene_losses(scene, cfg, store)
+                per_stage = scene_losses(scene, cfg, store, gt_counts)
                 node, agg = total_loss(per_stage, cfg.stage_weights)
             except ad.NonFiniteValueError as exc:
                 raise TrainingDivergedError(step) from exc

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from vqs import autodiff as ad
 from vqs.masks import Masklet, ResponseSet, RleMask, rle_encode
@@ -45,6 +46,19 @@ def gradcheck_with_noise_floor(loss, params, coords_per_param=2, h=1e-5, seed=0,
                 failures.append((name, int(flat_idx), ga, gn, rel))
     ad.replay(record)
     return failures
+
+
+def bytes_read() -> int:
+    """Bytes this process has read so far (`rchar` in /proc/self/io); the
+    calling test is skipped where that file does not exist."""
+    try:
+        with open("/proc/self/io") as fh:
+            for line in fh:
+                if line.startswith("rchar:"):
+                    return int(line.split()[1])
+    except FileNotFoundError:
+        pass
+    pytest.skip("no rchar in /proc/self/io")
 
 
 def block_mask(h, w, r0, c0, bh, bw) -> RleMask:

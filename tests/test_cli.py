@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from vqs.optim import load_params, save_params
 from vqs.autodiff import Tensor
 from vqs.optim import ParamStore
 from vqs.pipeline import PipelineConfig, init_params
-from vqs.synth import load_manifest, load_scene_gt
+from vqs.synth import load_manifest, load_scene_gt, read_ppm
 
 
 def run_cli(*argv):
@@ -485,6 +486,10 @@ MANIFEST_DEFECTS = {
                  "manifest: scenes[0]: 'fps' must be a positive integer, got 0"),
     "fps-string": (lambda m: {**m, "scenes": [m["scenes"][0], {**m["scenes"][1], "fps": "6"}]},
                    "manifest: scenes[1]: 'fps' must be a positive integer, got '6'"),
+    "num-frames-missing": (lambda m: {**m, "scenes": [{k: v for k, v in m["scenes"][0].items() if k != "num_frames"}]},
+                           "manifest: scenes[0]: missing 'num_frames'"),
+    "fps-missing": (lambda m: {**m, "scenes": [m["scenes"][0], {k: v for k, v in m["scenes"][1].items() if k != "fps"}]},
+                    "manifest: scenes[1]: missing 'fps'"),
     "num-frames-null": (lambda m: {**m, "scenes": [{**m["scenes"][0], "num_frames": None}]},
                         "manifest: scenes[0]: 'num_frames' must be a positive integer, got None"),
     "num-frames-string": (lambda m: {**m, "scenes": [{**m["scenes"][0], "num_frames": "8"}]},
@@ -520,6 +525,67 @@ class TestManifestShape:
             assert out.out.splitlines() == [f"violation: {message}", f"1 violation(s) in {data}"]
         else:
             assert one_json_error_line(out.err) == message
+
+
+class TestNumFramesCount:
+    def test_validate_reports_num_frames_unlike_frames(self, two_videos, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(two_videos, data)
+        manifest_path = data / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["scenes"][0]["num_frames"] += 5
+        manifest_path.write_text(json.dumps(manifest))
+        assert run_cli("validate", "--data", data) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "violation: scene_0000: num_frames is 13, but 8 frames are listed",
+            f"1 violation(s) in {data}",
+        ]
+
+
+# a bad header to write in front of a frame's own payload, and the text of the
+# error after the frame's path
+PPM_HEADER_DEFECTS = {
+    "huge": (b"P6\n1000000 1000000\n255\n",
+             "pixel payload holds 3072 bytes, a 1000000x1000000 image needs 3000000000000"),
+    "negative": (b"P6\n-1 -1\n255\n", "PPM width and height must be positive integers, got -1 -1"),
+    "zero-width": (b"P6\n0 4\n255\n", "PPM width and height must be positive integers, got 0 4"),
+    "non-integer": (b"P6\n32 3e1\n255\n", "PPM width and height must be positive integers, got 32 3e1"),
+    "maxval": (b"P6\n32 32\n65535\n", "unsupported maxval 65535"),
+    "no-header": (b"P6\n32 32", "truncated PPM header"),
+}
+
+
+class TestPpmHeader:
+    @pytest.mark.parametrize("via", ["read_ppm", "validate", "infer"])
+    @pytest.mark.parametrize("defect", sorted(PPM_HEADER_DEFECTS))
+    def test_bad_header_names_the_frame(self, two_videos, tmp_path, capsys, via, defect):
+        header, message = PPM_HEADER_DEFECTS[defect]
+        data = tmp_path / "ds"
+        shutil.copytree(two_videos, data)
+        frame = data / load_manifest(data)["scenes"][0]["frames"][0]
+        payload = frame.read_bytes()[len(b"P6\n32 32\n255\n"):]
+        frame.write_bytes(header + (b"" if defect == "no-header" else payload))
+        error = f"{frame}: {message}"
+        if via == "read_ppm":
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError) as exc:
+                    read_ppm(frame)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(exc.value) == error
+            assert peak < 64 * len(payload)  # the header's size is never allocated
+        elif via == "validate":
+            assert run_cli("validate", "--data", data) == 1
+            assert capsys.readouterr().out.splitlines() == [
+                "violation: manifest: digest does not match dataset content",
+                f"violation: scene_0000: {error}",
+                f"2 violation(s) in {data}",
+            ]
+        else:
+            assert run_cli("infer", "--data", data, "--out", tmp_path / "p.json") == 1
+            assert one_json_error_line(capsys.readouterr().err) == f"invalid input: {error}"
 
 
 QUERY_MASK_DEFECTS = {

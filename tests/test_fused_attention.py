@@ -23,7 +23,7 @@ from vqs.pipeline import (
     init_params,
 )
 from vqs.synth import SceneConfig, generate_scene
-from vqs.training import scene_losses, total_loss
+from vqs.training import gt_patch_counts, scene_losses, total_loss
 
 from .oracles import (
     composed_attention,
@@ -228,7 +228,8 @@ TRAIN_CFG = PipelineConfig(num_stages=2, clip_len=4, patch_size=4, model_dim=16,
 def training_step_gradients():
     scene = generate_scene(TRAIN_SCENE, video_id="overfit")
     store = init_params(TRAIN_CFG)
-    node, _ = total_loss(scene_losses(scene, TRAIN_CFG, store), TRAIN_CFG.stage_weights)
+    per_stage = scene_losses(scene, TRAIN_CFG, store, gt_patch_counts(scene, TRAIN_CFG.patch_size))
+    node, _ = total_loss(per_stage, TRAIN_CFG.stage_weights)
     return float(node.value), ad.gradient_map(node, store.params)
 
 

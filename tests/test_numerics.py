@@ -17,7 +17,7 @@ from vqs.optim import (
 )
 from vqs.pipeline import PipelineConfig, init_params
 from vqs.synth import SceneConfig, generate_scene
-from vqs.training import scene_losses, total_loss
+from vqs.training import gt_patch_counts, scene_losses, total_loss
 
 from . import oracles
 
@@ -233,7 +233,8 @@ def _stage_loss_graph(r):
                                        seed=int(r.integers(1000))), video_id="replay")
     cfg = PipelineConfig(num_stages=2, clip_len=4, patch_size=4, model_dim=8, num_heads=2,
                          stage_weights=(0.5, 1.0), seed=1)
-    node, _ = total_loss(scene_losses(scene, cfg, init_params(cfg)), cfg.stage_weights)
+    per_stage = scene_losses(scene, cfg, init_params(cfg), gt_patch_counts(scene, cfg.patch_size))
+    node, _ = total_loss(per_stage, cfg.stage_weights)
     return node
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from vqs.synth import (
     DatasetConfig,
     SceneConfig,
     SceneConfigError,
+    _dataset_files,
+    compute_digest,
     compute_stats,
     generate_dataset,
     generate_scene,
@@ -20,6 +23,7 @@ from vqs.synth import (
     write_ppm,
 )
 
+from .helpers import bytes_read
 from .oracles import decode_runs
 
 
@@ -288,6 +292,14 @@ class TestValidateManifest:
         violations = validate_manifest(out)
         assert any("digest" in v for v in violations)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_reported_missing(self, tmp_path):
+        out, manifest = small_dataset(tmp_path, n=1)
+        victim = manifest["scenes"][0]["frames"][0]
+        (out / victim).unlink()
+        os.mkfifo(out / victim)  # opening it for reading would wait for a writer
+        assert validate_manifest(out) == [f"scene_0000: missing file {victim}"]
+
     def test_query_equal_to_frame_reported(self, tmp_path):
         out, manifest = small_dataset(tmp_path, n=1)
         entry = manifest["scenes"][0]
@@ -295,3 +307,80 @@ class TestValidateManifest:
         (out / entry["query"]).write_bytes(frame0.read_bytes())
         violations = validate_manifest(out)
         assert any("identical to video frame" in v for v in violations)
+
+
+def multi_defect_dataset(tmp_path, missing_frame=True):
+    """A four-scene dataset with one of each defect validate reports.
+
+    Scene 0 has overlapping masklets and, when `missing_frame`, a deleted
+    frame, which turns the digest check off. Scene 1 has a bad run sum, and
+    scene 2 gt that is not JSON and a query with a flipped byte; a gt defect
+    ends its scene's checks. Scene 3 has a query equal to one of its frames, a
+    frame of the wrong shape and a frame that is not a PPM.
+    """
+    out, manifest = small_dataset(tmp_path, n=4, seed=4)
+    s0, s1, s2, s3 = manifest["scenes"]
+    gt0 = json.loads((out / s0["gt"]).read_text())
+    gt0["occurrences"] = [gt0["occurrences"][0], dict(gt0["occurrences"][0])]
+    (out / s0["gt"]).write_text(json.dumps(gt0))
+    if missing_frame:
+        (out / s0["frames"][1]).unlink()
+    gt1 = json.loads((out / s1["gt"]).read_text())
+    runs = gt1["occurrences"][0]["masks"][0].split(",")
+    runs[0] = str(int(runs[0]) + 1)
+    gt1["occurrences"][0]["masks"][0] = ",".join(runs)
+    (out / s1["gt"]).write_text(json.dumps(gt1))
+    (out / s2["gt"]).write_text('{"video_id": "scene_0002", "occurrences": [')
+    query = bytearray((out / s2["query"]).read_bytes())
+    query[-1] ^= 0xFF
+    (out / s2["query"]).write_bytes(bytes(query))
+    (out / s3["query"]).write_bytes((out / s3["frames"][3]).read_bytes())
+    write_ppm(out / s3["frames"][2], np.zeros((16, 24, 3), dtype=np.uint8))
+    (out / s3["frames"][5]).write_bytes(b"GIF89a not a portable pixmap")
+    return out
+
+
+# validate's output on multi_defect_dataset, taken from the validate that read
+# each frame up to three times; the one-pass validate keeps its text and order.
+_SCENE_CHECKS = [
+    "scene_0000: occurrences must be sorted and temporally disjoint; [0, 1] overlaps or precedes frame 1",
+    "scene_0001: runs sum to 1025, expected 1024",
+    "scene_0002: gt unreadable (Expecting value: line 1 column 44 (char 43))",
+    "scene_0003: query frame identical to video frame scenes/scene_0003/frames/0003.ppm",
+    "scene_0003: frame scenes/scene_0003/frames/0002.ppm has shape (16, 24)",
+    "scene_0003: <data>/scenes/scene_0003/frames/0005.ppm: not a binary PPM",
+]
+MULTI_DEFECT_VIOLATIONS = {
+    True: ["scene_0000: missing file scenes/scene_0000/frames/0001.ppm", *_SCENE_CHECKS],
+    False: ["manifest: digest does not match dataset content", *_SCENE_CHECKS],
+}
+
+
+class TestValidateReadsOnce:
+    @staticmethod
+    def assert_clean_reading_once(out):
+        dataset_bytes = sum(p.stat().st_size for p in out.rglob("*") if p.is_file())
+        assert validate_manifest(out) == []  # first call: lazy imports, warm caches
+        before = bytes_read()
+        assert validate_manifest(out) == []
+        assert bytes_read() - before <= 1.05 * dataset_bytes
+
+    def test_reads_each_file_once(self, tmp_path):
+        self.assert_clean_reading_once(small_dataset(tmp_path, n=4)[0])
+
+    def test_repeated_file_read_once_hashed_twice(self, tmp_path):
+        out, manifest = small_dataset(tmp_path, n=2)
+        entry = manifest["scenes"][0]
+        entry["frames"].append(entry["frames"][0])
+        entry["num_frames"] += 1
+        manifest["digest"] = compute_digest(out, _dataset_files(manifest["scenes"]))
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        self.assert_clean_reading_once(out)
+
+
+class TestValidatePinned:
+    @pytest.mark.parametrize("missing_frame", [True, False], ids=["missing-frame", "all-files"])
+    def test_violation_list_is_pinned(self, tmp_path, missing_frame):
+        out = multi_defect_dataset(tmp_path, missing_frame)
+        violations = [v.replace(str(out), "<data>") for v in validate_manifest(out)]
+        assert violations == MULTI_DEFECT_VIOLATIONS[missing_frame]

@@ -12,6 +12,7 @@ from vqs.pipeline import (
     MaskCandidate,
     PipelineConfig,
     init_params,
+    mask_patch_counts,
     param_shapes,
 )
 from vqs.optim import seeded_init
@@ -21,6 +22,7 @@ from vqs.training import (
     TrainConfig,
     TrainingDivergedError,
     frame_loss,
+    gt_patch_counts,
     overfit_train,
     scene_losses,
     total_loss,
@@ -45,6 +47,10 @@ def frame_of(cands, index=0):
 CFG_1PX = PipelineConfig(patch_size=1, model_dim=4, num_heads=2, seed=0)
 
 
+def counts_of(gt):
+    return None if gt is None else mask_patch_counts(gt, CFG_1PX.patch_size)
+
+
 class TestFrameLoss:
     def test_perfect_probabilities_zero_dice(self):
         # logits +-1000 saturate sigmoid to exact 0/1
@@ -52,7 +58,7 @@ class TestFrameLoss:
         logits = np.array([[1000.0, 1000.0], [-1000.0, -1000.0]])
         cands = [make_candidate(logits, 0.9), make_candidate(-logits, 0.2),
                  make_candidate(np.zeros((2, 2)), 0.5)]
-        out = frame_loss(frame_of(cands), gt, CFG_1PX)
+        out = frame_loss(frame_of(cands), counts_of(gt), CFG_1PX)
         assert out.dice == 0.0
         assert out.mask_bce == 0.0
 
@@ -72,7 +78,7 @@ class TestFrameLoss:
                  make_candidate(-np.ones((2, 2)), 0.3)]
         # candidate 0 binarizes to empty too (logits 0 -> not > 0): all tie at
         # IoU 0 against gt, lowest index routed
-        out = frame_loss(frame_of(cands), gt, CFG_1PX)
+        out = frame_loss(frame_of(cands), counts_of(gt), CFG_1PX)
         assert out.dice == pytest.approx(0.5, abs=1e-12)
 
     def test_routing_picks_best_overlap(self):
@@ -81,7 +87,7 @@ class TestFrameLoss:
         miss = -np.ones((2, 2)); miss[1, 1] = 5.0
         cands = [make_candidate(miss, 0.9), make_candidate(hit, 0.1),
                  make_candidate(-np.ones((2, 2)), 0.5)]
-        out = frame_loss(frame_of(cands), gt, CFG_1PX)
+        out = frame_loss(frame_of(cands), counts_of(gt), CFG_1PX)
         # routed candidate is the hit (index 1): its iou_head = |0.1 - 1.0|
         assert out.iou_head == pytest.approx(0.9, abs=1e-12)
 
@@ -92,7 +98,7 @@ class TestFrameLoss:
             gt = rle_encode(gt_grid) if gt_grid.any() else None
             cands = [make_candidate(rng.normal(size=(2, 2)) * 3, float(rng.random()),
                                     occ=float(rng.normal())) for _ in range(3)]
-            out = frame_loss(frame_of(cands), gt, CFG_1PX)
+            out = frame_loss(frame_of(cands), counts_of(gt), CFG_1PX)
             assert out.dice >= 0 and out.mask_bce >= 0
             assert out.iou_head >= 0 and out.occlusion_bce >= 0
             assert 0.0 <= out.dice <= 1.0
@@ -167,7 +173,7 @@ class TestComposedGradients:
         scene = tiny_scene(seed=5)
         cfg = toy_pipeline(tau_target=0.3, tau_divergence=0.05, tau_score=0.2, seed=4)
         store = seeded_init(param_shapes(cfg), cfg.seed)
-        per_stage = scene_losses(scene, cfg, store)
+        per_stage = scene_losses(scene, cfg, store, gt_patch_counts(scene, cfg.patch_size))
         node, _ = total_loss(per_stage, cfg.stage_weights)
         # confirm the paths under test are actually active
         gt_frames = scene.gt.covered_frames()
@@ -188,7 +194,7 @@ class TestComposedGradients:
         scene = tiny_scene(seed=2)
         cfg = toy_pipeline(seed=1)
         store = seeded_init(param_shapes(cfg), cfg.seed)
-        per_stage = scene_losses(scene, cfg, store)
+        per_stage = scene_losses(scene, cfg, store, gt_patch_counts(scene, cfg.patch_size))
         node, _ = total_loss(per_stage, cfg.stage_weights)
         grads = ad.gradient_map(node, store.params)
         for prefix in ("patch_embed", "mem_enc", "mem_attn", "stt_attn", "stt_mlp",
@@ -204,7 +210,7 @@ class TestTapeLifetime:
         gc.collect()
         gc.disable()
         try:
-            per_stage = scene_losses(scene, cfg, store)
+            per_stage = scene_losses(scene, cfg, store, gt_patch_counts(scene, cfg.patch_size))
             node, _ = total_loss(per_stage, cfg.stage_weights)
             grads = ad.gradient_map(node, store.params)
             del per_stage, node, grads
@@ -268,6 +274,20 @@ class TestOverfitTrain:
         with pytest.raises(TrainingDivergedError, match="stt_mlp.w1") as exc:
             overfit_train(tiny_scene(), toy_pipeline(), TrainConfig(steps=5, lr=1e-3, seed=0))
         assert exc.value.step == 2
+
+    def test_gt_patch_counts_once_per_run(self, monkeypatch):
+        calls = []
+        real_counts = training.mask_patch_counts
+
+        def counting(mask, patch_size):
+            calls.append(mask)
+            return real_counts(mask, patch_size)
+
+        monkeypatch.setattr(training, "mask_patch_counts", counting)
+        scene = tiny_scene()
+        overfit_train(scene, toy_pipeline(), TrainConfig(steps=3, lr=1e-3, seed=0))
+        non_empty = [m for m in scene.gt.frame_masks().values() if m.area() > 0]
+        assert len(calls) == len(non_empty) > 0
 
     def test_curve_csv(self, tmp_path):
         scene = tiny_scene()
