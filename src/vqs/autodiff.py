@@ -17,13 +17,14 @@ record in full. A VJP receives its node's output value from `backward`
 instead of closing over the node, so no node refers to itself and reference
 counting frees a tape as soon as its last user drops it.
 
-Each attention head is one fused node with a hand-written VJP:
-`attention_head` for softmax self-attention, `weighted_attention_head` for
-attention over several scalar-weighted key/value sets. The forward runs the
-same numpy operations in the same order as the equivalent graph of
-primitives (narrow, transpose, matmul, scale, softmax or exp, ...), in place
-on one score buffer, and the VJP reuses the softmax that the forward saved in
-its closure, so values and gradients are bit-identical to that graph. Replay
+Attention heads are fused nodes with hand-written VJPs: `attention_heads`
+for softmax self-attention, all heads of a block in one node, and
+`weighted_attention_head` for one head of attention over several
+scalar-weighted key/value sets. The forward runs the same numpy operations
+in the same order as the equivalent graph of primitives (narrow, transpose,
+matmul, scale, softmax or exp, concat, ...), in place on one score buffer,
+and the VJP reuses the softmax that the forward saved in its closure, so
+values and gradients are bit-identical to that graph. Replay
 refreshes the saved intermediates together with the value, and `no_record()`
 drops them along with the forward. Two rules keep gradients so.
 Parents are listed in an order under which `backward` sums gradients into
@@ -55,6 +56,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
+
+from .parallel import thread_map
 
 Array = np.ndarray
 
@@ -305,43 +308,96 @@ def _padded(like: Array, cols: slice, part: Array) -> Array:
     return full
 
 
-def attention_head(q: Tensor, k: Tensor, v: Tensor, start: int, length: int) -> Tensor:
-    """softmax(q_h k_h^T / sqrt(length)) v_h over columns [start, start + length).
+# Query rows per block of the backward pass's row-local N x M passes: a block
+# of dP, P and their product stays in cache.
+_BLOCK_ROWS = 64
 
-    The score matrix is built, normalised and reused for the backward pass in
-    one buffer. Backward is dS = P * (dP - rowsum(dP * P)) (Dao et al.,
-    FlashAttention, arXiv 2205.14135); q, k and v get full-width gradients,
-    zero outside the head's columns.
+
+def _row_blocks(n: int) -> list[slice]:
+    """[0, n) in blocks of _BLOCK_ROWS rows; a last block of one row joins the
+    one before it, since numpy hands a one-row product to gemv, not gemm."""
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: Sequence[slice]) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(d_h)) v_h for the columns h of each head, side by side.
+
+    All heads are one node. They run on up to one thread per CPU
+    (`parallel.thread_map`), and each writes only its own columns of the
+    output and of the q, k and v gradients, so no value depends on threads.
+    q, k and v get full-width gradients, zero outside the heads' columns.
+    The heads' score matrices are one (H, N, M) buffer, allocated by the
+    calling thread, and built, normalised and kept for the backward pass in
+    place.
+
+    Backward is dS = P * (dP - rowsum(dP * P)) (Dao et al., FlashAttention,
+    arXiv 2205.14135), built in blocks of query rows. The three products that
+    sum over N or M (dS K, Q^T dS, P^T dO) run over all rows at once:
+    splitting them changes which BLAS kernel runs, and with it the bits.
     """
-    cols = slice(start, start + length)
-    c = 1.0 / math.sqrt(length)
+    heads = tuple(heads)
+    scales = [1.0 / math.sqrt(cols.stop - cols.start) for cols in heads]
+    offsets = np.cumsum([0] + [cols.stop - cols.start for cols in heads]).tolist()
+    out_cols = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
     saved: tuple = ()
 
     def forward():
         nonlocal saved
-        qs = q.value[:, cols].copy()
-        kt = k.value[:, cols].T.copy()
-        vs = v.value[:, cols].copy()
-        p = qs @ kt
-        p *= c
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        saved = (qs, kt, vs, p)
-        return p @ vs
+        p = np.empty((len(heads), q.value.shape[0], k.value.shape[0]))
+        out = np.empty((q.value.shape[0], offsets[-1]))
+
+        def head(h):
+            cols = heads[h]
+            qs = q.value[:, cols].copy()
+            kt = k.value[:, cols].T.copy()
+            vs = v.value[:, cols].copy()
+            ph = np.matmul(qs, kt, out=p[h])
+            ph *= scales[h]
+            ph -= ph.max(axis=-1, keepdims=True)
+            np.exp(ph, out=ph)
+            ph /= ph.sum(axis=-1, keepdims=True)
+            out[:, out_cols[h]] = ph @ vs
+            return qs, kt, vs
+
+        saved = (thread_map(head, range(len(heads))), p)
+        return out
 
     def vjp(g, y):
-        qs, kt, vs, p = saved
-        g_p = g @ vs.T
-        g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
-        g_s *= c
-        return (
-            _padded(q.value, cols, g_s @ kt.T),
-            _padded(k.value, cols, (qs.T @ g_s).T),
-            _padded(v.value, cols, p.T @ g),
-        )
+        per_head, p = saved
+        g_s = np.empty_like(p)
+        blocks = _row_blocks(p.shape[1])
+        scratch = np.empty((len(heads), max(b.stop - b.start for b in blocks), p.shape[2]))
+        g_q, g_k, g_v = np.zeros_like(q.value), np.zeros_like(k.value), np.zeros_like(v.value)
+
+        def head(h):
+            (qs, kt, vs), cols, g_o = per_head[h], heads[h], g[:, out_cols[h]]
+            for rows in blocks:
+                ds, ph = g_s[h, rows], p[h, rows]
+                np.matmul(g_o[rows], vs.T, out=ds)
+                ds -= np.multiply(ds, ph, out=scratch[h, : len(ds)]).sum(axis=-1, keepdims=True)
+                ds *= ph
+                ds *= scales[h]
+            g_q[:, cols] = g_s[h] @ kt.T
+            g_k[:, cols] = (qs.T @ g_s[h]).T
+            g_v[:, cols] = p[h].T @ g_o
+
+        thread_map(head, range(len(heads)))
+        if len(heads) > 1:
+            # a sum of per-head gradients zero-padded to full width turns -0.0
+            # into +0.0; this keeps the gradients equal to that sum bit for bit
+            for grad in (g_q, g_k, g_v):
+                grad += 0.0
+        return g_q, g_k, g_v
 
     return _node(forward, (q, k, v), vjp)
+
+
+def attention_head(q: Tensor, k: Tensor, v: Tensor, start: int, length: int) -> Tensor:
+    """One head over columns [start, start + length): `attention_heads` with one head."""
+    return attention_heads(q, k, v, [slice(start, start + length)])
 
 
 def weighted_attention_head(
@@ -438,9 +494,8 @@ def attention(
     q = matmul(q_in, params.wq)
     k = matmul(k_in, params.wk)
     v = matmul(v_in, params.wv)
-    heads = [attention_head(q, k, v, h * d_head, d_head) for h in range(num_heads)]
-    merged = concat(heads, axis=1) if len(heads) > 1 else heads[0]
-    return matmul(merged, params.wo)
+    heads = [slice(h * d_head, (h + 1) * d_head) for h in range(num_heads)]
+    return matmul(attention_heads(q, k, v, heads), params.wo)
 
 
 def trace(root: Tensor) -> ComputationRecord:

@@ -91,17 +91,16 @@ def rle_encode(bitmap: np.ndarray | Sequence[Sequence[int]]) -> RleMask:
     arr = np.asarray(bitmap)
     if arr.ndim != 2 or arr.size == 0:
         raise MaskDimensionError(f"bitmap must be a non-empty 2-D grid, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
+    if arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
         raise MaskError("bitmap entries must be 0 or 1")
     flat = arr.astype(np.int8).ravel(order="C")
     # Sentinels make every value change a run boundary, including the ends.
     padded = np.concatenate(([-1], flat, [-1]))
-    boundaries = np.flatnonzero(np.diff(padded))
-    runs = np.diff(boundaries)
+    runs = np.diff(np.flatnonzero(np.diff(padded))).tolist()
     if flat[0] == 1:
-        runs = np.concatenate(([0], runs))
+        runs.insert(0, 0)
     h, w = arr.shape
-    return RleMask(int(h), int(w), tuple(int(r) for r in runs))
+    return RleMask(int(h), int(w), tuple(runs))
 
 
 def rle_decode(mask: RleMask) -> np.ndarray:

@@ -401,7 +401,7 @@ def binarize_candidate(candidate: MaskCandidate, frame_hw: tuple[int, int]) -> R
     if h % gh or w % gw:
         raise PipelineConfigError(f"frame {h}x{w} not a multiple of grid {gh}x{gw}")
     up = np.repeat(np.repeat(grid, h // gh, axis=0), w // gw, axis=1)
-    return rle_encode(up.astype(np.uint8))
+    return rle_encode(up)
 
 
 def _argmax_first(values: Sequence[float]) -> int:
@@ -658,6 +658,15 @@ def finalize_predictions(
     return results
 
 
+# The most bytes that the STT heads' score matrices of one clip may take,
+# num_heads * 8 * (frames * grid_h * grid_w)**2. The STT block holds every
+# head's matrix at once, and training keeps them for its backward pass, so
+# a video whose clips would need more is rejected before anything is
+# allocated. 1 GiB admits a 256x256 clip of 7 frames at the default flags
+# (822 MB); a 512x512 one would need 13 GB.
+MAX_SCORE_BYTES = 1 << 30
+
+
 def clip_spans(num_frames: int, clip_len: int) -> list[tuple[int, int]]:
     """Consecutive non-overlapping [start, stop) spans of at most clip_len."""
     return [(s, min(s + clip_len, num_frames)) for s in range(0, num_frames, clip_len)]
@@ -687,6 +696,15 @@ def run_video(
     if query_mask.shape != frame_hw:
         raise PipelineConfigError(
             f"query mask {query_mask.shape} does not match video frames {frame_hw}"
+        )
+    gh, gw = feature_grid(frame_hw, cfg.patch_size)
+    clip = min(cfg.clip_len, len(frames))
+    score_bytes = cfg.num_heads * 8 * (clip * gh * gw) ** 2
+    if score_bytes > MAX_SCORE_BYTES:
+        raise PipelineConfigError(
+            f"attention over clips of {clip} frames of {gh}x{gw} patches needs "
+            f"{score_bytes} bytes of scores for {cfg.num_heads} heads, above the limit of "
+            f"{MAX_SCORE_BYTES}; use a larger --patch-size or a smaller --clip-len"
         )
     query_features = encode_frame(query_frame, cfg, params)
     fractions = mask_patch_fractions(query_mask, cfg.patch_size)

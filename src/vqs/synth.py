@@ -111,9 +111,34 @@ def parse_ppm(blob: bytes, name: str | Path) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=pos, count=h * w * 3).reshape(h, w, 3)
 
 
+def _read_regular_file(path: Path) -> Optional[bytes]:
+    """A regular file's bytes; None when it cannot be opened or read, or is not
+    a regular file: a FIFO could stall the open and a device need not end."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:
+        return None
+    try:
+        info = os.fstat(fd)
+        return os.read(fd, info.st_size) if stat.S_ISREG(info.st_mode) else None
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+
+
+def _file_bytes(path: Path) -> bytes:
+    """`_read_regular_file`, with FileNotFoundError in place of None."""
+    blob = _read_regular_file(path)
+    if blob is None:
+        raise FileNotFoundError(f"{path}: no readable regular file")
+    return blob
+
+
 def read_ppm(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return parse_ppm(fh.read(), path).copy()
+    """The image in a PPM file; FileNotFoundError unless it is a regular file
+    that can be read, so that a FIFO or a device in its place never blocks."""
+    return parse_ppm(_file_bytes(Path(path)), path).copy()
 
 
 # --- Shapes -------------------------------------------------------------------
@@ -374,7 +399,7 @@ def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
             st = occurrence_trajectories[occ_idx].state_at(t - start, h, w)
             fg = rasterize_shape(st, h, w)
             _paint(frame, fg, st.color)
-            occ_masks[occ_idx].append(rle_encode(fg.astype(np.uint8)))
+            occ_masks[occ_idx].append(rle_encode(fg))
             target_states[occ_idx].append(st)
         frames.append(frame)
 
@@ -393,7 +418,7 @@ def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
         config=cfg,
         frames=frames,
         query_frame=query,
-        query_mask=rle_encode(qmask_grid.astype(np.uint8)),
+        query_mask=rle_encode(qmask_grid),
         gt=ResponseSet(video_id, tuple(occ_masklets)),
         target_states=target_states,
         query_state=qstate,
@@ -577,9 +602,9 @@ def _query_mask(obj: dict, height: int, width: int) -> RleMask:
 
 
 def load_scene_gt(dataset_dir: str | Path, scene_entry: dict) -> tuple[ResponseSet, RleMask]:
-    """gt annotation plus the query mask for one manifest scene entry."""
-    with open(Path(dataset_dir) / scene_entry["gt"]) as fh:
-        obj = json.load(fh)
+    """gt annotation plus the query mask for one manifest scene entry;
+    FileNotFoundError, as `read_ppm`, unless the gt is a readable regular file."""
+    obj = json.loads(_file_bytes(Path(dataset_dir) / scene_entry["gt"]))
     response, h, w = annotation_from_dict(obj)
     return response, _query_mask(obj, h, w)
 
@@ -661,22 +686,6 @@ def compute_stats(dataset_dir: str | Path, bins: int = 10) -> dict:
 
 
 # --- Validation ----------------------------------------------------------------
-
-
-def _read_regular_file(path: Path) -> Optional[bytes]:
-    """A regular file's bytes; None when it cannot be opened or read, or is not
-    a regular file: a FIFO could stall the open and a device need not end."""
-    try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    except OSError:
-        return None
-    try:
-        info = os.fstat(fd)
-        return os.read(fd, info.st_size) if stat.S_ISREG(info.st_mode) else None
-    except OSError:
-        return None
-    finally:
-        os.close(fd)
 
 
 def _gt_violations(sid: str, entry: dict, blob: bytes) -> tuple[list[str], bool]:

@@ -219,8 +219,8 @@ def gradient_check_report(
     seed: int = 0,
 ) -> dict[str, float]:
     """Max relative finite-difference error for every primitive, the fused
-    attention heads and the composed single-stage frame loss at toy dims
-    (8x8 frames, model dim 8).
+    attention heads (one and several per node) and the composed single-stage
+    frame loss at toy dims (8x8 frames, model dim 8).
 
     All entries should come in below 1e-4 in 64-bit floats.
     """
@@ -311,6 +311,10 @@ def gradient_check_report(
     mem = ad.weighted_attention_head(mq, mkeys, mvalues, mweights, 2, 2)
     check("memory_attention", ad.sum_all(ad.multiply(mem, leaf((3, 2), "b"))),
           [mq, *mkeys, *mvalues, *mweights])
+    # all heads in one node; appended last for the same reason
+    aq, ak, av = leaf((3, 6), "aq"), leaf((5, 6), "ak"), leaf((5, 6), "av")
+    heads = ad.attention_heads(aq, ak, av, [slice(0, 2), slice(2, 4), slice(4, 6)])
+    check("attention_heads", ad.sum_all(ad.multiply(heads, leaf((3, 6), "b"))), [aq, ak, av])
     return report
 
 

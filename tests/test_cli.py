@@ -4,6 +4,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -11,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqs import cli, parallel
+from vqs import autodiff as ad
+from vqs import cli, parallel, pipeline
 from vqs.cli import dispatch
 from vqs.masks import annotation_from_dict
 from vqs.metrics import evaluate_run
@@ -26,12 +29,14 @@ def run_cli(*argv):
     return dispatch([str(a) for a in argv])
 
 
-def run_module(*argv):
-    """`python -m vqs.cli ...` in a child process that imports this checkout's vqs."""
+def run_module(*argv, timeout=None):
+    """`python -m vqs.cli ...` in a child process that imports this checkout's vqs;
+    with `timeout`, a child still running after that many seconds is killed and
+    the call raises subprocess.TimeoutExpired."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "vqs.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -452,6 +457,23 @@ class TestJobsFlag:
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_workers_run_heads_serially(self, two_videos, tmp_path, capsys, monkeypatch):
+        # --jobs 1 starts the head threads in this process; the --jobs 2
+        # workers forked after it must still run their heads one at a time
+        if parallel.available_cpus() < 2:
+            pytest.skip("needs 2 CPUs")
+        monkeypatch.setattr(cli, "_infer_one", _infer_one_reporting_heads)
+        monkeypatch.setattr(sys.modules[__name__], "head_reports", tmp_path / "heads.jsonl")
+        base = ["infer", "--data", two_videos, "--model-dim", 16, "--seed", 2]
+        assert run_cli(*base, "--out", tmp_path / "serial.json", "--jobs", 1) == 0
+        assert run_cli(*base, "--out", tmp_path / "par.json", "--jobs", 2) == 0
+        capsys.readouterr()
+        assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "par.json").read_bytes()
+        reports = [json.loads(line) for line in head_reports.read_text().splitlines()]
+        assert [r["width"] for r in reports if r["pid"] == os.getpid()] == [2, 2]
+        workers = [r for r in reports if r["pid"] != os.getpid()]
+        assert len(workers) == 2 and [r["width"] for r in workers] == [1, 1]
+
     @pytest.mark.parametrize("command", ["gen", "infer", "eval"])
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, dataset, tmp_path, capsys, command, jobs):
@@ -553,6 +575,40 @@ PPM_HEADER_DEFECTS = {
     "maxval": (b"P6\n32 32\n65535\n", "unsupported maxval 65535"),
     "no-header": (b"P6\n32 32", "truncated PPM header"),
 }
+
+
+class TestFifoSceneFile:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("victim", ["frame", "gt"])
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_fifo_rejected(self, two_videos, tmp_path, command, victim):
+        data = tmp_path / "ds"
+        shutil.copytree(two_videos, data)
+        entry = load_manifest(data)["scenes"][0]
+        path = data / (entry["frames"][3] if victim == "frame" else entry["gt"])
+        path.unlink()
+        os.mkfifo(path)  # opening it for reading would wait for a writer
+        out = ["--out", tmp_path / "p.json"] if command == "infer" else ["--ckpt-out", tmp_path / "t.ckpt", "--steps", 1]
+        proc = run_module(command, "--data", data, "--model-dim", 16, *out, timeout=60)
+        assert proc.returncode == 1
+        assert one_json_error_line(proc.stderr) == f"{path}: no readable regular file"
+
+
+class TestScorePreflight:
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_oversized_attention_rejected(self, two_videos, tmp_path, capsys, monkeypatch, command):
+        # two_videos: 8 frames of 32x32, so 8 clip frames of 8x8 patches at --patch-size 4
+        needed = 2 * 8 * (8 * 8 * 8) ** 2
+        monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", needed - 1)
+        out = ["--out", tmp_path / "p.json"] if command == "infer" else ["--ckpt-out", tmp_path / "t.ckpt", "--steps", 1]
+        argv = [command, "--data", two_videos, "--model-dim", 16, "--patch-size", 4, "--clip-len", 8, *out]
+        assert run_cli(*argv) == 1
+        assert one_json_error_line(capsys.readouterr().err) == (
+            f"attention over clips of 8 frames of 8x8 patches needs {needed} bytes of scores "
+            f"for 2 heads, above the limit of {needed - 1}; use a larger --patch-size or a smaller --clip-len")
+        monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", needed)
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
 
 
 class TestPpmHeader:
@@ -665,18 +721,23 @@ class TestInferReadsOnce:
         entry = load_manifest(two_videos)["scenes"][0]
         cfg = PipelineConfig(model_dim=16)
         opened, loads = [], []
-        real_open, real_load = open, cli.load_scene_record
+        real_load = cli.load_scene_record
 
-        def counting_open(path, *args, **kwargs):
-            opened.append(Path(path).resolve())
-            return real_open(path, *args, **kwargs)
+        def counting(real_open):
+            def counting_open(path, *args, **kwargs):
+                opened.append(Path(path).resolve())
+                return real_open(path, *args, **kwargs)
+
+            return counting_open
 
         def counting_load(*args):
             loads.append(args)
             return real_load(*args)
 
         monkeypatch.setattr(cli, "load_scene_record", counting_load)
-        monkeypatch.setattr("builtins.open", counting_open)
+        # files are opened through open() or, where a FIFO must not block, os.open()
+        monkeypatch.setattr("builtins.open", counting(open))
+        monkeypatch.setattr(os, "open", counting(os.open))
         record = cli._infer_one((str(two_videos), entry, asdict(cfg), init_params(cfg).copy_values()))
         monkeypatch.undo()
         assert record["video_id"] == entry["id"]
@@ -715,6 +776,67 @@ def _worker_blas_threads(_item):
     get_threads.argtypes = []
     get_threads.restype = ctypes.c_int
     return os.getpid(), get_threads()
+
+
+real_infer_one = cli._infer_one
+head_reports = None  # the file `_infer_one_reporting_heads` appends to; forked workers inherit it
+
+
+def _infer_one_reporting_heads(work):
+    """`cli._infer_one`, appending its process id and head thread count to `head_reports`."""
+    record = real_infer_one(work)
+    with open(head_reports, "a") as fh:
+        fh.write(json.dumps({"pid": os.getpid(), "width": parallel.thread_count(2)}) + "\n")
+    return record
+
+
+def _blas_threads():
+    get_threads = parallel._openblas_function("get")
+    if get_threads is None:
+        return None
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    return get_threads()
+
+
+class TestThreadMap:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self):
+        if parallel.available_cpus() < 2:
+            pytest.skip("needs 2 CPUs")
+
+    def test_order_kept_over_every_thread(self):
+        def work(i):
+            time.sleep(0.05)  # releases the interpreter lock, so every thread takes items
+            return i, threading.get_ident()
+
+        results = parallel.thread_map(work, range(7))
+        assert [i for i, _ in results] == list(range(7))
+        assert len({ident for _, ident in results}) == parallel.thread_count(7)
+
+    def test_caller_context_holds_on_every_thread(self):
+        with np.errstate(over="raise"), ad.no_record():
+            seen = parallel.thread_map(lambda _: (np.geterr()["over"], ad._recording.get()), range(4))
+        assert seen == [("raise", False)] * 4
+
+    @pytest.mark.parametrize("failing", [0, 3])
+    def test_error_raised_after_every_other_item(self, failing):
+        finished = []
+
+        def work(i):
+            if i == failing:
+                raise KeyError(i)
+            finished.append(i)
+
+        with pytest.raises(KeyError):
+            parallel.thread_map(work, range(4))
+        assert sorted(finished) == [i for i in range(4) if i != failing]
+
+    def test_blas_pinned_to_one_thread(self):
+        parallel.thread_map(abs, [-1, -2])
+        if _blas_threads() is None:
+            pytest.skip("needs a loaded OpenBLAS")
+        assert _blas_threads() == 1
 
 
 class TestWorkerCount:

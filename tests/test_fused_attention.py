@@ -1,17 +1,20 @@
 """Fused attention heads against their composed references, bit for bit.
 
-`autodiff.attention_head` and `autodiff.weighted_attention_head` replace
-per-head graphs of narrow/transpose/matmul/scale/softmax/exp nodes. They run
-the same arithmetic in the same order, so values and every gradient must be
-byte-equal to the composed forms in `tests/oracles.py`, down to the order in
-which gradients sum into shared nodes.
+`autodiff.attention_heads` (all heads of a block, in one node) and
+`autodiff.weighted_attention_head` replace per-head graphs of
+narrow/transpose/matmul/scale/softmax/exp nodes. They run the same arithmetic
+in the same order, so values and every gradient must be byte-equal to the
+composed forms in `tests/oracles.py`, down to the order in which gradients
+sum into shared nodes, however many threads run the heads.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 from vqs import autodiff as ad
-from vqs import pipeline
+from vqs import parallel, pipeline
 from vqs.autodiff import AttentionParams, tensor
 from vqs.pipeline import (
     KIND_DISTRACTOR,
@@ -99,6 +102,75 @@ def test_attention_block_matches_composed(num_heads):
         return [out.value], list(grads_of(loss, [x, params.wq, params.wk, params.wv, params.wo]))
 
     compare(run(ad.attention), run(composed_attention), f"attention, {num_heads} heads")
+
+
+def attention_block(attention_fn, num_heads, tokens, moved=None):
+    """Output and the gradients of x and the projections through one attention block.
+
+    With `moved`, x and the projections are scaled by it after the build and
+    the graph is replayed before the backward pass.
+    """
+    rng = np.random.default_rng(tokens)
+    x = tensor(rng.normal(size=(tokens, 8)), name="x")
+    params = AttentionParams(*leaves(rng, [(8, 8)] * 4, "w"))
+    out = attention_fn(x, x, x, params, num_heads)
+    loss = ad.sum_all(ad.multiply(out, tensor(rng.normal(size=out.shape))))
+    nodes = [x, params.wq, params.wk, params.wv, params.wo]
+    if moved is not None:
+        for node in nodes:
+            node.value *= moved
+        ad.replay(ad.trace(loss))
+    return [out.value], list(grads_of(loss, nodes))
+
+
+@pytest.mark.parametrize("threads", ["per-cpu", "one"])
+@pytest.mark.parametrize("num_heads", [1, 2, 4])
+@pytest.mark.parametrize("tokens", [1, 63, 65, 129, 200])
+def test_attention_heads_match_composed_over_row_blocks(monkeypatch, tokens, num_heads, threads):
+    # 65 and 129 query rows leave a last block of one row, which joins the one before it
+    if threads == "one":
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    for moved in (None, 1.5):
+        compare(attention_block(ad.attention, num_heads, tokens, moved),
+                attention_block(composed_attention, num_heads, tokens, moved),
+                f"{tokens} tokens, {num_heads} heads, moved {moved}")
+    with ad.no_record():
+        unrecorded = attention_block(ad.attention, num_heads, tokens)[0]
+    assert_bytes_equal(unrecorded[0], attention_block(composed_attention, num_heads, tokens)[0][0],
+                       "no-record value")
+
+
+@pytest.mark.parametrize("num_heads", [1, 2, 4])
+def test_attention_heads_are_one_node(num_heads):
+    rng = np.random.default_rng(3)
+    x = tensor(rng.normal(size=(5, 8)), name="x")
+    params = AttentionParams(*leaves(rng, [(8, 8)] * 4, "w"))
+    record = ad.trace(ad.attention(x, x, x, params, num_heads))
+    # three projections, the heads and the output projection
+    assert sum(1 for node in record if node.parents) == 5
+
+
+def test_attention_heads_stress_on_threads(monkeypatch):
+    # more heads than CPUs, with the interpreter switching threads as often as it can
+    rng = np.random.default_rng(12)
+    q, k, v = leaves(rng, [(70, 16), (70, 16), (70, 16)], "qkv")
+    heads = [slice(2 * h, 2 * h + 2) for h in range(8)]
+
+    def run():
+        out = ad.attention_heads(q, k, v, heads)
+        loss = ad.sum_all(ad.multiply(out, tensor(np.linspace(-1.0, 1.0, out.value.size).reshape(out.shape))))
+        return [out.value], list(grads_of(loss, [q, k, v]))
+
+    with monkeypatch.context() as serial:
+        serial.setattr(parallel, "available_cpus", lambda: 1)
+        expected = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            compare(run(), expected, "threaded")
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def memory_head_builder(row_counts, weight_values, shared=None):

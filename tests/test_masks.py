@@ -64,6 +64,22 @@ class TestCodec:
             assert (rle_decode(mask) == bitmap).all()
             assert rle_encode(rle_decode(mask)) == mask
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64, object])
+    def test_every_dtype_encodes_alike(self, dtype):
+        bitmap = (np.random.default_rng(7).random((9, 11)) < 0.4)
+        mask = rle_encode(bitmap.astype(dtype))
+        assert mask == rle_encode(bitmap.tolist())
+        assert all(type(r) is int for r in mask.runs)
+        assert (rle_decode(mask) == bitmap).all()
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5, float("nan"), None, "1"],
+                             ids=["two", "minus-one", "half", "nan", "none", "text"])
+    def test_non_binary_entry_rejected(self, value):
+        bitmap = np.zeros((3, 4), dtype=object if value is None or isinstance(value, str) else type(value))
+        bitmap[1, 2] = value
+        with pytest.raises(MaskError, match="bitmap entries must be 0 or 1"):
+            rle_encode(bitmap)
+
     def test_empty_bitmap_rejected(self):
         with pytest.raises(MaskDimensionError):
             rle_encode(np.zeros((0, 4), dtype=int))

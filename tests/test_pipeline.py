@@ -661,3 +661,35 @@ class TestInferVideo:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestScorePreflight:
+    """run_video rejects clips whose STT score matrices would pass MAX_SCORE_BYTES
+    before it allocates anything; the sizes here are computed, never built."""
+
+    def first_clip(self, monkeypatch, side, num_frames, cfg=PipelineConfig()):
+        def no_encoding(*args):
+            raise LookupError("encode_frame reached")
+
+        monkeypatch.setattr(pipeline, "encode_frame", no_encoding)
+        frame = np.zeros((side, side, 3), dtype=np.uint8)
+        video = pipeline.run_video([frame] * num_frames, frame, RleMask.full(side, side), cfg,
+                                   init_params(cfg))
+        return next(video)
+
+    def test_512_frames_rejected_at_default_flags(self, monkeypatch):
+        # 7 frames of 64x64 patches: 8 * 28672**2 bytes, about 6.6 GB, per head
+        with pytest.raises(PipelineConfigError, match=f"needs {2 * 8 * 28672 ** 2} bytes"):
+            self.first_clip(monkeypatch, 512, 7)
+
+    def test_256_frames_admitted_at_default_flags(self, monkeypatch):
+        with pytest.raises(LookupError, match="encode_frame reached"):
+            self.first_clip(monkeypatch, 256, 7)
+
+    def test_short_video_sized_by_its_frames(self, monkeypatch):
+        # a 2-frame video's only clip has 2 frames, whatever clip_len says
+        monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", 2 * 8 * (2 * 64 * 64) ** 2)
+        with pytest.raises(LookupError, match="encode_frame reached"):
+            self.first_clip(monkeypatch, 512, 2)
+        with pytest.raises(PipelineConfigError, match="clips of 3 frames"):
+            self.first_clip(monkeypatch, 512, 3)
