@@ -36,6 +36,7 @@ from .synth import (
     load_manifest,
     load_scene_gt,
     load_scene_record,
+    regular_file_bytes,
     validate_manifest,
 )
 from .training import (
@@ -335,8 +336,7 @@ def _load_gt_responses(path_text: str) -> tuple[dict[str, ResponseSet], dict[str
         sources = {entry["id"]: entry for entry in load_manifest(path)["scenes"]}
         out = {vid: load_scene_gt(path, entry)[0] for vid, entry in sources.items()}
     else:
-        with open(path) as fh:
-            items = json.load(fh)
+        items = json.loads(regular_file_bytes(path))
         if not isinstance(items, list):
             raise CliError(f"{path}: expected a JSON array of annotations")
         out, sources = _by_video_id(path_text, items, "ground truth")
@@ -346,8 +346,7 @@ def _load_gt_responses(path_text: str) -> tuple[dict[str, ResponseSet], dict[str
 
 
 def _load_pred_responses(path_text: str) -> dict[str, ResponseSet]:
-    with open(path_text) as fh:
-        payload = json.load(fh)
+    payload = json.loads(regular_file_bytes(path_text))
     if isinstance(payload, dict):
         items = payload.get("predictions")
         if items is None:

@@ -243,9 +243,6 @@ class ResponseSet:
                 out[f] = occ.mask_at(f)
         return out
 
-    def covered_frames(self) -> set[int]:
-        return set(self.frame_masks())
-
 
 def group_into_masklets(per_frame: Sequence[Optional[RleMask]]) -> tuple[Masklet, ...]:
     """Group maximal runs of consecutive non-empty frame masks into masklets.

@@ -124,14 +124,20 @@ class FrameOverlaps:
     inter: dict[int, int]
 
     def st_iou(self) -> float:
+        """Pixel overlap across the union of annotated frames: the intersection
+        counts only frames annotated in both responses, each response's area
+        all of its own frames. No foreground anywhere in either gives 1.0."""
         return iou_from_areas(sum(self.inter.values()), sum(self.gt_area.values()),
                               sum(self.pred_area.values()))
 
     def t_iou(self) -> float:
+        """Temporal IoU between the annotated frame sets; 1.0 when both are empty."""
         union = len(self.gt_area) + len(self.pred_area) - len(self.inter)
         return len(self.inter) / union if union else 1.0
 
     def recovery(self) -> float:
+        """Percentage of gt frames with mask IoU above 0.5, a frame with no
+        prediction counting as IoU 0; 100 for a video with no gt frames."""
         if not self.gt_area:
             return 100.0
         hits = sum(1 for t, inter in self.inter.items()
@@ -139,6 +145,7 @@ class FrameOverlaps:
         return 100.0 * hits / len(self.gt_area)
 
     def mean_gt_area(self) -> float:
+        """Mean mask area over the gt frames; 0 for an empty response."""
         return sum(self.gt_area.values()) / len(self.gt_area) if self.gt_area else 0.0
 
 
@@ -157,40 +164,6 @@ def frame_overlaps(gt: ResponseSet, pred: ResponseSet) -> FrameOverlaps:
         pred_area={t: m.area() for t, m in pred_masks.items()},
         inter=dict(zip(common, intersection_areas([(gt_masks[t], pred_masks[t]) for t in common]))),
     )
-
-
-def st_iou(gt: ResponseSet, pred: ResponseSet) -> float:
-    """Pixel overlap across the union of annotated frames.
-
-    intersection(t) counts only frames annotated in both responses; the gt and
-    pred pixel sums each run over their own annotated frames. Two responses
-    with no foreground anywhere agree perfectly -> 1.0.
-    """
-    return frame_overlaps(gt, pred).st_iou()
-
-
-def t_iou(gt: ResponseSet, pred: ResponseSet) -> float:
-    """Temporal IoU between the annotated frame sets; 1.0 when both are empty."""
-    return frame_overlaps(gt, pred).t_iou()
-
-
-def recovery(gt: ResponseSet, pred: ResponseSet) -> float:
-    """Percentage of gt-annotated frames with per-frame mask IoU above 0.5.
-
-    A frame with no prediction counts as IoU 0. A video with no gt frames is
-    fully recovered by convention (100).
-    """
-    return frame_overlaps(gt, pred).recovery()
-
-
-def success(gt: ResponseSet, pred: ResponseSet) -> bool:
-    """Per-video success predicate: stIoU strictly above 0.2."""
-    return st_iou(gt, pred) > SUCCESS_STIOU_THRESHOLD
-
-
-def mean_gt_area(gt: ResponseSet) -> float:
-    """Mean mask area over all gt-annotated frames; 0 for an empty response."""
-    return frame_overlaps(gt, ResponseSet(gt.video_id, ())).mean_gt_area()
 
 
 def evaluate_video(gt: ResponseSet, pred: ResponseSet) -> VideoEval:

@@ -11,6 +11,7 @@ from typing import Mapping
 import numpy as np
 
 from .autodiff import Tensor, tensor
+from .synth import regular_file_bytes
 
 ADAMW_DEFAULTS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "weight_decay": 0.01}
 
@@ -134,8 +135,7 @@ def save_params(store: ParamStore, path: str) -> None:
 
 
 def load_params(path: str) -> ParamStore:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = regular_file_bytes(path)
     if len(blob) < len(_CKPT_MAGIC) + 20:
         raise CheckpointError(f"{path}: truncated checkpoint")
     payload, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])

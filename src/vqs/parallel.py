@@ -1,27 +1,27 @@
 """The one process-parallel map behind every `--jobs` flag, and the one
-thread map behind the attention heads.
+thread map behind the attention heads, under one CPU budget: a process keeps
+at most `available_cpus()` CPUs busy. `parallel_map` gives each of its
+`worker_count` workers `available_cpus() // workers` of them, the threads
+that worker's `thread_map` may run, so workers × threads per worker never
+exceeds the CPUs. On two CPUs a serial run has two head threads, and each
+`--jobs 2` worker one.
 
-Pool workers run a single-threaded BLAS. A forked worker inherits the
-parent's multi-threaded OpenBLAS, so N workers on N CPUs would run N BLAS
-threads each and contend for the CPUs: on two CPUs that made `--jobs 2`
-slower than `--jobs 1`. The pool's initializer sets the thread count to one
-in each worker. Where no OpenBLAS is found (MKL, macOS, no `/proc`), the
-initializer does nothing.
-
-`thread_map` runs independent items, such as attention heads, on up to one
-thread per CPU. A process that does so runs a single-threaded BLAS as well,
-pinned before its first threaded call: the head threads already keep the
-CPUs busy, and BLAS threads on top of them contend for the same CPUs (on
-two CPUs, two heads on two threads took 11.1 ms with one BLAS thread and
-31.7 ms with two). A `--jobs` worker runs its items serially, so that N workers never
-start N threads each on N CPUs.
+A process that starts threads or workers runs a one-thread BLAS, pinned in
+the parent before its first thread or fork, as BLAS threads on top of them
+would contend for the same CPUs (on two CPUs, two heads on two threads took
+11.1 ms with one BLAS thread and 31.7 ms with two). Forked workers inherit
+the pin and make no BLAS call to set it: OpenBLAS shuts its thread pool down
+at a fork, and `set_num_threads` in the child starts a new thread that
+busy-waits on the CPU another worker needs (at `--jobs 2` on two CPUs, 150 ms
+for a video that took 77 ms in one process). Without OpenBLAS (MKL, macOS,
+no `/proc`) the pin does nothing.
 """
 
 from __future__ import annotations
 
 import contextvars
 import ctypes
-import multiprocessing
+import functools
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
@@ -36,9 +36,15 @@ _MAPS = "/proc/self/maps"
 _OPENBLAS_PREFIXES = ("openblas", "scipy_openblas")
 _OPENBLAS_SUFFIXES = ("", "64_", "_64_")
 
+# A `--jobs` worker's threads, set by its pool's initializer; None elsewhere.
+_thread_share: Optional[int] = None
+
 
 def available_cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may keep busy: its share in a `--jobs` worker,
+    otherwise every CPU it may run on."""
+    if _thread_share is not None:
+        return _thread_share
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -56,56 +62,31 @@ def worker_count(jobs: int, num_items: int) -> int:
     return max(1, min(jobs, num_items, available_cpus()))
 
 
-def _loaded_openblas() -> list[ctypes.CDLL]:
-    """The OpenBLAS libraries already mapped into this process."""
+def thread_count(num_items: int) -> int:
+    """Threads `thread_map` runs `num_items` items on: one per item, up to the available CPUs."""
+    return max(1, min(num_items, available_cpus()))
+
+
+def _openblas_function(verb: str):
+    """The first `<prefix>_<verb>_num_threads<suffix>` exported by an OpenBLAS
+    already mapped into this process, or None."""
     try:
         with open(_MAPS) as fh:
             lines = fh.read().splitlines()
     except OSError:
-        return []
-    paths = []
-    for line in lines:
-        fields = line.split(maxsplit=5)
-        if len(fields) == 6 and "openblas" in os.path.basename(fields[5]) and fields[5] not in paths:
-            paths.append(fields[5])
-    libs = []
-    for path in paths:
+        return None
+    fields = [line.split(maxsplit=5) for line in lines]
+    for path in dict.fromkeys(f[5] for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])):
         try:
-            libs.append(ctypes.CDLL(path))
+            lib = ctypes.CDLL(path)
         except OSError:
             continue
-    return libs
-
-
-def _openblas_function(verb: str):
-    """The first `<prefix>_<verb>_num_threads<suffix>` a loaded OpenBLAS exports, or None."""
-    for lib in _loaded_openblas():
         for prefix in _OPENBLAS_PREFIXES:
             for suffix in _OPENBLAS_SUFFIXES:
                 fn = getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None)
                 if fn is not None:
                     return fn
     return None
-
-
-def use_one_blas_thread() -> None:
-    """Pool initializer: limit this process's OpenBLAS to one thread, if one is loaded."""
-    set_threads = _openblas_function("set")
-    if set_threads is None:
-        return
-    set_threads.argtypes = [ctypes.c_int]
-    set_threads.restype = None
-    set_threads(1)
-
-
-def parallel_map(fn: Callable[[T], R], work: Iterable[T], jobs: int) -> list[R]:
-    """`[fn(item) for item in work]`, in order, over up to `jobs` processes."""
-    work = list(work)
-    workers = worker_count(jobs, len(work))
-    if workers == 1:
-        return [fn(item) for item in work]
-    with ProcessPoolExecutor(max_workers=workers, initializer=use_one_blas_thread) as pool:
-        return list(pool.map(fn, work))
 
 
 # The threads behind `thread_map`, started on its first threaded call. Like
@@ -123,15 +104,34 @@ def _drop_threads() -> None:
 os.register_at_fork(after_in_child=_drop_threads)
 
 
-def thread_count(num_items: int) -> int:
-    """Threads `thread_map` runs `num_items` items on.
+@functools.cache
+def pin_one_blas_thread() -> None:
+    """Limit this process's OpenBLAS to one thread, if one is loaded. Only the
+    first call acts, and forked workers inherit it: make it before the first
+    thread or fork."""
+    set_threads = _openblas_function("set")
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
 
-    One in a process that multiprocessing started, such as a `--jobs` worker,
-    and otherwise one per item, up to the available CPUs.
-    """
-    if multiprocessing.parent_process() is not None:
-        return 1
-    return max(1, min(num_items, available_cpus()))
+
+def _take_thread_share(threads: int) -> None:
+    """Pool initializer: the threads this worker may run. It makes no BLAS call."""
+    global _thread_share
+    _thread_share = threads
+
+
+def parallel_map(fn: Callable[[T], R], work: Iterable[T], jobs: int) -> list[R]:
+    """`[fn(item) for item in work]`, in order, over up to `jobs` processes."""
+    work = list(work)
+    workers = worker_count(jobs, len(work))
+    if workers == 1:
+        return [fn(item) for item in work]
+    pin_one_blas_thread()
+    with ProcessPoolExecutor(max_workers=workers, initializer=_take_thread_share,
+                             initargs=(available_cpus() // workers,)) as pool:
+        return list(pool.map(fn, work))
 
 
 def thread_map(fn: Callable[[T], R], work: Iterable[T]) -> list[R]:
@@ -151,7 +151,7 @@ def thread_map(fn: Callable[[T], R], work: Iterable[T]) -> list[R]:
         return [fn(item) for item in work]
     with _threads_lock:
         if _threads is None:
-            use_one_blas_thread()
+            pin_one_blas_thread()
             _threads = ThreadPoolExecutor(max_workers=available_cpus() - 1,
                                           thread_name_prefix="vqs-threads")
         pool = _threads

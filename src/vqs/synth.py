@@ -111,7 +111,7 @@ def parse_ppm(blob: bytes, name: str | Path) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=pos, count=h * w * 3).reshape(h, w, 3)
 
 
-def _read_regular_file(path: Path) -> Optional[bytes]:
+def _read_regular_file(path: str | Path) -> Optional[bytes]:
     """A regular file's bytes; None when it cannot be opened or read, or is not
     a regular file: a FIFO could stall the open and a device need not end."""
     try:
@@ -127,7 +127,7 @@ def _read_regular_file(path: Path) -> Optional[bytes]:
         os.close(fd)
 
 
-def _file_bytes(path: Path) -> bytes:
+def regular_file_bytes(path: str | Path) -> bytes:
     """`_read_regular_file`, with FileNotFoundError in place of None."""
     blob = _read_regular_file(path)
     if blob is None:
@@ -138,7 +138,7 @@ def _file_bytes(path: Path) -> bytes:
 def read_ppm(path: str | Path) -> np.ndarray:
     """The image in a PPM file; FileNotFoundError unless it is a regular file
     that can be read, so that a FIFO or a device in its place never blocks."""
-    return parse_ppm(_file_bytes(Path(path)), path).copy()
+    return parse_ppm(regular_file_bytes(Path(path)), path).copy()
 
 
 # --- Shapes -------------------------------------------------------------------
@@ -560,9 +560,9 @@ def generate_dataset(
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
-    """The parsed manifest; SceneConfigError when its shape is not a manifest's."""
-    with open(Path(dataset_dir) / MANIFEST_NAME) as fh:
-        manifest = json.load(fh)
+    """The parsed manifest; SceneConfigError when its shape is not a manifest's,
+    FileNotFoundError, as `read_ppm`, unless it is a readable regular file."""
+    manifest = json.loads(regular_file_bytes(Path(dataset_dir) / MANIFEST_NAME))
     if not isinstance(manifest, dict):
         raise SceneConfigError("manifest: top level must be an object")
     if not isinstance(manifest.get("scenes", []), list):
@@ -604,7 +604,7 @@ def _query_mask(obj: dict, height: int, width: int) -> RleMask:
 def load_scene_gt(dataset_dir: str | Path, scene_entry: dict) -> tuple[ResponseSet, RleMask]:
     """gt annotation plus the query mask for one manifest scene entry;
     FileNotFoundError, as `read_ppm`, unless the gt is a readable regular file."""
-    obj = json.loads(_file_bytes(Path(dataset_dir) / scene_entry["gt"]))
+    obj = json.loads(regular_file_bytes(Path(dataset_dir) / scene_entry["gt"]))
     response, h, w = annotation_from_dict(obj)
     return response, _query_mask(obj, h, w)
 
@@ -688,17 +688,16 @@ def compute_stats(dataset_dir: str | Path, bins: int = 10) -> dict:
 # --- Validation ----------------------------------------------------------------
 
 
-def _gt_violations(sid: str, entry: dict, blob: bytes) -> tuple[list[str], bool]:
-    """What is wrong with one scene's gt file, given its bytes, and whether its
-    annotation could be read at all; the scene's other checks need it."""
+def _gt_violations(sid: str, entry: dict, blob: bytes) -> list[str]:
+    """What is wrong with one scene's gt file, given its bytes."""
     try:
         obj = json.loads(blob)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return [f"{sid}: gt unreadable ({exc})"], False
+        return [f"{sid}: gt unreadable ({exc})"]
     try:
         response, h, w = annotation_from_dict(obj)
     except MaskError as exc:
-        return [f"{sid}: {exc}"], False
+        return [f"{sid}: {exc}"]
     violations = []
     if (h, w) != (entry.get("height"), entry.get("width")):
         violations.append(f"{sid}: gt dimensions {h}x{w} do not match manifest entry")
@@ -710,7 +709,7 @@ def _gt_violations(sid: str, entry: dict, blob: bytes) -> tuple[list[str], bool]
             violations.append(f"{sid}: query mask is empty")
     except MaskError as exc:
         violations.append(f"{sid}: bad query mask ({exc})")
-    return violations, True
+    return violations
 
 
 def validate_manifest(dataset_dir: str | Path) -> list[str]:
@@ -741,7 +740,7 @@ def validate_manifest(dataset_dir: str | Path) -> list[str]:
     digest = hashlib.sha256()
     shas: dict[str, bytes] = {}                    # every file that opened
     frame_shapes: dict[str, tuple | str] = {}      # (height, width) or the parse error
-    gt_checks: dict[int, tuple[list[str], bool]] = {}
+    gt_checks: dict[int, list[str]] = {}
     blob = b""
     for rel in _dataset_files(scenes):
         if rel not in shas:  # sorted, so a repeated file follows its first listing
@@ -775,12 +774,7 @@ def validate_manifest(dataset_dir: str | Path) -> list[str]:
         if entry["num_frames"] != len(frames):
             violations.append(f"{sid}: num_frames is {entry['num_frames']}, "
                               f"but {len(frames)} frames are listed")
-        if i not in gt_checks:
-            continue
-        gt_violations, annotation_read = gt_checks[i]
-        violations.extend(gt_violations)
-        if not annotation_read:
-            continue
+        violations.extend(gt_checks.get(i, []))
         query_sha = shas.get(entry.get("query"))
         if query_sha is not None:
             for frame_rel in frames:

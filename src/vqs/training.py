@@ -30,7 +30,6 @@ from .pipeline import (
     encode_memory,
     grid_iou,
     mask_patch_counts,
-    mask_patch_fractions,
     param_shapes,
     run_stage,
     run_video,
@@ -290,9 +289,9 @@ def gradient_check_report(
     gt_grid[0, 0] = 1
     gt_mask = rle_encode(gt_grid)
     query_feats = encode_frame(frames[0], cfg, store)
-    init_entry = encode_memory(query_feats, mask_patch_fractions(gt_mask, cfg.patch_size), store)
-    out = run_stage(frames, MemoryBank((init_entry,)), cfg, store, is_final=True)
     gt_counts = mask_patch_counts(gt_mask, cfg.patch_size)
+    init_entry = encode_memory(query_feats, gt_counts / cfg.patch_size**2, store)
+    out = run_stage(frames, MemoryBank((init_entry,)), cfg, store, is_final=True)
     losses = [frame_loss(fc, gt_counts if fc.frame_index != 1 else None, cfg)
               for fc in out.candidates]
     node, _ = total_loss([losses], (1.0,))

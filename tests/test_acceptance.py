@@ -13,7 +13,7 @@ import pytest
 from vqs import autodiff as ad
 from vqs.cli import dispatch
 from vqs.masks import Masklet, ResponseSet, RleMask, group_into_masklets, rle_encode
-from vqs.metrics import VideoEval, aggregate_metrics, evaluate_run, evaluate_video, st_iou, t_iou
+from vqs.metrics import VideoEval, aggregate_metrics, evaluate_run, evaluate_video
 from vqs.pipeline import (
     KIND_DISTRACTOR,
     KIND_QUERY_INIT,
@@ -29,7 +29,6 @@ from vqs.pipeline import (
     init_params,
     memory_attention,
     tfg_select,
-    unit_scale,
 )
 from vqs.synth import SceneConfig, generate_scene
 from vqs.training import TrainConfig, gradient_check_report, overfit_train
@@ -128,8 +127,8 @@ class TestCriterion4WorkedExample:
         p = block_mask(4, 4, 0, 1, 2, 2)
         gt = ResponseSet("v", (Masklet(1, 2, (g, g)),))
         pred = ResponseSet("v", (Masklet(2, 3, (p, p)),))
-        st = st_iou(gt, pred)
-        tt = t_iou(gt, pred)
+        st = evaluate_video(gt, pred).st_iou
+        tt = evaluate_video(gt, pred).t_iou
         ok = abs(st - 1 / 7) < 1e-12 and abs(tt - 1 / 3) < 1e-12
         verdict(4, "worked metric example", ok, f"stIoU {st:.12f}, tIoU {tt:.12f}")
 
@@ -182,7 +181,7 @@ class TestCriterion6AmgContract:
             d = cfg.model_dim
 
             def entry(kind):
-                return MemoryEntry(ad.tensor(rng.normal(size=(16, d))), kind, unit_scale())
+                return MemoryEntry(ad.tensor(rng.normal(size=(16, d))), kind, ad.tensor(1.0))
 
             init = entry(KIND_QUERY_INIT)
             with_d = amg_fuse(init, [entry(KIND_TARGET)], [entry(KIND_DISTRACTOR)], cfg, params)
@@ -230,7 +229,7 @@ class TestCriterion8Overfit:
         ratio = curve[-1].total / curve[0].total
         response, _ = infer_video(scene.frames, scene.query_frame, scene.query_mask,
                                   cfg, store, video_id="overfit")
-        score = st_iou(scene.gt, response)
+        score = evaluate_video(scene.gt, response).st_iou
         elapsed = time.time() - t0
         ok = ratio <= 0.10 and score >= 0.8 and len(curve) <= 500 and elapsed < 600
         verdict(8, "overfit experiment", ok,

@@ -29,14 +29,19 @@ def run_cli(*argv):
     return dispatch([str(a) for a in argv])
 
 
-def run_module(*argv, timeout=None):
-    """`python -m vqs.cli ...` in a child process that imports this checkout's vqs;
-    with `timeout`, a child still running after that many seconds is killed and
-    the call raises subprocess.TimeoutExpired."""
+def run_python(*argv, timeout=None):
+    """`python ...` in a child process that imports this checkout's vqs; with
+    `timeout`, a child still running after that many seconds is killed and the
+    call raises subprocess.TimeoutExpired."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "vqs.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_module(*argv, timeout=None):
+    """`python -m vqs.cli ...` through `run_python`."""
+    return run_python("-m", "vqs.cli", *argv, timeout=timeout)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -594,6 +599,28 @@ class TestFifoSceneFile:
         assert one_json_error_line(proc.stderr) == f"{path}: no readable regular file"
 
 
+class TestFifoInput:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("victim", ["manifest", "ckpt", "pred", "gt-array"])
+    def test_fifo_rejected(self, two_videos, tmp_path, victim):
+        data = tmp_path / "ds"
+        shutil.copytree(two_videos, data)
+        pred = tmp_path / "pred.json"
+        pred.write_text("[]")
+        fifo = data / "manifest.json" if victim == "manifest" else tmp_path / "fifo"
+        fifo.unlink(missing_ok=True)
+        os.mkfifo(fifo)  # opening it for reading would wait for a writer
+        argv = {
+            "manifest": ["infer", "--data", data, "--out", tmp_path / "p.json"],
+            "ckpt": ["infer", "--data", data, "--ckpt", fifo, "--out", tmp_path / "p.json"],
+            "pred": ["eval", "--gt", data, "--pred", fifo],
+            "gt-array": ["eval", "--gt", fifo, "--pred", pred],
+        }[victim]
+        proc = run_module(*argv, timeout=60)
+        assert proc.returncode == 1
+        assert one_json_error_line(proc.stderr) == f"{fifo}: no readable regular file"
+
+
 class TestScorePreflight:
     @pytest.mark.parametrize("command", ["infer", "train"])
     def test_oversized_attention_rejected(self, two_videos, tmp_path, capsys, monkeypatch, command):
@@ -771,13 +798,6 @@ class TestCheckpointReadOnce:
         assert "truncated" in one_json_error_line(capsys.readouterr().err)
 
 
-def _worker_blas_threads(_item):
-    get_threads = parallel._openblas_function("get")
-    get_threads.argtypes = []
-    get_threads.restype = ctypes.c_int
-    return os.getpid(), get_threads()
-
-
 real_infer_one = cli._infer_one
 head_reports = None  # the file `_infer_one_reporting_heads` appends to; forked workers inherit it
 
@@ -839,6 +859,77 @@ class TestThreadMap:
         assert _blas_threads() == 1
 
 
+class RecordingPool:
+    """A stand-in for `ProcessPoolExecutor` that records how it was started
+    in `started` and runs its map in the calling process."""
+
+    started: list = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.started.append((max_workers, initializer, initargs))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, work):
+        return map(fn, work)
+
+
+# Run in a fresh interpreter, so that no earlier test has pinned its BLAS:
+# `infer --jobs 2`, each worker appending its process id, OS thread count and
+# BLAS thread count to a file once its video is done, then the parent's.
+WORKER_THREADS_SCRIPT = """
+import ctypes, json, os, sys
+from vqs import cli, parallel
+
+data, out, reports = sys.argv[1:]
+real_infer_one = cli._infer_one
+
+def report(fh):
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    get_threads = parallel._openblas_function("get")
+    if get_threads is not None:
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    blas = None if get_threads is None else get_threads()
+    fh.write(json.dumps({"pid": os.getpid(), "tasks": tasks, "blas": blas}) + "\\n")
+
+def reporting_infer_one(work):
+    record = real_infer_one(work)
+    with open(reports, "a") as fh:
+        report(fh)
+    return record
+
+cli._infer_one = reporting_infer_one
+code = cli.dispatch(["infer", "--data", data, "--out", out, "--model-dim", "16", "--jobs", "2"])
+report(sys.stdout)
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def worker_threads(two_videos, tmp_path_factory):
+    """What WORKER_THREADS_SCRIPT reports: the parent's record and the workers'."""
+    if parallel.available_cpus() < 2:
+        pytest.skip("needs 2 CPUs")
+    tmp = tmp_path_factory.mktemp("worker-threads")
+    proc = run_python("-c", WORKER_THREADS_SCRIPT, two_videos, tmp / "p.json", tmp / "reports.jsonl",
+                      timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    parent = json.loads(proc.stdout.strip().splitlines()[-1])
+    workers = [json.loads(line) for line in (tmp / "reports.jsonl").read_text().splitlines()]
+    assert len(workers) == 2 and parent["pid"] not in {w["pid"] for w in workers}
+    return parent, workers
+
+
+def _threaded_item(_item):
+    """A worker's head threads for two items, and its OS threads after running them."""
+    parallel.thread_map(lambda _: time.sleep(0.01), range(2))
+    return parallel.thread_count(2), len(os.listdir("/proc/self/task"))
+
+
 class TestWorkerCount:
     def test_clamped_to_work_and_cpus(self, monkeypatch):
         monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
@@ -854,43 +945,63 @@ class TestWorkerCount:
             parallel.worker_count(jobs, 10)
 
     def test_parallel_map_starts_clamped_pool(self, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer=None):
-                started.append((max_workers, initializer))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work):
-                return map(fn, work)
-
+        monkeypatch.setattr(RecordingPool, "started", [])
         monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
         assert parallel.parallel_map(abs, [-1, -2, -3, -4, -5], jobs=10_000) == [1, 2, 3, 4, 5]
         assert parallel.parallel_map(abs, [-7], jobs=10_000) == [7]
-        assert started == [(3, parallel.use_one_blas_thread)]
+        assert RecordingPool.started == [(3, parallel._take_thread_share, (1,))]
 
-    def test_workers_run_one_blas_thread(self):
-        get_threads = parallel._openblas_function("get")
-        if parallel.available_cpus() < 2 or get_threads is None:
-            pytest.skip("needs 2 CPUs and a loaded OpenBLAS")
-        get_threads.argtypes = []
-        get_threads.restype = ctypes.c_int
-        before = get_threads()
-        results = parallel.parallel_map(_worker_blas_threads, range(4), jobs=2)
-        assert [threads for _, threads in results] == [1, 1, 1, 1]
-        assert os.getpid() not in {pid for pid, _ in results}
-        assert get_threads() == before
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_workers_times_threads_within_cpus(self, monkeypatch, cpus):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        for jobs in range(1, 7):
+            for items in range(1, 7):
+                monkeypatch.setattr(RecordingPool, "started", [])
+                assert parallel.parallel_map(abs, range(-items, 0), jobs) == list(range(items, 0, -1))
+                if RecordingPool.started:
+                    [(workers, initializer, (threads,))] = RecordingPool.started
+                    assert initializer is parallel._take_thread_share and workers > 1
+                else:
+                    workers, threads = 1, parallel.thread_count(items)
+                assert 1 <= threads and workers * threads <= cpus
+                if cpus == 2 and jobs == 2 and items >= 2:
+                    assert (workers, threads) == (2, 1)
+
+    def test_worker_keeps_its_share(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_thread_share", None)
+        for share in (1, 2):
+            parallel._take_thread_share(share)
+            assert parallel.thread_count(8) == share
+            assert parallel.worker_count(8, 8) == share
+
+    @pytest.mark.skipif(not (os.path.isdir("/proc/self/task") and hasattr(os, "sched_getaffinity")),
+                        reason="needs /proc/self/task and CPU affinity")
+    def test_worker_share_of_two_starts_no_blas_thread(self, monkeypatch):
+        # four CPUs seen, two workers: each runs its heads on two threads, the
+        # calling one and one pool thread, and no OpenBLAS thread besides
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert parallel.parallel_map(_threaded_item, range(2), jobs=2) == [(2, 2), (2, 2)]
+
+    def test_workers_run_one_blas_thread(self, worker_threads):
+        parent, workers = worker_threads
+        if parent["blas"] is None:
+            pytest.skip("needs a loaded OpenBLAS")
+        # the parent pins its BLAS before it forks, and the workers inherit the pin
+        assert [w["blas"] for w in workers] == [1, 1]
+        assert parent["blas"] == 1
+
+    def test_workers_run_one_os_thread(self, worker_threads):
+        _, workers = worker_threads
+        if workers[0]["tasks"] is None:
+            pytest.skip("needs /proc/self/task")
+        assert [w["tasks"] for w in workers] == [1, 1]
 
     def test_blas_pin_silent_without_maps(self, tmp_path, monkeypatch):
         monkeypatch.setattr(parallel, "_MAPS", str(tmp_path / "missing-maps"))
         assert parallel._openblas_function("set") is None
-        parallel.use_one_blas_thread()
+        parallel.pin_one_blas_thread.__wrapped__()
 
     def test_blas_pin_silent_without_symbol(self, tmp_path, monkeypatch):
         try:
@@ -908,4 +1019,4 @@ class TestWorkerCount:
         )
         monkeypatch.setattr(parallel, "_MAPS", str(fake_maps))
         assert parallel._openblas_function("set") is None
-        parallel.use_one_blas_thread()
+        parallel.pin_one_blas_thread.__wrapped__()

@@ -11,7 +11,6 @@ from vqs.pipeline import (
     binarize_candidate,
     grid_iou,
     mask_patch_counts,
-    mask_patch_fractions,
 )
 from vqs.training import _routed_candidate
 
@@ -72,7 +71,7 @@ class TestPatchCounts:
                 mask = rle_encode((rng.random((h, w)) < density).astype(np.uint8))
                 counts = mask_patch_counts(mask, p)
                 assert counts.dtype == np.int64 and counts.sum() == mask.area()
-                fractions = mask_patch_fractions(mask, p)
+                fractions = mask_patch_counts(mask, p) / p**2
                 assert np.array_equal(fractions, oracles.rle_patch_fractions(mask, p))
 
     def test_routed_iou_equals_pixel_iou(self):

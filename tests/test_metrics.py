@@ -11,12 +11,7 @@ from vqs.metrics import (
     aggregate_metrics,
     evaluate_run,
     evaluate_video,
-    mean_gt_area,
-    recovery,
-    st_iou,
     subset_of,
-    success,
-    t_iou,
 )
 
 from .helpers import block_mask, perturb_response, random_response
@@ -35,32 +30,32 @@ def two_frame_pair():
 class TestStIou:
     def test_identity(self):
         gt, _ = two_frame_pair()
-        assert st_iou(gt, gt) == 1.0
+        assert evaluate_video(gt, gt).st_iou == 1.0
 
     def test_empty_pred(self):
         gt, _ = two_frame_pair()
-        assert st_iou(gt, ResponseSet("v", ())) == 0.0
+        assert evaluate_video(gt, ResponseSet("v", ())).st_iou == 0.0
 
     def test_both_empty(self):
-        assert st_iou(ResponseSet("v", ()), ResponseSet("v", ())) == 1.0
+        assert evaluate_video(ResponseSet("v", ()), ResponseSet("v", ())).st_iou == 1.0
 
     def test_worked_example(self):
         gt, pred = two_frame_pair()
-        assert st_iou(gt, pred) == pytest.approx(1 / 7, abs=1e-12)
+        assert evaluate_video(gt, pred).st_iou == pytest.approx(1 / 7, abs=1e-12)
 
 
 class TestTIou:
     def test_identity(self):
         gt, _ = two_frame_pair()
-        assert t_iou(gt, gt) == 1.0
+        assert evaluate_video(gt, gt).t_iou == 1.0
 
     def test_worked_example(self):
         gt, pred = two_frame_pair()
-        assert t_iou(gt, pred) == pytest.approx(1 / 3, abs=1e-12)
+        assert evaluate_video(gt, pred).t_iou == pytest.approx(1 / 3, abs=1e-12)
 
     def test_empty_pred(self):
         gt, _ = two_frame_pair()
-        assert t_iou(gt, ResponseSet("v", ())) == 0.0
+        assert evaluate_video(gt, ResponseSet("v", ())).t_iou == 0.0
 
     def test_shift_from_perfect_never_helps(self):
         # gt: one contiguous segment shorter than the video; start from a
@@ -72,7 +67,7 @@ class TestTIou:
             end = int(rng.integers(start, min(14, start + 6)))
             num_frames = 16
             gt = ResponseSet("v", (Masklet(start, end, (m,) * (end - start + 1)),))
-            base = t_iou(gt, gt)
+            base = evaluate_video(gt, gt).t_iou
             for shift in (-1, 1):
                 s, e = start + shift, end + shift
                 s2, e2 = max(0, s), min(num_frames - 1, e)
@@ -80,19 +75,19 @@ class TestTIou:
                     shifted = ResponseSet("v", ())
                 else:
                     shifted = ResponseSet("v", (Masklet(s2, e2, (m,) * (e2 - s2 + 1)),))
-                assert t_iou(gt, shifted) <= base
+                assert evaluate_video(gt, shifted).t_iou <= base
 
 
 class TestRecoveryAndSuccess:
     def test_perfect(self):
         gt, _ = two_frame_pair()
-        assert recovery(gt, gt) == 100.0
-        assert success(gt, gt) is True
+        assert evaluate_video(gt, gt).recovery == 100.0
+        assert evaluate_video(gt, gt).success is True
 
     def test_empty_pred(self):
         gt, _ = two_frame_pair()
-        assert recovery(gt, ResponseSet("v", ())) == 0.0
-        assert success(gt, ResponseSet("v", ())) is False
+        assert evaluate_video(gt, ResponseSet("v", ())).recovery == 0.0
+        assert evaluate_video(gt, ResponseSet("v", ())).success is False
 
     def test_counted_per_frame(self):
         # gt on frames 0..3; craft per-frame IoUs 1.0, 0.6, 0.4, 0.0
@@ -109,7 +104,7 @@ class TestRecoveryAndSuccess:
         p3 = block_mask(h, w, 0, 0, 1, 3)        # 3/10 ~ 0.3
         p4 = block_mask(h, w, 5, 0, 1, 10)       # disjoint -> 0
         pred = ResponseSet("v", (Masklet(0, 3, (p1, p2, p3, p4)),))
-        assert recovery(gt, pred) == 50.0
+        assert evaluate_video(gt, pred).recovery == 50.0
 
     def test_boundary_is_strict(self):
         # per-frame IoU exactly 0.5 must NOT count as recovered
@@ -117,11 +112,11 @@ class TestRecoveryAndSuccess:
         pm = block_mask(4, 4, 0, 0, 1, 1)   # area 1, inter 1, union 2 -> 0.5
         gt = ResponseSet("v", (Masklet(0, 0, (gm,)),))
         pred = ResponseSet("v", (Masklet(0, 0, (pm,)),))
-        assert recovery(gt, pred) == 0.0
+        assert evaluate_video(gt, pred).recovery == 0.0
 
     def test_success_boundary_strict(self):
         gt, pred = two_frame_pair()   # stIoU = 1/7 < 0.2
-        assert success(gt, pred) is False
+        assert evaluate_video(gt, pred).success is False
 
 
 def make_eval(vid, st, t=0.0, rec=0.0, area=100.0):

@@ -30,14 +30,13 @@ from vqs.pipeline import (
     finalize_predictions,
     infer_video,
     init_params,
-    mask_patch_fractions,
+    mask_patch_counts,
     memory_attention,
     positional_encoding,
     run_clip,
     run_stage,
     stt_block,
     tfg_select,
-    unit_scale,
 )
 
 TOY = PipelineConfig(patch_size=8, model_dim=16, num_heads=2, seed=5)
@@ -111,11 +110,11 @@ class TestEncodeFrame:
 
 class TestEncodeMemory:
     def test_full_mask_fraction_ones(self):
-        fr = mask_patch_fractions(RleMask.full(64, 64), 8)
+        fr = mask_patch_counts(RleMask.full(64, 64), 8) / 64
         assert np.array_equal(fr, np.ones((8, 8)))
 
     def test_empty_mask_fraction_zeros(self):
-        fr = mask_patch_fractions(RleMask.empty(64, 64), 8)
+        fr = mask_patch_counts(RleMask.empty(64, 64), 8) / 64
         assert np.array_equal(fr, np.zeros((8, 8)))
         params = init_params(TOY)
         feats = encode_frame(np.zeros((64, 64, 3), dtype=np.uint8), TOY, params)
@@ -126,7 +125,7 @@ class TestEncodeMemory:
     def test_single_patch_one_hot(self):
         grid = np.zeros((64, 64), dtype=np.uint8)
         grid[8:16, 16:24] = 1  # exactly patch (1, 2)
-        fr = mask_patch_fractions(rle_encode(grid), 8)
+        fr = mask_patch_counts(rle_encode(grid), 8) / 64
         expected = np.zeros((8, 8))
         expected[1, 2] = 1.0
         assert np.array_equal(fr, expected)
@@ -448,7 +447,7 @@ class TestSelectionOracles:
 
 class TestAmgFuse:
     def entry(self, rng, d, kind):
-        return MemoryEntry(ad.tensor(rng.normal(size=(16, d))), kind, unit_scale())
+        return MemoryEntry(ad.tensor(rng.normal(size=(16, d))), kind, ad.tensor(1.0))
 
     def test_weights_form_simplex(self):
         rng = np.random.default_rng(12)

@@ -121,7 +121,7 @@ class TestGenerateScene:
         cfg = SceneConfig(num_frames=10, num_occurrences=2, seed=5, distractor_count=0,
                           appearance_drift=0.0)
         record = generate_scene(cfg)
-        covered = record.gt.covered_frames()
+        covered = set(record.gt.frame_masks())
         uncovered = [t for t in range(cfg.num_frames) if t not in covered]
         assert uncovered, "scene should have empty frames"
         # all uncovered frames show the pure background (no distractors here)
@@ -313,10 +313,11 @@ def multi_defect_dataset(tmp_path, missing_frame=True):
     """A four-scene dataset with one of each defect validate reports.
 
     Scene 0 has overlapping masklets and, when `missing_frame`, a deleted
-    frame, which turns the digest check off. Scene 1 has a bad run sum, and
-    scene 2 gt that is not JSON and a query with a flipped byte; a gt defect
-    ends its scene's checks. Scene 3 has a query equal to one of its frames, a
-    frame of the wrong shape and a frame that is not a PPM.
+    frame, which turns the digest check off. Scene 1 has a bad run sum and a
+    query equal to one of its frames, and scene 2 gt that is not JSON, a query
+    with a flipped byte and a frame of the wrong shape; a gt defect does not
+    end its scene's other checks. Scene 3 has a query equal to one of its
+    frames, a frame of the wrong shape and a frame that is not a PPM.
     """
     out, manifest = small_dataset(tmp_path, n=4, seed=4)
     s0, s1, s2, s3 = manifest["scenes"]
@@ -330,10 +331,12 @@ def multi_defect_dataset(tmp_path, missing_frame=True):
     runs[0] = str(int(runs[0]) + 1)
     gt1["occurrences"][0]["masks"][0] = ",".join(runs)
     (out / s1["gt"]).write_text(json.dumps(gt1))
+    (out / s1["query"]).write_bytes((out / s1["frames"][0]).read_bytes())
     (out / s2["gt"]).write_text('{"video_id": "scene_0002", "occurrences": [')
     query = bytearray((out / s2["query"]).read_bytes())
     query[-1] ^= 0xFF
     (out / s2["query"]).write_bytes(bytes(query))
+    write_ppm(out / s2["frames"][1], np.zeros((16, 24, 3), dtype=np.uint8))
     (out / s3["query"]).write_bytes((out / s3["frames"][3]).read_bytes())
     write_ppm(out / s3["frames"][2], np.zeros((16, 24, 3), dtype=np.uint8))
     (out / s3["frames"][5]).write_bytes(b"GIF89a not a portable pixmap")
@@ -342,10 +345,14 @@ def multi_defect_dataset(tmp_path, missing_frame=True):
 
 # validate's output on multi_defect_dataset, taken from the validate that read
 # each frame up to three times; the one-pass validate keeps its text and order.
+# The second lines of scenes 1 and 2 show that a gt defect does not end its
+# scene's other checks.
 _SCENE_CHECKS = [
     "scene_0000: occurrences must be sorted and temporally disjoint; [0, 1] overlaps or precedes frame 1",
     "scene_0001: runs sum to 1025, expected 1024",
+    "scene_0001: query frame identical to video frame scenes/scene_0001/frames/0000.ppm",
     "scene_0002: gt unreadable (Expecting value: line 1 column 44 (char 43))",
+    "scene_0002: frame scenes/scene_0002/frames/0001.ppm has shape (16, 24)",
     "scene_0003: query frame identical to video frame scenes/scene_0003/frames/0003.ppm",
     "scene_0003: frame scenes/scene_0003/frames/0002.ppm has shape (16, 24)",
     "scene_0003: <data>/scenes/scene_0003/frames/0005.ppm: not a binary PPM",

@@ -176,7 +176,7 @@ class TestComposedGradients:
         per_stage = scene_losses(scene, cfg, store, gt_patch_counts(scene, cfg.patch_size))
         node, _ = total_loss(per_stage, cfg.stage_weights)
         # confirm the paths under test are actually active
-        gt_frames = scene.gt.covered_frames()
+        gt_frames = set(scene.gt.frame_masks())
         assert len(gt_frames) < len(scene.frames), "scene must contain empty frames"
         grads = ad.gradient_map(node, store.params)
         assert any(np.any(grads[k]) for k in grads if k.startswith("amg_head3")), (
