@@ -395,11 +395,6 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: Sequence[slice]) -> 
     return _node(forward, (q, k, v), vjp)
 
 
-def attention_head(q: Tensor, k: Tensor, v: Tensor, start: int, length: int) -> Tensor:
-    """One head over columns [start, start + length): `attention_heads` with one head."""
-    return attention_heads(q, k, v, [slice(start, start + length)])
-
-
 def weighted_attention_head(
     q: Tensor,
     keys: Sequence[Tensor],
@@ -556,24 +551,21 @@ def gradient_map(loss: Tensor, params: dict[str, Tensor]) -> dict[str, Array]:
     }
 
 
-def grad_check(
+def finite_differences(
     loss: Tensor,
-    params: Sequence[Tensor] | dict[str, Tensor],
+    params: Sequence[Tensor],
     max_coords_per_param: int = 4,
     step: float = 1e-5,
     seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
+) -> Iterator[tuple[Tensor, int, float, float]]:
+    """(param, flat index, analytic, central-difference) gradient of `loss` at
+    up to `max_coords_per_param` seeded coordinates of each parameter.
 
     Finite differences rerun the recorded computation via replay, so any
     data-dependent routing baked into the record stays fixed; the comparison
-    therefore checks the differentiated function itself. Returns 0.0 for an
-    empty parameter set.
+    therefore checks the differentiated function itself. Once exhausted, it
+    leaves every value replayed at the unperturbed leaves.
     """
-    if isinstance(params, dict):
-        params = list(params.values())
-    if not params:
-        return 0.0
     record = backward(loss)
     if not np.all(np.isfinite(loss.value)):
         raise ValueError("non-finite loss during gradient check")
@@ -581,11 +573,9 @@ def grad_check(
         (p.grad.copy() if p.grad is not None else np.zeros_like(p.value)) for p in params
     ]
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for p, ga_full in zip(params, analytic):
         n = p.value.size
-        coords = rng.permutation(n)[: min(max_coords_per_param, n)]
-        for flat_idx in coords:
+        for flat_idx in rng.permutation(n)[: min(max_coords_per_param, n)]:
             original = p.value.flat[flat_idx]
             p.value.flat[flat_idx] = original + step
             replay(record)
@@ -595,8 +585,22 @@ def grad_check(
             f_minus = float(loss.value)
             p.value.flat[flat_idx] = original
             numeric = (f_plus - f_minus) / (2.0 * step)
-            analytic_val = float(ga_full.flat[flat_idx])
-            err = abs(analytic_val - numeric) / max(1e-8, abs(analytic_val) + abs(numeric))
-            worst = max(worst, err)
+            yield p, int(flat_idx), float(ga_full.flat[flat_idx]), numeric
     replay(record)
-    return worst
+
+
+def grad_check(
+    loss: Tensor,
+    params: Sequence[Tensor] | dict[str, Tensor],
+    max_coords_per_param: int = 4,
+    step: float = 1e-5,
+    seed: int = 0,
+) -> float:
+    """Max of |a - n| / (|a| + |n|), the sum floored at 1e-8, over the analytic
+    and numeric gradients of `finite_differences`; 0.0 for no parameters."""
+    if isinstance(params, dict):
+        params = list(params.values())
+    if not params:
+        return 0.0
+    checks = finite_differences(loss, params, max_coords_per_param, step, seed)
+    return max([0.0, *(abs(a - n) / max(1e-8, abs(a) + abs(n)) for _, _, a, n in checks)])

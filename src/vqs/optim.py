@@ -11,7 +11,7 @@ from typing import Mapping
 import numpy as np
 
 from .autodiff import Tensor, tensor
-from .synth import regular_file_bytes
+from .synth import regular_file_bytes, write_regular_file
 
 ADAMW_DEFAULTS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "weight_decay": 0.01}
 
@@ -130,8 +130,7 @@ def save_params(store: ParamStore, path: str) -> None:
     for p in store.params.values():
         body += np.ascontiguousarray(p.value, dtype="<f8").tobytes()
     body += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(bytes(body))
+    write_regular_file(path, bytes(body))
 
 
 def load_params(path: str) -> ParamStore:

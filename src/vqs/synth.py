@@ -135,6 +135,20 @@ def regular_file_bytes(path: str | Path) -> bytes:
     return blob
 
 
+def write_regular_file(path: str | Path, data: bytes) -> None:
+    """Write `data` to `path`, created or truncated as by open(path, "wb");
+    FileNotFoundError unless it is a regular file, so that a FIFO or a device
+    in its place never blocks."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
+    except OSError:
+        raise FileNotFoundError(f"{path}: no writable regular file") from None
+    with open(fd, "wb") as fh:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise FileNotFoundError(f"{path}: no writable regular file")
+        fh.write(data)
+
+
 def read_ppm(path: str | Path) -> np.ndarray:
     """The image in a PPM file; FileNotFoundError unless it is a regular file
     that can be read, so that a FIFO or a device in its place never blocks."""

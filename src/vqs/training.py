@@ -13,8 +13,10 @@ per-stage weights.
 from __future__ import annotations
 
 import csv
+import io
+import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .pipeline import (
     run_stage,
     run_video,
 )
-from .synth import SceneConfigError, SceneRecord
+from .synth import SceneConfigError, SceneRecord, write_regular_file
 
 
 class TrainingDivergedError(RuntimeError):
@@ -181,14 +183,15 @@ class CurvePoint:
 
 
 def write_curve_csv(curve: Sequence[CurvePoint], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "total", "dice", "mask_bce", "iou_head", "occ_bce"])
-        for pt in curve:
-            writer.writerow(
-                [pt.step, f"{pt.total:.10g}", f"{pt.dice:.10g}", f"{pt.mask_bce:.10g}",
-                 f"{pt.iou_head:.10g}", f"{pt.occlusion_bce:.10g}"]
-            )
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["step", "total", "dice", "mask_bce", "iou_head", "occ_bce"])
+    for pt in curve:
+        writer.writerow(
+            [pt.step, f"{pt.total:.10g}", f"{pt.dice:.10g}", f"{pt.mask_bce:.10g}",
+             f"{pt.iou_head:.10g}", f"{pt.occlusion_bce:.10g}"]
+        )
+    write_regular_file(path, text.getvalue().encode())
 
 
 def scene_losses(
@@ -213,118 +216,99 @@ def scene_losses(
     return per_stage
 
 
-def gradient_check_report(
-    coords_per_param: int = 4,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Max relative finite-difference error for every primitive, the fused
-    attention heads (one and several per node) and the composed single-stage
-    frame loss at toy dims (8x8 frames, model dim 8).
+# The largest relative error a gradient check may show; fixed, never tuned to a result.
+GRAD_CHECK_BOUND = 1e-4
 
-    All entries should come in below 1e-4 in 64-bit floats.
-    """
-    rng = np.random.default_rng(seed)
-    report: dict[str, float] = {}
 
-    def check(name: str, loss: Tensor, params) -> None:
-        report[name] = ad.grad_check(loss, params, max_coords_per_param=coords_per_param,
-                                     seed=seed + len(report))
+def _leaf(rng: np.random.Generator, shape, name: Optional[str] = None, scale=1.0, shift=0.0) -> Tensor:
+    """Normal draws times `scale` plus `shift`; a named leaf is a checked parameter."""
+    return ad.tensor(rng.normal(size=shape) * scale + shift, name=name)
 
-    def leaf(shape, label):
-        return ad.tensor(rng.normal(size=shape), name=label)
 
-    a = leaf((3, 4), "a")
-    check("add", ad.sum_all(ad.add(a, leaf((3, 4), "b"))), [a])
-    m = leaf((3, 4), "m")
-    check("multiply", ad.sum_all(ad.multiply(m, leaf((3, 4), "b"))), [m])
-    s = leaf((2, 3), "s")
-    check("subtract", ad.sum_all(ad.subtract(s, leaf((2, 3), "b"))), [s])
-    dnum = leaf((3, 3), "dnum")
-    dden = ad.tensor(rng.normal(size=(3, 3)) + 3.0, name="dden")
-    check("divide", ad.sum_all(ad.divide(dnum, dden)), [dnum, dden])
-    mm = leaf((3, 4), "mm")
-    check("matmul", ad.sum_all(ad.matmul(mm, leaf((4, 2), "b"))), [mm])
-    rs = leaf((2, 6), "rs")
-    check("reshape", ad.sum_all(ad.multiply(ad.reshape(rs, (3, 4)), leaf((3, 4), "b"))), [rs])
-    c1, c2 = leaf((2, 3), "c1"), leaf((2, 3), "c2")
-    check("concat", ad.sum_all(ad.multiply(ad.concat([c1, c2], axis=0), leaf((4, 3), "b"))), [c1, c2])
-    nr = leaf((4, 6), "nr")
-    check("narrow", ad.sum_all(ad.multiply(ad.narrow(nr, 1, 1, 3), leaf((4, 3), "b"))), [nr])
-    sa = leaf((3, 5), "sa")
-    check("sum_axis", ad.sum_all(ad.multiply(ad.sum_axis(sa, 1, keepdims=True), leaf((3, 1), "b"))), [sa])
-    me = leaf((4, 4), "me")
-    check("mean_all", ad.mean_all(ad.multiply(me, me)), [me])
-    th = leaf((3, 3), "th")
-    check("tanh", ad.sum_all(ad.tanh(th)), [th])
-    sg = leaf((3, 3), "sg")
-    check("sigmoid", ad.sum_all(ad.sigmoid(sg)), [sg])
-    ab = ad.tensor(rng.normal(size=(3, 3)) + 0.5, name="ab")
-    check("abs", ad.sum_all(ad.abs_(ab)), [ab])
-    sm = leaf((3, 5), "sm")
-    check("softmax", ad.sum_all(ad.multiply(ad.softmax(sm, axis=-1), leaf((3, 5), "b"))), [sm])
-    bl = leaf((4, 4), "bl")
-    check("bce_with_logits", ad.mean_all(ad.bce_with_logits(bl, ad.tensor(rng.random((4, 4))))), [bl])
-    lw = leaf((4, 2), "lw")
-    lb = leaf((2,), "lb")
-    check("linear", ad.sum_all(ad.tanh(ad.linear(leaf((3, 4), "x"), lw, lb))), [lw, lb])
-    att = ad.AttentionParams(
-        wq=leaf((4, 4), "wq"), wk=leaf((4, 4), "wk"), wv=leaf((4, 4), "wv"), wo=leaf((4, 4), "wo")
-    )
-    ax = leaf((3, 4), "ax")
-    att_out = ad.attention(ax, ax, ax, att, num_heads=2)
-    check("attention", ad.mean_all(ad.multiply(att_out, att_out)),
-          [att.wq, att.wk, att.wv, att.wo, ax])
+def _probe(rng: np.random.Generator, node: Tensor) -> Tensor:
+    """sum(node * r) for a random constant r: a loss with a random gradient at node."""
+    return ad.sum_all(ad.multiply(node, _leaf(rng, node.shape)))
 
-    check("quadratic_linear", *_quadratic_linear_graph())
 
-    # composed: one full stage plus the routed frame loss at toy dims
-    cfg = PipelineConfig(
-        num_stages=1, clip_len=4, patch_size=4, model_dim=8, num_heads=2,
-        stage_weights=(1.0,), seed=seed,
-    )
+def _attention(rng: np.random.Generator) -> Tensor:
+    x = _leaf(rng, (3, 4), "x")
+    out = ad.attention(x, x, x, ad.AttentionParams(*(_leaf(rng, (4, 4), f"w{p}") for p in "qkvo")), 2)
+    return ad.mean_all(ad.multiply(out, out))
+
+
+def _weighted_attention_head(rng: np.random.Generator) -> Tensor:
+    """One memory head over three scalar-weighted key/value sets of different lengths."""
+    keys = [_leaf(rng, (n, 4), f"k{i}") for i, n in enumerate((2, 4, 3))]
+    values = [_leaf(rng, (n, 4), f"v{i}") for i, n in enumerate((2, 4, 3))]
+    weights = [ad.tensor(w, name=f"w{i}") for i, w in enumerate((1.0, 0.3, 1.7))]
+    return _probe(rng, ad.weighted_attention_head(_leaf(rng, (3, 4), "q"), keys, values, weights, 2, 2))
+
+
+def _stage_frame_loss(rng: np.random.Generator) -> Tensor:
+    """One pipeline stage and its routed frame losses on 8x8 frames at model dim 8."""
+    cfg = PipelineConfig(num_stages=1, clip_len=4, patch_size=4, model_dim=8, num_heads=2,
+                         stage_weights=(1.0,), seed=int(rng.integers(2**31)))
     store = seeded_init(param_shapes(cfg), cfg.seed)
-    frame_rng = np.random.default_rng(seed + 1)
-    frames = [frame_rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8) for _ in range(3)]
-    gt_grid = (frame_rng.random((8, 8)) < 0.4).astype(np.uint8)
+    frames = [rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8) for _ in range(3)]
+    gt_grid = (rng.random((8, 8)) < 0.4).astype(np.uint8)
     gt_grid[0, 0] = 1
-    gt_mask = rle_encode(gt_grid)
-    query_feats = encode_frame(frames[0], cfg, store)
-    gt_counts = mask_patch_counts(gt_mask, cfg.patch_size)
-    init_entry = encode_memory(query_feats, gt_counts / cfg.patch_size**2, store)
+    gt_counts = mask_patch_counts(rle_encode(gt_grid), cfg.patch_size)
+    init_entry = encode_memory(encode_frame(frames[0], cfg, store), gt_counts / cfg.patch_size**2, store)
     out = run_stage(frames, MemoryBank((init_entry,)), cfg, store, is_final=True)
-    losses = [frame_loss(fc, gt_counts if fc.frame_index != 1 else None, cfg)
-              for fc in out.candidates]
-    node, _ = total_loss([losses], (1.0,))
-    report["stage_frame_loss"] = ad.grad_check(
-        node, store.params, max_coords_per_param=coords_per_param, seed=seed
-    )
-
-    # the fused attention heads, checked last so the entries above keep their inputs
-    hq, hk, hv = leaf((3, 4), "hq"), leaf((5, 4), "hk"), leaf((5, 4), "hv")
-    head = ad.attention_head(hq, hk, hv, 1, 2)
-    check("attention_head", ad.sum_all(ad.multiply(head, leaf((3, 2), "b"))), [hq, hk, hv])
-    mq = leaf((3, 4), "mq")
-    mkeys = [leaf((n, 4), f"mk{i}") for i, n in enumerate((2, 4, 3))]
-    mvalues = [leaf((n, 4), f"mv{i}") for i, n in enumerate((2, 4, 3))]
-    mweights = [ad.tensor(w, name=f"mw{i}") for i, w in enumerate((1.0, 0.3, 1.7))]
-    mem = ad.weighted_attention_head(mq, mkeys, mvalues, mweights, 2, 2)
-    check("memory_attention", ad.sum_all(ad.multiply(mem, leaf((3, 2), "b"))),
-          [mq, *mkeys, *mvalues, *mweights])
-    # all heads in one node; appended last for the same reason
-    aq, ak, av = leaf((3, 6), "aq"), leaf((5, 6), "ak"), leaf((5, 6), "av")
-    heads = ad.attention_heads(aq, ak, av, [slice(0, 2), slice(2, 4), slice(4, 6)])
-    check("attention_heads", ad.sum_all(ad.multiply(heads, leaf((3, 6), "b"))), [aq, ak, av])
-    return report
+    losses = [frame_loss(fc, gt_counts if fc.frame_index != 1 else None, cfg) for fc in out.candidates]
+    return total_loss([losses], (1.0,))[0]
 
 
-def _quadratic_linear_graph():
-    """Quadratic loss on a linear layer; its gradient is known in closed form."""
-    rng = np.random.default_rng(17)
-    w = ad.tensor(rng.normal(size=(4, 3)), name="w")
-    b = ad.tensor(rng.normal(size=3), name="b")
-    x = ad.tensor(rng.normal(size=(5, 4)))
-    y = ad.linear(x, w, b)
-    return ad.sum_all(ad.multiply(y, y)), [w, b]
+# Every op and fused node the model trains through, and one pipeline stage
+# composed of them: name -> graph(rng) -> scalar loss.
+GRADIENT_CHECKS: dict[str, Callable[[np.random.Generator], Tensor]] = {
+    "add": lambda r: ad.sum_all(ad.add(_leaf(r, (3, 4), "a"), _leaf(r, (3, 4), "b"))),
+    "add_broadcast": lambda r: ad.sum_all(ad.add(_leaf(r, (3, 4), "a"), _leaf(r, (4,), "b"))),
+    "subtract": lambda r: ad.sum_all(ad.subtract(_leaf(r, (2, 5), "a"), _leaf(r, (2, 5), "b"))),
+    "multiply": lambda r: ad.sum_all(ad.multiply(_leaf(r, (3, 3), "a"), _leaf(r, (3, 3), "b"))),
+    "divide": lambda r: ad.sum_all(ad.divide(_leaf(r, (3, 3), "a"), _leaf(r, (3, 3), "b", shift=3.0))),
+    "scale": lambda r: _probe(r, ad.scale(_leaf(r, (4,), "a"), -2.5)),
+    "matmul": lambda r: _probe(r, ad.matmul(_leaf(r, (3, 4), "a"), _leaf(r, (4, 2), "b"))),
+    "reshape": lambda r: _probe(r, ad.reshape(_leaf(r, (2, 6), "a"), (3, 4))),
+    "concat": lambda r: _probe(r, ad.concat([_leaf(r, (2, 3), "a"), _leaf(r, (2, 3), "b")], axis=0)),
+    "narrow": lambda r: _probe(r, ad.narrow(_leaf(r, (4, 6), "a"), 1, 2, 3)),
+    "sum_axis": lambda r: _probe(r, ad.sum_axis(_leaf(r, (3, 5), "a"), 1, keepdims=True)),
+    "mean_axis": lambda r: _probe(r, ad.mean_axis(_leaf(r, (3, 5), "a"), 0)),
+    "mean_all": lambda r: ad.mean_all(ad.multiply(a := _leaf(r, (4, 4), "a"), a)),
+    "tanh": lambda r: ad.sum_all(ad.tanh(_leaf(r, (3, 3), "a", scale=2.0))),
+    "sigmoid": lambda r: ad.sum_all(ad.sigmoid(_leaf(r, (3, 3), "a", scale=3.0))),
+    "abs": lambda r: ad.sum_all(ad.abs_(_leaf(r, (3, 3), "a", shift=0.5))),
+    "softmax": lambda r: _probe(r, ad.softmax(_leaf(r, (3, 5), "a", scale=2.0), axis=-1)),
+    "bce_with_logits": lambda r: ad.mean_all(ad.bce_with_logits(_leaf(r, (4, 4), "a", scale=2.0),
+                                                                ad.tensor(r.random((4, 4)), name="z"))),
+    "linear": lambda r: ad.sum_all(ad.tanh(ad.linear(_leaf(r, (3, 4), "x"), _leaf(r, (4, 2), "w"),
+                                                     _leaf(r, (2,), "b")))),
+    # a quadratic loss on a linear layer: its gradient is known in closed form
+    "quadratic_linear": lambda r: ad.sum_all(ad.multiply(
+        y := ad.linear(_leaf(r, (5, 4)), _leaf(r, (4, 3), "w"), _leaf(r, (3,), "b")), y)),
+    "attention": _attention,
+    "attention_heads": lambda r: _probe(r, ad.attention_heads(
+        _leaf(r, (3, 6), "q"), _leaf(r, (5, 6), "k"), _leaf(r, (5, 6), "v"),
+        [slice(0, 2), slice(2, 4), slice(4, 6)])),
+    "weighted_attention_head": _weighted_attention_head,
+    "stage_frame_loss": _stage_frame_loss,
+}
+
+
+def check_graph(graph: Callable[[np.random.Generator], Tensor], name: str,
+                seed: int = 0, coords_per_param: int = 4) -> float:
+    """`autodiff.grad_check` of `graph` over its named leaves, built on a generator
+    seeded by `seed` and `name` alone, so that no check depends on those before it."""
+    loss = graph(np.random.default_rng([seed, zlib.crc32(name.encode())]))
+    params = [node for node in ad.trace(loss) if node.name is not None and not node.parents]
+    return ad.grad_check(loss, params, max_coords_per_param=coords_per_param, seed=seed)
+
+
+def gradient_check_report(coords_per_param: int = 4, seed: int = 0) -> dict[str, float]:
+    """Max relative finite-difference error of every graph in GRADIENT_CHECKS;
+    each should come in below GRAD_CHECK_BOUND in 64-bit floats."""
+    return {name: check_graph(graph, name, seed, coords_per_param)
+            for name, graph in GRADIENT_CHECKS.items()}
 
 
 def overfit_train(

@@ -11,40 +11,19 @@ from vqs.masks import Masklet, ResponseSet, RleMask, rle_encode
 
 def gradcheck_with_noise_floor(loss, params, coords_per_param=2, h=1e-5, seed=0,
                                rtol=1e-4, atol=5e-9):
-    """Central-difference check passing on relative OR absolute agreement.
+    """`autodiff.finite_differences` over a dict of named parameters, passing
+    on relative OR absolute agreement.
 
     Coordinates whose true gradient sits near the finite-difference noise
     floor (|f|*eps/h, around 1e-10 here) cannot meet a purely relative bound,
     so absolute agreement within atol also counts. Returns failure tuples.
     """
-    if isinstance(params, dict):
-        params = list(params.items())
-    else:
-        params = [(p.name or str(i), p) for i, p in enumerate(params)]
-    record = ad.backward(loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
-        for name, p in params
-    }
-    rng = np.random.default_rng(seed)
+    names = {id(p): name for name, p in params.items()}
     failures = []
-    for name, p in params:
-        n = p.value.size
-        for flat_idx in rng.permutation(n)[: min(coords_per_param, n)]:
-            orig = p.value.flat[flat_idx]
-            p.value.flat[flat_idx] = orig + h
-            ad.replay(record)
-            f_plus = float(loss.value)
-            p.value.flat[flat_idx] = orig - h
-            ad.replay(record)
-            f_minus = float(loss.value)
-            p.value.flat[flat_idx] = orig
-            gn = (f_plus - f_minus) / (2 * h)
-            ga = float(analytic[name].flat[flat_idx])
-            rel = abs(ga - gn) / max(1e-8, abs(ga) + abs(gn))
-            if rel >= rtol and abs(ga - gn) >= atol:
-                failures.append((name, int(flat_idx), ga, gn, rel))
-    ad.replay(record)
+    for p, flat_idx, ga, gn in ad.finite_differences(loss, list(params.values()), coords_per_param, h, seed):
+        rel = abs(ga - gn) / max(1e-8, abs(ga) + abs(gn))
+        if rel >= rtol and abs(ga - gn) >= atol:
+            failures.append((names[id(p)], flat_idx, ga, gn, rel))
     return failures
 
 

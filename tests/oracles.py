@@ -165,7 +165,6 @@ def exp(a):
     return ad._node(lambda: np.exp(a.value), (a,), lambda g, y: (g * y,))
 
 
-
 def composed_attention_head(q, k, v, start, length):
     qs = ad.narrow(q, 1, start, length)
     ks = ad.narrow(k, 1, start, length)
@@ -174,15 +173,20 @@ def composed_attention_head(q, k, v, start, length):
     return ad.matmul(ad.softmax(scores, axis=-1), vs)
 
 
+def composed_attention_heads(q, k, v, heads):
+    """Drop-in for `autodiff.attention_heads`: one composed head per column slice, side by side."""
+    outs = [composed_attention_head(q, k, v, cols.start, cols.stop - cols.start) for cols in heads]
+    return ad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
+
+
 def composed_attention(q_in, k_in, v_in, params, num_heads):
     """Drop-in for `autodiff.attention`."""
     d_head = q_in.value.shape[-1] // num_heads
     q = ad.matmul(q_in, params.wq)
     k = ad.matmul(k_in, params.wk)
     v = ad.matmul(v_in, params.wv)
-    heads = [composed_attention_head(q, k, v, h * d_head, d_head) for h in range(num_heads)]
-    merged = ad.concat(heads, axis=1) if len(heads) > 1 else heads[0]
-    return ad.matmul(merged, params.wo)
+    heads = [slice(h * d_head, (h + 1) * d_head) for h in range(num_heads)]
+    return ad.matmul(composed_attention_heads(q, k, v, heads), params.wo)
 
 
 def composed_weighted_attention_head(q, keys, values, weights, start, length):

@@ -31,7 +31,7 @@ from vqs.pipeline import (
     tfg_select,
 )
 from vqs.synth import SceneConfig, generate_scene
-from vqs.training import TrainConfig, gradient_check_report, overfit_train
+from vqs.training import GRAD_CHECK_BOUND, TrainConfig, gradient_check_report, overfit_train
 
 from .helpers import block_mask, perturb_response
 from .oracles import brute_report
@@ -209,7 +209,7 @@ class TestCriterion7GradientChecks:
         report = gradient_check_report(coords_per_param=4, seed=0)
         elapsed = time.time() - t0
         worst_name = max(report, key=report.get)
-        ok = all(v < 1e-4 for v in report.values()) and elapsed < 300
+        ok = all(v < GRAD_CHECK_BOUND for v in report.values()) and elapsed < 300
         verdict(7, "gradient checks", ok,
                 f"{len(report)} checks, worst {worst_name}={report[worst_name]:.2e}, {elapsed:.1f}s")
 

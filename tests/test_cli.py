@@ -621,6 +621,35 @@ class TestFifoInput:
         assert one_json_error_line(proc.stderr) == f"{fifo}: no readable regular file"
 
 
+class TestFifoOutput:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("command, victim", [
+        ("gen", "run_config.json"),
+        ("infer", "p.json"), ("infer", "p.json.config.json"),
+        ("train", "t.ckpt"), ("train", "t.ckpt.config.json"), ("train", "curve.csv"),
+        ("eval", "r.json"), ("eval", "r.csv"), ("eval", "r.json.config.json"),
+        ("stats", "s.json"), ("stats", "s.json.config.json"),
+    ])
+    def test_fifo_rejected(self, two_videos, tmp_path, command, victim):
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / victim)  # opening it for writing would wait for a reader
+        pred = tmp_path / "pred.json"  # the ground truth itself
+        pred.write_text(json.dumps([json.loads((two_videos / entry["gt"]).read_text())
+                                    for entry in load_manifest(two_videos)["scenes"]]))
+        argv = {
+            "gen": ["gen", "--scenes", 1, "--frames", "4:4", "--frame-sizes", "16x16", "--out", out],
+            "infer": ["infer", "--data", two_videos, "--model-dim", 16, "--out", out / "p.json"],
+            "train": ["train", "--data", two_videos, "--model-dim", 16, "--steps", 1,
+                      "--ckpt-out", out / "t.ckpt", "--curve-out", out / "curve.csv"],
+            "eval": ["eval", "--gt", two_videos, "--pred", pred, "--out", out / "r.json"],
+            "stats": ["stats", "--data", two_videos, "--out", out / "s.json"],
+        }[command]
+        proc = run_module(*argv, timeout=60)
+        assert proc.returncode == 1
+        assert one_json_error_line(proc.stderr) == f"{out / victim}: no writable regular file"
+
+
 class TestScorePreflight:
     @pytest.mark.parametrize("command", ["infer", "train"])
     def test_oversized_attention_rejected(self, two_videos, tmp_path, capsys, monkeypatch, command):

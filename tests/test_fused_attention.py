@@ -30,7 +30,7 @@ from vqs.training import gt_patch_counts, scene_losses, total_loss
 
 from .oracles import (
     composed_attention,
-    composed_attention_head,
+    composed_attention_heads,
     composed_memory_attention,
     composed_weighted_attention_head,
 )
@@ -69,6 +69,17 @@ def run_heads(head_fn, rng_seed, build, moved=None):
     return [h.value for h in heads], list(grads_of(loss, parents))
 
 
+def attention_heads_builder(shapes, num_heads):
+    """`num_heads` heads of equal width over q, k and v of the given shapes, in one node."""
+
+    def build(heads_fn, rng):
+        q, k, v = leaves(rng, shapes, "qkv")
+        d_head = shapes[0][1] // num_heads
+        return [heads_fn(q, k, v, [slice(h * d_head, (h + 1) * d_head) for h in range(num_heads)])], [q, k, v]
+
+    return build
+
+
 def compare(fused, composed, label):
     (f_values, f_grads), (c_values, c_grads) = fused, composed
     for h, (fv, cv) in enumerate(zip(f_values, c_values)):
@@ -79,16 +90,10 @@ def compare(fused, composed, label):
 
 @pytest.mark.parametrize("num_heads", [1, 2])
 def test_attention_head_matches_composed(num_heads):
-    d = 4 * num_heads
-    d_head = d // num_heads
-
-    def build(head_fn, rng):
-        q, k, v = leaves(rng, [(7, d), (9, d), (9, d)], "qkv")
-        heads = [head_fn(q, k, v, h * d_head, d_head) for h in range(num_heads)]
-        return heads, [q, k, v]
-
-    compare(run_heads(ad.attention_head, 5, build),
-            run_heads(composed_attention_head, 5, build), f"{num_heads} heads")
+    # more keys than queries: the score matrices are not square
+    build = attention_heads_builder([(7, 4 * num_heads), (9, 4 * num_heads), (9, 4 * num_heads)], num_heads)
+    compare(run_heads(ad.attention_heads, 5, build),
+            run_heads(composed_attention_heads, 5, build), f"{num_heads} heads")
 
 
 @pytest.mark.parametrize("num_heads", [1, 2])
@@ -204,16 +209,11 @@ def test_weighted_attention_head_matches_composed(row_counts, weight_values, sha
             run_heads(composed_weighted_attention_head, 13, build), f"{len(row_counts)} entries")
 
 
-def attention_head_builder(head_fn, rng):
-    q, k, v = leaves(rng, [(7, 8), (9, 8), (9, 8)], "qkv")
-    return [head_fn(q, k, v, h * 4, 4) for h in range(2)], [q, k, v]
-
-
 @pytest.mark.parametrize("fused, composed, build", [
-    (ad.attention_head, composed_attention_head, attention_head_builder),
+    (ad.attention_heads, composed_attention_heads, attention_heads_builder([(7, 8), (9, 8), (9, 8)], 2)),
     (ad.weighted_attention_head, composed_weighted_attention_head,
      memory_head_builder((5, 3, 4), (0.5, 0.2, 0.3), (1, 2))),
-], ids=["attention_head", "weighted_attention_head"])
+], ids=["attention_heads", "weighted_attention_head"])
 def test_backward_after_replay_matches_composed(fused, composed, build):
     # replay refreshes the intermediates a fused VJP reads, so after the
     # leaves move the gradients still equal the replayed composed graph's
@@ -269,10 +269,10 @@ def test_weighted_attention_replay_keeps_shift_frozen():
 def test_fused_heads_save_nothing_without_record():
     rng = np.random.default_rng(6)
     q, k, v = leaves(rng, [(4, 4), (5, 4), (5, 4)], "qkv")
-    recorded = [ad.attention_head(q, k, v, 2, 2),
+    recorded = [ad.attention_heads(q, k, v, [slice(2, 4)]),
                 ad.weighted_attention_head(q, [k], [v], [tensor(1.0)], 2, 2)]
     with ad.no_record():
-        unrecorded = [ad.attention_head(q, k, v, 2, 2),
+        unrecorded = [ad.attention_heads(q, k, v, [slice(2, 4)]),
                       ad.weighted_attention_head(q, [k], [v], [tensor(1.0)], 2, 2)]
     for node, reference in zip(unrecorded, recorded):
         assert node.parents == () and node._fwd is None and node._vjp is None

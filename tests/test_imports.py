@@ -1,5 +1,6 @@
 """Every name a `vqs` module imports is used in that module, and every function,
-class and method `vqs` defines is referenced somewhere in the project."""
+class and method `vqs` defines is referenced by `vqs` itself or by perfbench, not
+only by the tests."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vqs"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-# the console-script entry point, called from pyproject.toml
-ENTRY_POINTS = {("cli.py", "main")}
+# Definitions that neither src nor perfbench names in code, each with the reason it stays.
+KEPT_UNREFERENCED = {
+    ("masks.py", "mask_iou"): "perfbench's TRACED wraps it by name, given as a string",
+    ("pipeline.py", "amg_weights"): "reserved for the decision trace of the AMG weights (ROADMAP item 3)",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -73,8 +77,11 @@ def test_detector_finds_an_unreferenced_definition():
 
 
 def test_every_definition_is_referenced():
-    files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    # a definition only the tests name is dead code that the tests keep alive
+    files = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     refs = referenced_names([p.read_text() for p in files])
-    dead = [f"{path.name}:{line}: {name}" for path in MODULES for name, line in definitions(path.read_text())
-            if name not in refs and (path.name, name) not in ENTRY_POINTS]
+    defined = {(path.name, name): line for path in MODULES for name, line in definitions(path.read_text())}
+    dead = [f"{path}:{line}: {name}" for (path, name), line in defined.items()
+            if name not in refs and (path, name) not in KEPT_UNREFERENCED]
     assert dead == []
+    assert [key for key in KEPT_UNREFERENCED if key not in defined] == []

@@ -17,7 +17,14 @@ from vqs.optim import (
 )
 from vqs.pipeline import PipelineConfig, init_params
 from vqs.synth import SceneConfig, generate_scene
-from vqs.training import gt_patch_counts, scene_losses, total_loss
+from vqs.training import (
+    GRAD_CHECK_BOUND,
+    GRADIENT_CHECKS,
+    check_graph,
+    gt_patch_counts,
+    scene_losses,
+    total_loss,
+)
 
 from . import oracles
 
@@ -173,57 +180,13 @@ class TestBackward:
         assert float(loss.value) == pytest.approx(104.0)
 
 
-PRIMITIVE_GRAPHS = {
-    "add": lambda r: ad.sum_all(ad.add(tensor(r.normal(size=(3, 4)), name="p"), tensor(r.normal(size=(3, 4))))),
-    "add_broadcast": lambda r: ad.sum_all(ad.add(tensor(r.normal(size=(3, 4)), name="p"), tensor(r.normal(size=4)))),
-    "subtract": lambda r: ad.sum_all(ad.subtract(tensor(r.normal(size=(2, 5)), name="p"), tensor(r.normal(size=(2, 5))))),
-    "multiply": lambda r: ad.sum_all(ad.multiply(tensor(r.normal(size=(3, 3)), name="p"), tensor(r.normal(size=(3, 3))))),
-    "divide": lambda r: ad.sum_all(ad.divide(tensor(r.normal(size=(3, 3)), name="p"), tensor(r.normal(size=(3, 3)) + 3.0))),
-    "scale": lambda r: ad.sum_all(ad.scale(tensor(r.normal(size=(4,)), name="p"), -2.5)),
-    "matmul": lambda r: ad.sum_all(ad.matmul(tensor(r.normal(size=(3, 4)), name="p"), tensor(r.normal(size=(4, 2))))),
+# the gradient-check report's graphs, plus graphs of the two nodes that only
+# the oracles define
+GRAPHS = {
+    **GRADIENT_CHECKS,
     "transpose": lambda r: ad.sum_all(ad.multiply(oracles.transpose(tensor(r.normal(size=(2, 3)), name="p")), tensor(r.normal(size=(3, 2))))),
-    "reshape": lambda r: ad.sum_all(ad.multiply(ad.reshape(tensor(r.normal(size=(2, 6)), name="p"), (3, 4)), tensor(r.normal(size=(3, 4))))),
-    "concat": lambda r: ad.sum_all(ad.multiply(ad.concat([tensor(r.normal(size=(2, 3)), name="p"), tensor(r.normal(size=(2, 3)))], axis=0), tensor(r.normal(size=(4, 3))))),
-    "narrow": lambda r: ad.sum_all(ad.multiply(ad.narrow(tensor(r.normal(size=(4, 6)), name="p"), 1, 2, 3), tensor(r.normal(size=(4, 3))))),
-    "sum_axis": lambda r: ad.sum_all(ad.multiply(ad.sum_axis(tensor(r.normal(size=(3, 5)), name="p"), 1, keepdims=True), tensor(r.normal(size=(3, 1))))),
-    "mean_axis": lambda r: ad.sum_all(ad.multiply(ad.mean_axis(tensor(r.normal(size=(3, 5)), name="p"), 0), tensor(r.normal(size=5)))),
-    "mean_all": lambda r: ad.mean_all(ad.multiply(tensor(r.normal(size=(4, 4)), name="p"), tensor(r.normal(size=(4, 4))))),
     "exp": lambda r: ad.sum_all(oracles.exp(tensor(r.normal(size=(3, 3)), name="p"))),
-    "tanh": lambda r: ad.sum_all(ad.tanh(tensor(r.normal(size=(3, 3)) * 2, name="p"))),
-    "sigmoid": lambda r: ad.sum_all(ad.sigmoid(tensor(r.normal(size=(3, 3)) * 3, name="p"))),
-    "abs": lambda r: ad.sum_all(ad.abs_(tensor(r.normal(size=(3, 3)) + 0.5, name="p"))),
-    "softmax": lambda r: ad.sum_all(ad.multiply(ad.softmax(tensor(r.normal(size=(3, 5)) * 2, name="p"), axis=-1), tensor(r.normal(size=(3, 5))))),
-    "bce_with_logits": lambda r: ad.mean_all(ad.bce_with_logits(tensor(r.normal(size=(4, 4)) * 2, name="p"), tensor(r.random((4, 4))))),
-    "linear": lambda r: ad.sum_all(ad.tanh(ad.linear(tensor(r.normal(size=(3, 4))), tensor(r.normal(size=(4, 2)), name="p"), tensor(r.normal(size=2))))),
 }
-
-
-def _attention_graph(r):
-    d = 4
-    params = AttentionParams(
-        wq=tensor(r.normal(size=(d, d)), name="wq"),
-        wk=tensor(r.normal(size=(d, d)), name="wk"),
-        wv=tensor(r.normal(size=(d, d)), name="wv"),
-        wo=tensor(r.normal(size=(d, d)), name="wo"),
-    )
-    x = tensor(r.normal(size=(3, d)), name="x")
-    out = ad.attention(x, x, x, params, num_heads=2)
-    loss = ad.mean_all(ad.multiply(out, out))
-    return loss, [params.wq, params.wk, params.wv, params.wo, x]
-
-
-def _attention_head_graph(r):
-    q, k, v = (tensor(r.normal(size=shape), name=n) for n, shape in zip("qkv", [(4, 6), (5, 6), (5, 6)]))
-    return ad.sum_all(ad.multiply(ad.attention_head(q, k, v, 2, 3), tensor(r.normal(size=(4, 3)))))
-
-
-def _weighted_attention_head_graph(r):
-    q = tensor(r.normal(size=(4, 6)), name="q")
-    keys = [tensor(r.normal(size=(5, 6)), name=f"k{i}") for i in range(2)]
-    values = [tensor(r.normal(size=(5, 6)), name=f"v{i}") for i in range(2)]
-    weights = [tensor(0.7, name="w0"), tensor(0.3, name="w1")]
-    head = ad.weighted_attention_head(q, keys, values, weights, 2, 3)
-    return ad.sum_all(ad.multiply(head, tensor(r.normal(size=(4, 3)))))
 
 
 def _stage_loss_graph(r):
@@ -238,19 +201,12 @@ def _stage_loss_graph(r):
     return node
 
 
-REPLAY_GRAPHS = {
-    **PRIMITIVE_GRAPHS,
-    "attention_head": _attention_head_graph,
-    "weighted_attention_head": _weighted_attention_head_graph,
-    "stage_loss": _stage_loss_graph,
-}
-
-
 class TestReplay:
-    @pytest.mark.parametrize("name", sorted(REPLAY_GRAPHS))
+    @pytest.mark.parametrize("name", sorted([*GRAPHS, "stage_loss"]))
     def test_replay_reproduces_every_value(self, name):
         # each node's value and its replay come from the one forward closure
-        loss = REPLAY_GRAPHS[name](np.random.default_rng(zlib.crc32(name.encode())))
+        graph = _stage_loss_graph if name == "stage_loss" else GRAPHS[name]
+        loss = graph(np.random.default_rng(zlib.crc32(name.encode())))
         record = ad.trace(loss)
         leaves = {str(i): n for i, n in enumerate(record) if not n.parents}
         values = [n.value.copy() for n in record]
@@ -265,28 +221,13 @@ class TestReplay:
 
 
 class TestGradCheck:
-    @pytest.mark.parametrize("name", sorted(PRIMITIVE_GRAPHS))
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_primitives(self, name):
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
-        loss = PRIMITIVE_GRAPHS[name](rng)
-        record = ad.trace(loss)
-        leaves = [n for n in record if not n.parents]
-        err = ad.grad_check(loss, leaves, max_coords_per_param=6, seed=1)
-        assert err < 1e-4, f"{name}: {err}"
-
-    def test_attention_composite(self):
-        loss, params = _attention_graph(np.random.default_rng(11))
-        err = ad.grad_check(loss, params, max_coords_per_param=8, seed=2)
-        assert err < 1e-4
+        err = check_graph(GRAPHS[name], name, seed=1, coords_per_param=6)
+        assert err < GRAD_CHECK_BOUND, f"{name}: {err}"
 
     def test_quadratic_on_linear_tight(self):
-        rng = np.random.default_rng(3)
-        w = tensor(rng.normal(size=(4, 3)), name="w")
-        b = tensor(rng.normal(size=3), name="b")
-        x = tensor(rng.normal(size=(5, 4)))
-        y = ad.linear(x, w, b)
-        loss = ad.sum_all(ad.multiply(y, y))
-        err = ad.grad_check(loss, [w, b], max_coords_per_param=12)
+        err = check_graph(GRADIENT_CHECKS["quadratic_linear"], "quadratic_linear", coords_per_param=12)
         assert err < 1e-7
 
     def test_empty_param_set(self):
@@ -305,12 +246,12 @@ class TestNoRecord:
         assert node._vjp is None and node._fwd is None
         assert np.array_equal(node.value, recorded.value)
 
-    @pytest.mark.parametrize("name", sorted(PRIMITIVE_GRAPHS))
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_values_match_recorded(self, name):
         seed = zlib.crc32(name.encode())
-        recorded = PRIMITIVE_GRAPHS[name](np.random.default_rng(seed))
+        recorded = GRAPHS[name](np.random.default_rng(seed))
         with ad.no_record():
-            unrecorded = PRIMITIVE_GRAPHS[name](np.random.default_rng(seed))
+            unrecorded = GRAPHS[name](np.random.default_rng(seed))
         assert np.array_equal(unrecorded.value, recorded.value)
         assert ad.trace(unrecorded) == [unrecorded]
         assert unrecorded._fwd is None and unrecorded._vjp is None

@@ -21,6 +21,7 @@ from vqs.synth import (
     read_ppm,
     validate_manifest,
     write_ppm,
+    write_regular_file,
 )
 
 from .helpers import bytes_read
@@ -74,6 +75,20 @@ class TestPpm:
         path.write_bytes(b"P5\n2 2\n255\nxxxx")
         with pytest.raises(ValueError):
             read_ppm(path)
+
+
+class TestWriteRegularFile:
+    def test_replaces_a_longer_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 100)
+        write_regular_file(path, b"ab")
+        assert path.read_bytes() == b"ab"
+
+    @pytest.mark.parametrize("victim", ["directory", "missing parent"])
+    def test_refuses_what_it_cannot_write(self, tmp_path, victim):
+        path = tmp_path if victim == "directory" else tmp_path / "no" / "out.json"
+        with pytest.raises(FileNotFoundError, match="no writable regular file"):
+            write_regular_file(path, b"ab")
 
 
 class TestGenerateScene:
