@@ -15,6 +15,7 @@ Per-scene seeds derive from the master seed with a splitmix64-style mixer
 from __future__ import annotations
 
 import colorsys
+import errno
 import hashlib
 import json
 import math
@@ -138,11 +139,13 @@ def regular_file_bytes(path: str | Path) -> bytes:
 def write_regular_file(path: str | Path, data: bytes) -> None:
     """Write `data` to `path`, created or truncated as by open(path, "wb");
     FileNotFoundError unless it is a regular file, so that a FIFO or a device
-    in its place never blocks."""
+    in its place never blocks. Any other failure to open names its reason."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
-    except OSError:
-        raise FileNotFoundError(f"{path}: no writable regular file") from None
+    except OSError as exc:
+        # ENXIO: a FIFO that no process reads
+        reason = "no writable regular file" if exc.errno == errno.ENXIO else exc.strerror
+        raise FileNotFoundError(f"{path}: {reason}") from None
     with open(fd, "wb") as fh:
         if not stat.S_ISREG(os.fstat(fd).st_mode):
             raise FileNotFoundError(f"{path}: no writable regular file")

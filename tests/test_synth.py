@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +86,19 @@ class TestWriteRegularFile:
         write_regular_file(path, b"ab")
         assert path.read_bytes() == b"ab"
 
-    @pytest.mark.parametrize("victim", ["directory", "missing parent"])
-    def test_refuses_what_it_cannot_write(self, tmp_path, victim):
+    @pytest.mark.parametrize("victim, reason", [
+        ("directory", os.strerror(errno.EISDIR)),
+        ("missing parent", os.strerror(errno.ENOENT)),
+    ])
+    def test_names_why_it_cannot_write(self, tmp_path, victim, reason):
         path = tmp_path if victim == "directory" else tmp_path / "no" / "out.json"
+        with pytest.raises(FileNotFoundError, match=f"^{re.escape(f'{path}: {reason}')}$"):
+            write_regular_file(path, b"ab")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_refuses_a_fifo(self, tmp_path):
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
         with pytest.raises(FileNotFoundError, match="no writable regular file"):
             write_regular_file(path, b"ab")
 
