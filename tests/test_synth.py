@@ -95,13 +95,6 @@ class TestWriteRegularFile:
         with pytest.raises(FileNotFoundError, match=f"^{re.escape(f'{path}: {reason}')}$"):
             write_regular_file(path, b"ab")
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_refuses_a_fifo(self, tmp_path):
-        path = tmp_path / "fifo"
-        os.mkfifo(path)
-        with pytest.raises(FileNotFoundError, match="no writable regular file"):
-            write_regular_file(path, b"ab")
-
 
 class TestGenerateScene:
     def test_full_timeline_single_occurrence(self):
