@@ -11,11 +11,13 @@ measure exactly the function the tape differentiates (all data-dependent
 choices stay frozen).
 
 Inside `no_record()` `_node` keeps only the value: no parents, no forward
-closure, no VJP. Inference (`pipeline.infer_video`) always runs
-that way, since it never calls `backward`; training and gradient checks
-record in full. A VJP receives its node's output value from `backward`
-instead of closing over the node, so no node refers to itself and reference
-counting frees a tape as soon as its last user drops it.
+closure, no VJP. Inference (`pipeline.infer_video`) always runs that way,
+since it never calls `backward`, and so on whole-clip blocks; training and
+gradient checks record in full, on one-frame blocks whose gradients sum
+frame by frame (`recording()` tells `pipeline.run_stage` which). A VJP
+receives its node's output value from `backward` instead of closing over
+the node, so no node refers to itself and reference counting frees a tape
+as soon as its last user drops it.
 
 Attention heads are fused nodes with hand-written VJPs: `attention_heads`
 for softmax self-attention, all heads of a block in one node, and
@@ -68,6 +70,11 @@ _recording: contextvars.ContextVar[bool] = contextvars.ContextVar(
 
 class NonFiniteValueError(FloatingPointError):
     """Raised when a forward pass produces inf or nan."""
+
+
+def recording() -> bool:
+    """Whether new nodes keep their parents, forward and VJP (False inside no_record())."""
+    return _recording.get()
 
 
 @contextlib.contextmanager
@@ -235,7 +242,7 @@ def tanh(a: Tensor) -> Tensor:
     return _node(lambda: np.tanh(a.value), (a,), lambda g, y: (g * (1.0 - y * y),))
 
 
-def _stable_sigmoid(x: Array) -> Array:
+def stable_sigmoid(x: Array) -> Array:
     """1 / (1 + exp(-x)) without overflow for large negative x."""
     pos = x >= 0
     z = np.empty_like(x)
@@ -246,7 +253,7 @@ def _stable_sigmoid(x: Array) -> Array:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    return _node(lambda: _stable_sigmoid(a.value), (a,), lambda g, y: (g * y * (1.0 - y),))
+    return _node(lambda: stable_sigmoid(a.value), (a,), lambda g, y: (g * y * (1.0 - y),))
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -275,7 +282,7 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     def vjp(g, y):
         x, z = logits.value, targets.value
         return (
-            _unbroadcast(g * (_stable_sigmoid(x) - z), x.shape),
+            _unbroadcast(g * (stable_sigmoid(x) - z), x.shape),
             _unbroadcast(g * (-x), z.shape),
         )
 
@@ -427,8 +434,8 @@ def weighted_attention_head(
         qs *= c
         kts = [k.value[:, cols].T.copy() for k in keys]
         exps = [qs @ kt for kt in kts]
-        if shift is None:
-            shift = np.max(np.concatenate(exps, axis=1), axis=1, keepdims=True)
+        if shift is None:  # max is exact: the entries' row maxima, without copying the scores
+            shift = np.maximum.reduce([p.max(axis=1, keepdims=True) for p in exps])
         vss = [v.value[:, cols].copy() for v in values]
         num = den = None
         mats, sums = [], []

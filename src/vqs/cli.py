@@ -365,6 +365,9 @@ def _report_csv_text(report: MetricReport) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.out and Path(args.out).with_suffix(".csv") == Path(args.out):
+        raise CliError(f"{args.out}: --out names the JSON report, and the CSV report beside it "
+                       f"would overwrite it; give --out a suffix other than .csv")
     gt, lengths = _load_gt_responses(args.gt)
     pred = _load_pred_responses(args.pred)
     report = evaluate_run(gt, pred, jobs=args.jobs, num_frames=lengths)

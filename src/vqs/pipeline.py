@@ -1,9 +1,10 @@
 """Memory-evolution segmentation pipeline.
 
-A query frame plus its mask seed a memory bank. Each stage fuses the bank
-into per-frame features with cross-attention, enhances the clip with a
-spatio-temporal self-attention block, and decodes three mask candidates per
-frame (mask logits, a predicted-IoU score, an occlusion score). Non-final
+A query frame plus its mask seed a memory bank. Each stage takes its clip as
+blocks of frames (see `run_stage`), fuses the bank into their features with
+cross-attention, enhances the clip with a spatio-temporal self-attention
+block, and decodes three mask candidates per frame (mask logits, a
+predicted-IoU score, an occlusion score) from one logits node a block. Non-final
 stages mine high-confidence target masks and confusable distractor masks
 from the candidates, re-encode them as memory entries, and fuse them with
 the original query memory under learned softmax importance weights to form
@@ -26,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, asdict
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -193,25 +194,30 @@ def feature_grid(frame_hw: tuple[int, int], patch_size: int) -> tuple[int, int]:
     return h // patch_size, w // patch_size
 
 
-def _patchify(frame: np.ndarray, patch_size: int) -> np.ndarray:
-    """uint8 HxWx3 frame -> (grid_h*grid_w, patch*patch*3) float64 in [0, 1]."""
-    h, w, _ = frame.shape
-    gh, gw = feature_grid((h, w), patch_size)
-    x = frame.astype(np.float64) / 255.0
-    x = x.reshape(gh, patch_size, gw, patch_size, 3)
-    x = x.transpose(0, 2, 1, 3, 4)
-    return x.reshape(gh * gw, patch_size * patch_size * 3)
+def _patchify(frames: Sequence[np.ndarray], patch_size: int) -> np.ndarray:
+    """uint8 HxWx3 frames -> (frames*grid_h*grid_w, patch*patch*3) float64 in [0, 1].
 
-
-def encode_frame(frame: np.ndarray, cfg: PipelineConfig, params: ParamStore) -> Tensor:
-    """Patch flattening + linear projection + fixed positional term.
-
-    Returns row-major grid tokens of shape (grid_h*grid_w, model_dim).
+    Each frame is scaled straight into its patch order: one float copy in all.
     """
-    patches = ad.tensor(_patchify(frame, cfg.patch_size))
+    h, w, _ = frames[0].shape
+    gh, gw = feature_grid((h, w), patch_size)
+    out = np.empty((len(frames), gh, gw, patch_size, patch_size, 3))
+    for frame, patches in zip(frames, out):
+        np.divide(frame.reshape(gh, patch_size, gw, patch_size, 3).transpose(0, 2, 1, 3, 4),
+                  255.0, out=patches)
+    return out.reshape(-1, patch_size * patch_size * 3)
+
+
+def encode_frame(frames: Sequence[np.ndarray], cfg: PipelineConfig, params: ParamStore) -> Tensor:
+    """Patch flattening + linear projection + fixed positional term, for a block of frames.
+
+    Returns the frames' row-major grid tokens one frame after another, of
+    shape (frames*grid_h*grid_w, model_dim).
+    """
+    patches = ad.tensor(_patchify(frames, cfg.patch_size))
     projected = ad.linear(patches, params["patch_embed.w"], params["patch_embed.b"])
-    pe = ad.tensor(positional_encoding(patches.value.shape[0], cfg.model_dim))
-    return ad.add(projected, pe)
+    pe = positional_encoding(patches.value.shape[0] // len(frames), cfg.model_dim)
+    return ad.add(projected, ad.tensor(pe if len(frames) == 1 else np.tile(pe, (len(frames), 1))))
 
 
 def mask_patch_counts(mask: RleMask, patch_size: int) -> np.ndarray:
@@ -277,7 +283,7 @@ def memory_attention(
     cfg: PipelineConfig,
     params: ParamStore,
 ) -> Tensor:
-    """Cross-attention from frame tokens onto the weighted memory bank.
+    """Cross-attention from a block's frame tokens onto the weighted memory bank.
 
     Each entry's exp-scores and value rows are multiplied by its scalar weight
     in both the numerator and the normalizer; entries with weight exactly zero
@@ -304,57 +310,51 @@ def memory_attention(
 
 
 def stt_block(clip_features: Sequence[Tensor], cfg: PipelineConfig, params: ParamStore) -> list[Tensor]:
-    """Self-attention + MLP with residuals over the flattened clip tokens."""
+    """Self-attention + MLP with residuals over the flattened clip tokens, given
+    and returned as blocks of frames; a clip of one block is never split."""
     if not clip_features:
         raise PipelineConfigError("empty clip")
     x = ad.concat(list(clip_features), axis=0) if len(clip_features) > 1 else clip_features[0]
     x = ad.add(x, ad.attention(x, x, x, _attention_params(params, "stt_attn"), cfg.num_heads))
     x = ad.add(x, _mlp(x, params, "stt_mlp"))
-    outputs = []
-    offset = 0
-    for f in clip_features:
-        n = f.value.shape[0]
-        outputs.append(ad.narrow(x, 0, offset, n) if len(clip_features) > 1 else x)
-        offset += n
-    return outputs
+    if len(clip_features) == 1:
+        return [x]
+    starts = np.cumsum([0] + [f.value.shape[0] for f in clip_features]).tolist()
+    return [ad.narrow(x, 0, a, b - a) for a, b in zip(starts, starts[1:])]
 
 
 # --- Candidates -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskCandidate:
-    """One decoded hypothesis: logits grid plus quality and presence scores."""
+    """One decoded hypothesis as values: mask logits on the feature grid, the
+    predicted IoU and the occlusion logit (positive means the target is present)."""
 
-    mask_logits: Tensor          # (grid_h, grid_w)
-    iou_score: Tensor            # scalar in (0, 1), sigmoid output
-    occlusion_score: Tensor      # raw logit; positive means target present
+    logits: np.ndarray           # (grid_h, grid_w)
+    iou: float
+    occlusion: float
 
     @property
     def grid(self) -> np.ndarray:
         """The binarized mask on the feature grid: logits above zero."""
-        return self.mask_logits.value > 0
-
-    @property
-    def iou(self) -> float:
-        return float(self.iou_score.value)
-
-    @property
-    def occlusion(self) -> float:
-        return float(self.occlusion_score.value)
+        return self.logits > 0
 
 
 @dataclass
 class FrameCandidates:
+    """A frame's candidates, plus `nodes(h)`, which builds candidate h's (mask
+    logits, IoU, occlusion) tape nodes: a loss asks only for the one it routes to."""
+
     frame_index: int
     candidates: tuple[MaskCandidate, ...]
+    nodes: Callable[[int], tuple[Tensor, Tensor, Tensor]]
 
-    def __post_init__(self) -> None:
-        self.candidates = tuple(self.candidates)
-        if len(self.candidates) != NUM_CANDIDATES:
-            raise PipelineConfigError(
-                f"expected {NUM_CANDIDATES} candidates, got {len(self.candidates)}"
-            )
+
+def _frame_rows(block: Tensor, tokens: int) -> list[Tensor]:
+    """A block's tokens split into its frames; a one-frame block is itself."""
+    n = block.value.shape[0] // tokens
+    return [block] if n == 1 else [ad.narrow(block, 0, i * tokens, tokens) for i in range(n)]
 
 
 def decode_masks(
@@ -363,25 +363,40 @@ def decode_masks(
     cfg: PipelineConfig,
     params: ParamStore,
     frame_index: int = 0,
-) -> FrameCandidates:
-    """Per-token mask logits and pooled-feature quality scores, three heads.
+) -> list[FrameCandidates]:
+    """Per-token mask logits and pooled-feature quality scores, three heads, for
+    a block of frames from `frame_index` on: one logits node, one score row a frame.
 
-    Raises NonFiniteValueError when a logit or score is inf or nan: every
-    stage output passes through here, so this is where a forward pass that
-    overflowed anywhere upstream is caught.
+    Raises NonFiniteValueError naming the first frame whose logits or scores
+    hold inf or nan: every stage output passes through here, so this is where
+    a forward pass that overflowed anywhere upstream is caught.
     """
-    logits_all = ad.linear(features, params["dec_mask.w"], params["dec_mask.b"])
-    pooled = ad.mean_axis(features, 0, keepdims=True)
-    scores = _mlp(pooled, params, "dec_score")
-    if not (np.isfinite(logits_all.value).all() and np.isfinite(scores.value).all()):
-        raise ad.NonFiniteValueError(f"non-finite decoder output for frame {frame_index}")
-    candidates = []
-    for h in range(NUM_CANDIDATES):
-        logits = ad.reshape(ad.narrow(logits_all, 1, h, 1), grid_hw)
-        iou = ad.reshape(ad.sigmoid(ad.narrow(scores, 1, 2 * h, 1)), ())
-        occ = ad.reshape(ad.narrow(scores, 1, 2 * h + 1, 1), ())
-        candidates.append(MaskCandidate(mask_logits=logits, iou_score=iou, occlusion_score=occ))
-    return FrameCandidates(frame_index=frame_index, candidates=tuple(candidates))
+    tokens = grid_hw[0] * grid_hw[1]
+    logits = ad.linear(features, params["dec_mask.w"], params["dec_mask.b"])
+    scores = [_mlp(ad.mean_axis(f, 0, keepdims=True), params, "dec_score")
+              for f in _frame_rows(features, tokens)]
+    score_rows = np.concatenate([s.value for s in scores])
+    finite = np.isfinite(logits.value).reshape(len(scores), -1).all(axis=1)
+    finite &= np.isfinite(score_rows).all(axis=1)
+    if not finite.all():
+        raise ad.NonFiniteValueError(
+            f"non-finite decoder output for frame {frame_index + int(np.argmin(finite))}")
+    grids = logits.value.reshape(len(scores), *grid_hw, NUM_CANDIDATES)
+    ious = ad.stable_sigmoid(score_rows[:, 0::2]).tolist()
+    occlusions = score_rows[:, 1::2].tolist()
+
+    def frame(i: int) -> FrameCandidates:
+        def nodes(h: int) -> tuple[Tensor, Tensor, Tensor]:
+            rows = logits if len(scores) == 1 else ad.narrow(logits, 0, i * tokens, tokens)
+            return (ad.reshape(ad.narrow(rows, 1, h, 1), grid_hw),
+                    ad.reshape(ad.sigmoid(ad.narrow(scores[i], 1, 2 * h, 1)), ()),
+                    ad.reshape(ad.narrow(scores[i], 1, 2 * h + 1, 1), ()))
+
+        cands = (MaskCandidate(grids[i, :, :, h], ious[i][h], occlusions[i][h])
+                 for h in range(NUM_CANDIDATES))
+        return FrameCandidates(frame_index + i, tuple(cands), nodes)
+
+    return [frame(i) for i in range(len(scores))]
 
 
 def binarize_candidate(candidate: MaskCandidate, frame_hw: tuple[int, int]) -> RleMask:
@@ -447,8 +462,7 @@ def tfg_select(
     entries: list[MemoryEntry] = []
     provenance: list[SelectedCandidate] = []
     for local_idx, cand_idx, cand in per_frame[: cfg.num_targets]:
-        fractions = cand.grid.astype(np.float64)
-        entries.append(encode_memory(clip_features[local_idx], fractions, params, KIND_TARGET))
+        entries.append(encode_memory(clip_features[local_idx], cand.grid, params, KIND_TARGET))
         provenance.append(
             SelectedCandidate(
                 frame_index=stage_candidates[local_idx].frame_index,
@@ -490,8 +504,7 @@ def dfg_select(
     entries: list[MemoryEntry] = []
     provenance: list[SelectedCandidate] = []
     for local_idx, cand_idx, cand, divergence, product in qualified[: cfg.num_distractors]:
-        fractions = cand.grid.astype(np.float64)
-        entries.append(encode_memory(clip_features[local_idx], fractions, params, KIND_DISTRACTOR))
+        entries.append(encode_memory(clip_features[local_idx], cand.grid, params, KIND_DISTRACTOR))
         provenance.append(
             SelectedCandidate(
                 frame_index=stage_candidates[local_idx].frame_index,
@@ -581,23 +594,36 @@ def run_stage(
     is_final: bool,
     frame_offset: int = 0,
 ) -> StageOutput:
-    """One pipeline stage over a clip of at most clip_len frames."""
+    """One pipeline stage over a clip of at most clip_len frames.
+
+    Each layer takes the clip as blocks of frames, one (frames*tokens, d)
+    tensor a block: the whole clip under no_record, so memory attention projects
+    the bank once a clip, and one frame when recording, since a block's GEMM
+    sums parameter gradients over all its rows in another order. Values do not
+    depend on the block size: stacked rows kept every GEMM row's bits at 4 to
+    1,024 tokens a frame and inner dimensions 16 to 768, but not at 1 or 2
+    tokens a frame (numpy sends a one-row product to gemv), which no pinned
+    output uses. The pooled score MLP stays one one-row product a frame.
+    """
     if not frames:
         raise PipelineConfigError("empty clip")
     if len(frames) > cfg.clip_len:
         raise PipelineConfigError(f"clip of {len(frames)} frames exceeds clip_len {cfg.clip_len}")
     grid_hw = feature_grid(frames[0].shape[:2], cfg.patch_size)
-    features = [encode_frame(f, cfg, params) for f in frames]
+    block = 1 if ad.recording() else len(frames)
+    starts = range(0, len(frames), block)
+    features = [encode_frame(frames[i:i + block], cfg, params) for i in starts]
     attended = [memory_attention(f, bank, cfg, params) for f in features]
     enhanced = stt_block(attended, cfg, params)
     candidates = tuple(
-        decode_masks(f, grid_hw, cfg, params, frame_index=frame_offset + i)
-        for i, f in enumerate(enhanced)
+        fc for i, f in zip(starts, enhanced)
+        for fc in decode_masks(f, grid_hw, cfg, params, frame_index=frame_offset + i)
     )
     if is_final:
         return StageOutput(candidates=candidates, targets=(), distractors=(), new_bank=None)
-    target_entries, target_prov = tfg_select(candidates, features, cfg, params)
-    distractor_entries, distractor_prov = dfg_select(candidates, features, cfg, params)
+    frame_features = [f for b in features for f in _frame_rows(b, grid_hw[0] * grid_hw[1])]
+    target_entries, target_prov = tfg_select(candidates, frame_features, cfg, params)
+    distractor_entries, distractor_prov = dfg_select(candidates, frame_features, cfg, params)
     new_bank = amg_fuse(bank.query_init(), target_entries, distractor_entries, cfg, params)
     return StageOutput(
         candidates=candidates,
@@ -642,12 +668,13 @@ def finalize_predictions(
     return results
 
 
-# The most bytes that the STT heads' score matrices of one clip may take,
-# num_heads * 8 * (frames * grid_h * grid_w)**2. The STT block holds every
-# head's matrix at once, and training keeps them for its backward pass, so
-# a video whose clips would need more is rejected before anything is
-# allocated. 1 GiB admits a 256x256 clip of 7 frames at the default flags
-# (822 MB); a 512x512 one would need 13 GB.
+# The most bytes that one clip's attention scores may take at once: the STT
+# block holds every head's matrix together, num_heads * 8 * (frames * grid_h *
+# grid_w)**2 bytes, and training keeps them for its backward pass; a memory
+# attention head holds up to 1 + n_t + n_d entries of (frames * grid_h * grid_w)
+# x (grid_h * grid_w) scores. A video whose clips would need more is rejected
+# before anything is allocated. 1 GiB admits a 256x256 clip of 7 frames at the
+# default flags (822 MB in STT); a 512x512 one would need 13 GB.
 MAX_SCORE_BYTES = 1 << 30
 
 
@@ -683,14 +710,18 @@ def run_video(
         )
     gh, gw = feature_grid(frame_hw, cfg.patch_size)
     clip = min(cfg.clip_len, len(frames))
-    score_bytes = cfg.num_heads * 8 * (clip * gh * gw) ** 2
-    if score_bytes > MAX_SCORE_BYTES:
-        raise PipelineConfigError(
-            f"attention over clips of {clip} frames of {gh}x{gw} patches needs "
-            f"{score_bytes} bytes of scores for {cfg.num_heads} heads, above the limit of "
-            f"{MAX_SCORE_BYTES}; use a larger --patch-size or a smaller --clip-len"
-        )
-    query_features = encode_frame(query_frame, cfg, params)
+    entries = 1 + cfg.num_targets + cfg.num_distractors
+    for what, score_bytes, held in (
+        ("attention", cfg.num_heads * 8 * (clip * gh * gw) ** 2, f"{cfg.num_heads} heads"),
+        ("memory attention", entries * 8 * clip * (gh * gw) ** 2, f"{entries} memory entries a head"),
+    ):
+        if score_bytes > MAX_SCORE_BYTES:
+            raise PipelineConfigError(
+                f"{what} over clips of {clip} frames of {gh}x{gw} patches needs {score_bytes} "
+                f"bytes of scores for {held}, above the limit of {MAX_SCORE_BYTES}; use a "
+                f"larger --patch-size or a smaller --clip-len"
+            )
+    query_features = encode_frame([query_frame], cfg, params)
     fractions = mask_patch_counts(query_mask, cfg.patch_size) / cfg.patch_size**2
     init_entry = encode_memory(query_features, fractions, params, KIND_QUERY_INIT)
     for start, stop in clip_spans(len(frames), cfg.clip_len):

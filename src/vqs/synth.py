@@ -78,9 +78,7 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise ValueError(f"expected uint8 HxWx3 image, got {image.dtype} {image.shape}")
     h, w = image.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (w, h))
-        fh.write(image.tobytes())
+    write_regular_file(path, b"P6\n%d %d\n255\n" % (w, h), np.ascontiguousarray(image))
 
 
 _PPM_HEADER = re.compile(rb"P6\s*(\S+)\s+(\S+)\s+(\S+)\s")
@@ -136,10 +134,11 @@ def regular_file_bytes(path: str | Path) -> bytes:
     return blob
 
 
-def write_regular_file(path: str | Path, data: bytes) -> None:
-    """Write `data` to `path`, created or truncated as by open(path, "wb");
-    FileNotFoundError unless it is a regular file, so that a FIFO or a device
-    in its place never blocks. Any other failure to open names its reason."""
+def write_regular_file(path: str | Path, *chunks) -> None:
+    """Write the bytes-like `chunks` in turn to `path`, created or truncated as
+    by open(path, "wb"); FileNotFoundError unless it is a regular file, so that
+    a FIFO or a device in its place never blocks. Any other failure to open
+    names its reason."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
     except OSError as exc:
@@ -149,7 +148,8 @@ def write_regular_file(path: str | Path, data: bytes) -> None:
     with open(fd, "wb") as fh:
         if not stat.S_ISREG(os.fstat(fd).st_mode):
             raise FileNotFoundError(f"{path}: no writable regular file")
-        fh.write(data)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
@@ -500,9 +500,8 @@ def _write_scene(out_dir: Path, scene_id: str, record: SceneRecord) -> dict:
     query_rel = f"scenes/{scene_id}/query.ppm"
     write_ppm(out_dir / query_rel, record.query_frame)
     gt_rel = f"scenes/{scene_id}/gt.json"
-    with open(out_dir / gt_rel, "w") as fh:
-        json.dump(scene_gt_dict(record), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    gt_text = json.dumps(scene_gt_dict(record), sort_keys=True, separators=(",", ":")) + "\n"
+    write_regular_file(out_dir / gt_rel, gt_text.encode())
     h, w = record.config.frame_size
     return {
         "id": scene_id,
@@ -570,9 +569,7 @@ def generate_dataset(
         "scenes": entries,
     }
     manifest["digest"] = compute_digest(out, _dataset_files(entries))
-    with open(out / MANIFEST_NAME, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_regular_file(out / MANIFEST_NAME, json.dumps(manifest, sort_keys=True, indent=1).encode(), b"\n")
     return manifest
 
 

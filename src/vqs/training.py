@@ -115,20 +115,20 @@ def frame_loss(
     if not present:
         gt_counts = np.zeros_like(candidates.candidates[0].grid, dtype=np.int64)
     idx, actual_iou = _routed_candidate(candidates, gt_counts, cfg.patch_size)
-    cand = candidates.candidates[idx]
+    mask_logits, iou_score, occlusion_score = candidates.nodes(idx)
 
     occ_target = ad.tensor(1.0 if present else 0.0)
-    occlusion_node = ad.bce_with_logits(cand.occlusion_score, occ_target)
+    occlusion_node = ad.bce_with_logits(occlusion_score, occ_target)
     terms = [occlusion_node]
 
     if present:
         g = ad.tensor(gt_counts / (cfg.patch_size * cfg.patch_size))
-        p = ad.sigmoid(cand.mask_logits)
+        p = ad.sigmoid(mask_logits)
         overlap = ad.sum_all(ad.multiply(p, g))
         denom = ad.add(ad.sum_all(p), ad.sum_all(g))
         dice_node = ad.subtract(ad.tensor(1.0), ad.divide(ad.scale(overlap, 2.0), denom))
-        bce_node = ad.mean_all(ad.bce_with_logits(cand.mask_logits, g))
-        iou_node = ad.abs_(ad.subtract(cand.iou_score, ad.tensor(actual_iou)))
+        bce_node = ad.mean_all(ad.bce_with_logits(mask_logits, g))
+        iou_node = ad.abs_(ad.subtract(iou_score, ad.tensor(actual_iou)))
         terms.extend([dice_node, bce_node, iou_node])
         dice_val = float(dice_node.value)
         bce_val = float(bce_node.value)
@@ -253,7 +253,7 @@ def _stage_frame_loss(rng: np.random.Generator) -> Tensor:
     gt_grid = (rng.random((8, 8)) < 0.4).astype(np.uint8)
     gt_grid[0, 0] = 1
     gt_counts = mask_patch_counts(rle_encode(gt_grid), cfg.patch_size)
-    init_entry = encode_memory(encode_frame(frames[0], cfg, store), gt_counts / cfg.patch_size**2, store)
+    init_entry = encode_memory(encode_frame(frames[:1], cfg, store), gt_counts / cfg.patch_size**2, store)
     out = run_stage(frames, MemoryBank((init_entry,)), cfg, store, is_final=True)
     losses = [frame_loss(fc, gt_counts if fc.frame_index != 1 else None, cfg) for fc in out.candidates]
     return total_loss([losses], (1.0,))[0]

@@ -7,6 +7,7 @@ import pytest
 
 from vqs import autodiff as ad
 from vqs.masks import Masklet, ResponseSet, RleMask, rle_encode
+from vqs.pipeline import FrameCandidates, MaskCandidate
 
 
 def gradcheck_with_noise_floor(loss, params, coords_per_param=2, h=1e-5, seed=0,
@@ -25,6 +26,23 @@ def gradcheck_with_noise_floor(loss, params, coords_per_param=2, h=1e-5, seed=0,
         if rel >= rtol and abs(ga - gn) >= atol:
             failures.append((names[id(p)], flat_idx, ga, gn, rel))
     return failures
+
+
+def assert_bytes_equal(got, expected, what=""):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape, what
+    assert got.tobytes() == expected.tobytes(), f"{what}: max |diff| {np.max(np.abs(got - expected))}"
+
+
+def make_candidate(logits, iou=0.5, occ=1.0) -> MaskCandidate:
+    return MaskCandidate(np.asarray(logits, dtype=np.float64), iou, occ)
+
+
+def frame_of(cands, index=0) -> FrameCandidates:
+    """A frame of the given candidates; a candidate's tape nodes are leaves of its values."""
+    cands = tuple(cands)
+    return FrameCandidates(index, cands, lambda h: (
+        ad.tensor(cands[h].logits), ad.tensor(cands[h].iou), ad.tensor(cands[h].occlusion)))
 
 
 def bytes_read() -> int:

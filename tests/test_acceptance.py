@@ -33,9 +33,9 @@ from vqs.pipeline import (
 from vqs.synth import SceneConfig, generate_scene
 from vqs.training import GRAD_CHECK_BOUND, TrainConfig, gradient_check_report, overfit_train
 
-from .helpers import block_mask, perturb_response
+from .helpers import block_mask, frame_of, make_candidate, perturb_response
 from .oracles import brute_report
-from .test_pipeline import frame_of, make_candidate, oracle_dfg, oracle_tfg, selection_cfg
+from .test_pipeline import oracle_dfg, oracle_tfg, selection_cfg
 
 
 def verdict(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -157,7 +157,8 @@ class TestNonFiniteErrors:
                        "--ckpt", ckpt, "--model-dim", 16, "--jobs", jobs)
         assert code == 1
         message = one_json_error_line(capsys.readouterr().err)
-        assert "non-finite" in message and "'scene_0000'" in message
+        # STT mixes every frame of the first clip, so its first frame is the first bad one
+        assert message == "video 'scene_0000': non-finite decoder output for frame 0"
         assert not (tmp_path / "p.json").exists()
 
     def test_diverging_training_reported(self, dataset, tmp_path, capsys):
@@ -197,6 +198,16 @@ class TestEval:
         assert set(report["overall"].values()) == {100.0}
         csv_text = out_path.with_suffix(".csv").read_text()
         assert csv_text.splitlines()[1].startswith("overall,3,100.00")
+
+    def test_csv_out_refused_before_reading(self, dataset, tmp_path, capsys):
+        # the CSV report goes to the --out path with suffix .csv: here, --out itself
+        out_path = tmp_path / "rep.csv"
+        argv = ["eval", "--gt", dataset, "--pred", tmp_path / "missing.json", "--out", out_path]
+        assert run_cli(*argv) == 1
+        assert one_json_error_line(capsys.readouterr().err) == (
+            f"{out_path}: --out names the JSON report, and the CSV report beside it would "
+            f"overwrite it; give --out a suffix other than .csv")
+        assert not out_path.exists()
 
     def test_low_scores_still_exit_zero(self, dataset, tmp_path, capsys):
         manifest = load_manifest(dataset)
@@ -624,7 +635,8 @@ class TestFifoInput:
 class TestFifoOutput:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize("command, victim", [
-        ("gen", "run_config.json"),
+        ("gen", "run_config.json"), ("gen", "manifest.json"),
+        ("gen", "scenes/scene_0000/frames/0000.ppm"), ("gen", "scenes/scene_0000/gt.json"),
         ("infer", "p.json"), ("infer", "p.json.config.json"),
         ("train", "t.ckpt"), ("train", "t.ckpt.config.json"), ("train", "curve.csv"),
         ("eval", "r.json"), ("eval", "r.csv"), ("eval", "r.json.config.json"),
@@ -632,7 +644,7 @@ class TestFifoOutput:
     ])
     def test_fifo_rejected(self, two_videos, tmp_path, command, victim):
         out = tmp_path / "out"
-        out.mkdir()
+        (out / victim).parent.mkdir(parents=True)
         os.mkfifo(out / victim)  # opening it for writing would wait for a reader
         pred = tmp_path / "pred.json"  # the ground truth itself
         pred.write_text(json.dumps([json.loads((two_videos / entry["gt"]).read_text())
@@ -662,6 +674,22 @@ class TestScorePreflight:
         assert one_json_error_line(capsys.readouterr().err) == (
             f"attention over clips of 8 frames of 8x8 patches needs {needed} bytes of scores "
             f"for 2 heads, above the limit of {needed - 1}; use a larger --patch-size or a smaller --clip-len")
+        monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", needed)
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+
+    def test_oversized_memory_attention_rejected(self, two_videos, tmp_path, capsys, monkeypatch):
+        # one head over one-frame clips of 8x8 patches: STT needs 8 * 64**2 bytes, while
+        # memory attention over 1 + 2 targets + 1 distractor entries needs four times that
+        needed = 4 * 8 * 64 * 64
+        monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", needed - 1)
+        argv = ["infer", "--data", two_videos, "--model-dim", 16, "--patch-size", 4, "--heads", 1,
+                "--clip-len", 1, "--out", tmp_path / "p.json"]
+        assert run_cli(*argv) == 1
+        assert one_json_error_line(capsys.readouterr().err) == (
+            f"memory attention over clips of 1 frames of 8x8 patches needs {needed} bytes of "
+            f"scores for 4 memory entries a head, above the limit of {needed - 1}; use a larger "
+            f"--patch-size or a smaller --clip-len")
         monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", needed)
         assert run_cli(*argv) == 0
         capsys.readouterr()

@@ -28,18 +28,13 @@ from vqs.pipeline import (
 from vqs.synth import SceneConfig, generate_scene
 from vqs.training import gt_patch_counts, scene_losses, total_loss
 
+from .helpers import assert_bytes_equal
 from .oracles import (
     composed_attention,
     composed_attention_heads,
     composed_memory_attention,
     composed_weighted_attention_head,
 )
-
-
-def assert_bytes_equal(got, expected, what=""):
-    got, expected = np.asarray(got), np.asarray(expected)
-    assert got.dtype == expected.dtype and got.shape == expected.shape, what
-    assert got.tobytes() == expected.tobytes(), f"{what}: max |diff| {np.max(np.abs(got - expected))}"
 
 
 def leaves(rng, shapes, prefix):

@@ -3,28 +3,14 @@
 import numpy as np
 import pytest
 
-from vqs import autodiff as ad
 from vqs.masks import RleMask, mask_iou, rle_encode
-from vqs.pipeline import (
-    FrameCandidates,
-    MaskCandidate,
-    binarize_candidate,
-    grid_iou,
-    mask_patch_counts,
-)
+from vqs.pipeline import binarize_candidate, grid_iou, mask_patch_counts
 from vqs.training import _routed_candidate
 
 from . import oracles
+from .helpers import frame_of, make_candidate
 
 PATCH_SIZES = (1, 2, 3, 4, 8)
-
-
-def make_candidate(logits):
-    return MaskCandidate(
-        mask_logits=ad.tensor(np.asarray(logits, dtype=np.float64)),
-        iou_score=ad.tensor(0.5),
-        occlusion_score=ad.tensor(1.0),
-    )
 
 
 def block_grid(r0, c0):
@@ -78,7 +64,7 @@ class TestPatchCounts:
         rng = np.random.default_rng(43)
         for p in PATCH_SIZES:
             for logits in logit_grids(rng, 3):
-                frame = FrameCandidates(0, tuple(make_candidate(x) for x in logits))
+                frame = frame_of(make_candidate(x) for x in logits)
                 gh, gw = logits[0].shape
                 frame_hw = (gh * p, gw * p)
                 # a pixel-level gt, so patches are partly covered

@@ -10,8 +10,6 @@ from vqs.pipeline import (
     KIND_DISTRACTOR,
     KIND_QUERY_INIT,
     KIND_TARGET,
-    FrameCandidates,
-    MaskCandidate,
     MemoryBank,
     MemoryEntry,
     PipelineConfig,
@@ -39,23 +37,13 @@ from vqs.pipeline import (
     tfg_select,
 )
 
+from .helpers import assert_bytes_equal, frame_of, make_candidate
+
 TOY = PipelineConfig(patch_size=8, model_dim=16, num_heads=2, seed=5)
 
 
 def rand_frame(rng, h=64, w=64):
     return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-
-
-def make_candidate(logits, iou, occ=1.0):
-    return MaskCandidate(
-        mask_logits=ad.tensor(np.asarray(logits, dtype=np.float64)),
-        iou_score=ad.tensor(iou),
-        occlusion_score=ad.tensor(occ),
-    )
-
-
-def frame_of(cands, index=0):
-    return FrameCandidates(frame_index=index, candidates=tuple(cands))
 
 
 class TestConfig:
@@ -83,7 +71,7 @@ class TestEncodeFrame:
     def test_grid_shape(self):
         rng = np.random.default_rng(0)
         params = init_params(TOY)
-        feats = encode_frame(rand_frame(rng), TOY, params)
+        feats = encode_frame([rand_frame(rng)], TOY, params)
         assert feats.value.shape == (64, TOY.model_dim)
         assert feature_grid((64, 64), 8) == (8, 8)
 
@@ -91,21 +79,21 @@ class TestEncodeFrame:
         rng = np.random.default_rng(1)
         frame = rand_frame(rng)
         params = init_params(TOY)
-        a = encode_frame(frame, TOY, params)
-        b = encode_frame(frame, TOY, params)
+        a = encode_frame([frame], TOY, params)
+        b = encode_frame([frame], TOY, params)
         assert np.array_equal(a.value, b.value)
 
     def test_zero_frame_zero_projection_gives_positional_term(self):
         params = init_params(TOY)
         params["patch_embed.w"].value[:] = 0.0
         frame = np.zeros((64, 64, 3), dtype=np.uint8)
-        feats = encode_frame(frame, TOY, params)
+        feats = encode_frame([frame], TOY, params)
         assert np.array_equal(feats.value, positional_encoding(64, TOY.model_dim))
 
     def test_indivisible_frame_rejected(self):
         params = init_params(TOY)
         with pytest.raises(PipelineConfigError):
-            encode_frame(np.zeros((60, 64, 3), dtype=np.uint8), TOY, params)
+            encode_frame([np.zeros((60, 64, 3), dtype=np.uint8)], TOY, params)
 
 
 class TestEncodeMemory:
@@ -117,7 +105,7 @@ class TestEncodeMemory:
         fr = mask_patch_counts(RleMask.empty(64, 64), 8) / 64
         assert np.array_equal(fr, np.zeros((8, 8)))
         params = init_params(TOY)
-        feats = encode_frame(np.zeros((64, 64, 3), dtype=np.uint8), TOY, params)
+        feats = encode_frame([np.zeros((64, 64, 3), dtype=np.uint8)], TOY, params)
         entry = encode_memory(feats, fr, params)
         assert entry.kind == KIND_QUERY_INIT
         assert entry.tokens.value.shape == (64, TOY.model_dim)
@@ -216,7 +204,7 @@ class TestDecodeMasks:
     def test_exactly_three_candidates(self):
         params = init_params(TOY)
         feats = ad.tensor(np.random.default_rng(9).normal(size=(64, TOY.model_dim)))
-        frame = decode_masks(feats, (8, 8), TOY, params)
+        (frame,) = decode_masks(feats, (8, 8), TOY, params)
         assert len(frame.candidates) == 3
 
     def test_iou_in_unit_interval(self):
@@ -225,18 +213,18 @@ class TestDecodeMasks:
             cfg = PipelineConfig(patch_size=8, model_dim=16, num_heads=2, seed=seed)
             params = init_params(cfg)
             feats = ad.tensor(rng.normal(size=(64, cfg.model_dim)) * 5)
-            frame = decode_masks(feats, (8, 8), cfg, params)
+            (frame,) = decode_masks(feats, (8, 8), cfg, params)
             for cand in frame.candidates:
                 assert 0.0 <= cand.iou <= 1.0
-                assert cand.mask_logits.value.shape == (8, 8)
+                assert cand.logits.shape == (8, 8)
 
     def test_deterministic(self):
         params = init_params(TOY)
         feats_value = np.random.default_rng(11).normal(size=(64, TOY.model_dim))
-        a = decode_masks(ad.tensor(feats_value), (8, 8), TOY, params)
-        b = decode_masks(ad.tensor(feats_value), (8, 8), TOY, params)
+        (a,) = decode_masks(ad.tensor(feats_value), (8, 8), TOY, params)
+        (b,) = decode_masks(ad.tensor(feats_value), (8, 8), TOY, params)
         for ca, cb in zip(a.candidates, b.candidates):
-            assert np.array_equal(ca.mask_logits.value, cb.mask_logits.value)
+            assert np.array_equal(ca.logits, cb.logits)
             assert ca.iou == cb.iou and ca.occlusion == cb.occlusion
 
 
@@ -246,6 +234,56 @@ class TestDecodeMasks:
         feats = ad.tensor(np.random.default_rng(8).normal(size=(64, TOY.model_dim)))
         with pytest.raises(ad.NonFiniteValueError, match="frame 4"):
             decode_masks(feats, (8, 8), TOY, params, frame_index=4)
+
+    def test_non_finite_block_names_its_first_bad_frame(self):
+        params = init_params(TOY)
+        feats = np.random.default_rng(8).normal(size=(5 * 64, TOY.model_dim))
+        feats[3 * 64 + 10, 0] = np.inf
+        feats[4 * 64, 1] = np.nan
+        with pytest.raises(ad.NonFiniteValueError, match="for frame 9$"):
+            decode_masks(ad.tensor(feats), (8, 8), TOY, params, frame_index=6)
+
+
+# config, frame side, clip frames: 64 tokens a frame on TOY, 144 at patch 4, and
+# patch 16, whose patch embedding has an inner dimension of 768; clip tails of 1 and 2
+BLOCK_CASES = {
+    "toy": (TOY, 64, 7),
+    "144-tokens": (PipelineConfig(patch_size=4, model_dim=16, num_heads=2, seed=2), 48, 7),
+    "patch-16": (PipelineConfig(patch_size=16, seed=3), 128, 7),
+    "tail-1": (TOY, 64, 1),
+    "tail-2": (TOY, 64, 2),
+}
+
+
+class TestClipBlocks:
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_clip_block_matches_frame_blocks(self, case):
+        cfg, side, num_frames = BLOCK_CASES[case]
+        rng = np.random.default_rng(len(case))
+        params = init_params(cfg)
+        frames = [rand_frame(rng, side, side) for _ in range(num_frames)]
+        grid_hw = feature_grid((side, side), cfg.patch_size)
+        with ad.no_record():
+            query = encode_frame([rand_frame(rng, side, side)], cfg, params)
+            init = encode_memory(query, rng.random(grid_hw), params)
+            target = encode_memory(query, rng.random(grid_hw), params, KIND_TARGET)
+            bank = MemoryBank((init, MemoryEntry(target.tokens, KIND_TARGET, ad.tensor(0.3))))
+            clip = encode_frame(frames, cfg, params)
+            per_frame = [encode_frame([f], cfg, params) for f in frames]
+            assert_bytes_equal(clip.value, np.concatenate([f.value for f in per_frame]), "encoded")
+            attended = memory_attention(clip, bank, cfg, params)
+            attended_frames = [memory_attention(f, bank, cfg, params) for f in per_frame]
+            assert_bytes_equal(attended.value, np.concatenate([f.value for f in attended_frames]),
+                               "memory attention")
+            (enhanced,) = stt_block([attended], cfg, params)
+            block = decode_masks(enhanced, grid_hw, cfg, params, frame_index=5)
+            frame_blocks = [fc for i, f in enumerate(stt_block(attended_frames, cfg, params))
+                            for fc in decode_masks(f, grid_hw, cfg, params, frame_index=5 + i)]
+        assert [fc.frame_index for fc in block] == [fc.frame_index for fc in frame_blocks]
+        for got, expected in zip(block, frame_blocks):
+            for a, b in zip(got.candidates, expected.candidates):
+                assert_bytes_equal(a.logits, b.logits, "mask logits")
+                assert (a.iou, a.occlusion) == (b.iou, b.occlusion)
 
 
 class TestBinarize:
@@ -391,7 +429,7 @@ def oracle_tfg(frames, tau_t, n_t):
 
 def oracle_dfg(frames, tau_d, tau_s, n_d, frame_hw):
     def pixels(cand):
-        grid = cand.mask_logits.value > 0
+        grid = cand.logits > 0
         rep_h = frame_hw[0] // grid.shape[0]
         rep_w = frame_hw[1] // grid.shape[1]
         return np.repeat(np.repeat(grid, rep_h, 0), rep_w, 1)
@@ -509,7 +547,7 @@ class TestRunStage:
         rng = np.random.default_rng(17)
         params = init_params(TOY)
         frames = [rand_frame(rng) for _ in range(3)]
-        feats = encode_frame(frames[0], TOY, params)
+        feats = encode_frame([frames[0]], TOY, params)
         init = encode_memory(feats, np.ones((8, 8)), params)
         bank = MemoryBank((init,))
         out = run_stage(frames, bank, TOY, params, is_final=True)
@@ -521,7 +559,7 @@ class TestRunStage:
         rng = np.random.default_rng(18)
         params = init_params(TOY)
         frames = [rand_frame(rng) for _ in range(4)]
-        feats = encode_frame(frames[0], TOY, params)
+        feats = encode_frame([frames[0]], TOY, params)
         init = encode_memory(feats, np.ones((8, 8)), params)
         out = run_stage(frames, MemoryBank((init,)), TOY, params, is_final=False)
         bank = out.new_bank
@@ -535,7 +573,7 @@ class TestRunStage:
         rng = np.random.default_rng(19)
         params = init_params(TOY)
         frames = [rand_frame(rng) for _ in range(TOY.clip_len + 1)]
-        feats = encode_frame(frames[0], TOY, params)
+        feats = encode_frame([frames[0]], TOY, params)
         init = encode_memory(feats, np.ones((8, 8)), params)
         with pytest.raises(PipelineConfigError):
             run_stage(frames, MemoryBank((init,)), TOY, params, is_final=True)
@@ -546,7 +584,7 @@ class TestRunStage:
                              model_dim=16, num_heads=2, seed=1)
         params = init_params(cfg)
         frames = [rand_frame(rng) for _ in range(2)]
-        feats = encode_frame(frames[0], cfg, params)
+        feats = encode_frame([frames[0]], cfg, params)
         init = encode_memory(feats, np.ones((8, 8)), params)
         outs = run_clip(frames, init, cfg, params)
         assert len(outs) == 1 and outs[0].new_bank is None
@@ -587,7 +625,7 @@ class TestFinalize:
                 if ious[i] > ious[best]:
                     best = i
             if cands[best].occlusion > 0:
-                expected_grid = np.repeat(np.repeat(cands[best].mask_logits.value > 0, 2, 0), 2, 1)
+                expected_grid = np.repeat(np.repeat(cands[best].logits > 0, 2, 0), 2, 1)
                 assert got is not None
                 assert np.array_equal(rle_decode(got).astype(bool), expected_grid)
             else:
@@ -636,7 +674,7 @@ class TestInferVideo:
         real_finalize = pipeline.finalize_predictions
 
         def spy(candidates, frame_hw):
-            seen.extend(c.mask_logits for frame in candidates for c in frame.candidates)
+            seen.extend(candidates)
             return real_finalize(candidates, frame_hw)
 
         monkeypatch.setattr(pipeline, "finalize_predictions", spy)
@@ -644,8 +682,12 @@ class TestInferVideo:
         frames = [rand_frame(rng) for _ in range(4)]
         infer_video(frames, frames[0], RleMask(64, 64, (0, 64 * 16, 64 * 48)), TOY,
                     init_params(TOY))
-        assert len(seen) == 4 * 3
-        assert all(node.parents == () and node._vjp is None for node in seen)
+        assert len(seen) == 4
+        for frame in seen:
+            for node in frame.nodes(0):
+                # the decoder's outputs start the trace: inference gave them no parents
+                *upstream, _ = ad.trace(node)
+                assert len(upstream) <= 3 and upstream[0].parents == ()
 
     def test_needs_no_cycle_collector(self):
         rng = np.random.default_rng(25)

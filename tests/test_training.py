@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from vqs import autodiff as ad
-from vqs import training
+from vqs import pipeline, training
 from vqs.masks import RleMask, rle_encode
 from vqs.pipeline import (
-    FrameCandidates,
-    MaskCandidate,
     PipelineConfig,
     init_params,
     mask_patch_counts,
@@ -29,19 +27,7 @@ from vqs.training import (
     write_curve_csv,
 )
 
-from .helpers import gradcheck_with_noise_floor
-
-
-def make_candidate(logits, iou, occ=1.0):
-    return MaskCandidate(
-        mask_logits=ad.tensor(np.asarray(logits, dtype=np.float64)),
-        iou_score=ad.tensor(iou),
-        occlusion_score=ad.tensor(occ),
-    )
-
-
-def frame_of(cands, index=0):
-    return FrameCandidates(frame_index=index, candidates=tuple(cands))
+from .helpers import frame_of, gradcheck_with_noise_floor, make_candidate
 
 
 CFG_1PX = PipelineConfig(patch_size=1, model_dim=4, num_heads=2, seed=0)
@@ -200,6 +186,38 @@ class TestComposedGradients:
         for prefix in ("patch_embed", "mem_enc", "mem_attn", "stt_attn", "stt_mlp",
                        "dec_mask", "dec_score"):
             assert any(np.any(g) for name, g in grads.items() if name.startswith(prefix)), prefix
+
+
+def test_step_builds_routed_candidate_nodes_only(monkeypatch):
+    scene = tiny_scene(seed=5)
+    cfg = toy_pipeline(seed=4)
+    gt_counts = gt_patch_counts(scene, cfg.patch_size)
+    asked = []
+    decode = pipeline.decode_masks
+
+    def spy(*args, **kwargs):
+        frames = decode(*args, **kwargs)
+        for fc in frames:
+            def nodes(h, fc=fc, build=fc.nodes):
+                asked.append((fc, h, build(h)))
+                return asked[-1][2]
+
+            fc.nodes = nodes
+        return frames
+
+    monkeypatch.setattr(pipeline, "decode_masks", spy)
+    node, _ = total_loss(scene_losses(scene, cfg, init_params(cfg), gt_counts), cfg.stage_weights)
+    users: dict[int, int] = {}
+    for n in ad.trace(node):
+        for parent in n.parents:
+            users[id(parent)] = users.get(id(parent), 0) + 1
+    assert len(asked) == cfg.num_stages * len(scene.frames)  # one candidate a frame and stage
+    for fc, h, (mask_logits, _, _) in asked:
+        counts = gt_counts.get(fc.frame_index)
+        no_gt = np.zeros_like(fc.candidates[0].grid, dtype=np.int64)
+        assert h == training._routed_candidate(fc, no_gt if counts is None else counts, cfg.patch_size)[0]
+        # one logits node feeds both the dice sigmoid and the BCE
+        assert users.get(id(mask_logits), 0) == (0 if counts is None else 2)
 
 
 class TestTapeLifetime:
