@@ -217,7 +217,7 @@ def encode_frame(frames: Sequence[np.ndarray], cfg: PipelineConfig, params: Para
     patches = ad.tensor(_patchify(frames, cfg.patch_size))
     projected = ad.linear(patches, params["patch_embed.w"], params["patch_embed.b"])
     pe = positional_encoding(patches.value.shape[0] // len(frames), cfg.model_dim)
-    return ad.add(projected, ad.tensor(pe if len(frames) == 1 else np.tile(pe, (len(frames), 1))))
+    return ad.add(projected, ad.tensor(np.tile(pe, (len(frames), 1))))
 
 
 def mask_patch_counts(mask: RleMask, patch_size: int) -> np.ndarray:
@@ -387,7 +387,7 @@ def decode_masks(
 
     def frame(i: int) -> FrameCandidates:
         def nodes(h: int) -> tuple[Tensor, Tensor, Tensor]:
-            rows = logits if len(scores) == 1 else ad.narrow(logits, 0, i * tokens, tokens)
+            rows = _frame_rows(logits, tokens)[i]
             return (ad.reshape(ad.narrow(rows, 1, h, 1), grid_hw),
                     ad.reshape(ad.sigmoid(ad.narrow(scores[i], 1, 2 * h, 1)), ()),
                     ad.reshape(ad.narrow(scores[i], 1, 2 * h + 1, 1), ()))
@@ -462,7 +462,8 @@ def tfg_select(
     entries: list[MemoryEntry] = []
     provenance: list[SelectedCandidate] = []
     for local_idx, cand_idx, cand in per_frame[: cfg.num_targets]:
-        entries.append(encode_memory(clip_features[local_idx], cand.grid, params, KIND_TARGET))
+        fractions = cand.grid.astype(np.float64)
+        entries.append(encode_memory(clip_features[local_idx], fractions, params, KIND_TARGET))
         provenance.append(
             SelectedCandidate(
                 frame_index=stage_candidates[local_idx].frame_index,
@@ -504,7 +505,8 @@ def dfg_select(
     entries: list[MemoryEntry] = []
     provenance: list[SelectedCandidate] = []
     for local_idx, cand_idx, cand, divergence, product in qualified[: cfg.num_distractors]:
-        entries.append(encode_memory(clip_features[local_idx], cand.grid, params, KIND_DISTRACTOR))
+        fractions = cand.grid.astype(np.float64)
+        entries.append(encode_memory(clip_features[local_idx], fractions, params, KIND_DISTRACTOR))
         provenance.append(
             SelectedCandidate(
                 frame_index=stage_candidates[local_idx].frame_index,

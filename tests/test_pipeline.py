@@ -255,35 +255,57 @@ BLOCK_CASES = {
 }
 
 
+def clip_and_frame_blocks(cfg, side, num_frames, seed):
+    """One clip's encoding, memory attention and candidates under no_record, as
+    one clip block and as one-frame blocks: ({layer: (clip, frames)}, clip
+    candidates, frame candidates)."""
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg)
+    frames = [rand_frame(rng, side, side) for _ in range(num_frames)]
+    grid_hw = feature_grid((side, side), cfg.patch_size)
+    with ad.no_record():
+        query = encode_frame([rand_frame(rng, side, side)], cfg, params)
+        init = encode_memory(query, rng.random(grid_hw), params)
+        target = encode_memory(query, rng.random(grid_hw), params, KIND_TARGET)
+        bank = MemoryBank((init, MemoryEntry(target.tokens, KIND_TARGET, ad.tensor(0.3))))
+        clip = encode_frame(frames, cfg, params)
+        per_frame = [encode_frame([f], cfg, params) for f in frames]
+        attended = memory_attention(clip, bank, cfg, params)
+        attended_frames = [memory_attention(f, bank, cfg, params) for f in per_frame]
+        (enhanced,) = stt_block([attended], cfg, params)
+        block = decode_masks(enhanced, grid_hw, cfg, params, frame_index=5)
+        frame_blocks = [fc for i, f in enumerate(stt_block(attended_frames, cfg, params))
+                        for fc in decode_masks(f, grid_hw, cfg, params, frame_index=5 + i)]
+    layers = {"encoded": (clip.value, np.concatenate([f.value for f in per_frame])),
+              "memory attention": (attended.value, np.concatenate([f.value for f in attended_frames]))}
+    assert [fc.frame_index for fc in block] == [fc.frame_index for fc in frame_blocks]
+    return layers, block, frame_blocks
+
+
 class TestClipBlocks:
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_clip_block_matches_frame_blocks(self, case):
-        cfg, side, num_frames = BLOCK_CASES[case]
-        rng = np.random.default_rng(len(case))
-        params = init_params(cfg)
-        frames = [rand_frame(rng, side, side) for _ in range(num_frames)]
-        grid_hw = feature_grid((side, side), cfg.patch_size)
-        with ad.no_record():
-            query = encode_frame([rand_frame(rng, side, side)], cfg, params)
-            init = encode_memory(query, rng.random(grid_hw), params)
-            target = encode_memory(query, rng.random(grid_hw), params, KIND_TARGET)
-            bank = MemoryBank((init, MemoryEntry(target.tokens, KIND_TARGET, ad.tensor(0.3))))
-            clip = encode_frame(frames, cfg, params)
-            per_frame = [encode_frame([f], cfg, params) for f in frames]
-            assert_bytes_equal(clip.value, np.concatenate([f.value for f in per_frame]), "encoded")
-            attended = memory_attention(clip, bank, cfg, params)
-            attended_frames = [memory_attention(f, bank, cfg, params) for f in per_frame]
-            assert_bytes_equal(attended.value, np.concatenate([f.value for f in attended_frames]),
-                               "memory attention")
-            (enhanced,) = stt_block([attended], cfg, params)
-            block = decode_masks(enhanced, grid_hw, cfg, params, frame_index=5)
-            frame_blocks = [fc for i, f in enumerate(stt_block(attended_frames, cfg, params))
-                            for fc in decode_masks(f, grid_hw, cfg, params, frame_index=5 + i)]
-        assert [fc.frame_index for fc in block] == [fc.frame_index for fc in frame_blocks]
+        layers, block, frame_blocks = clip_and_frame_blocks(*BLOCK_CASES[case], seed=len(case))
+        for layer, (got, expected) in layers.items():
+            assert_bytes_equal(got, expected, layer)
         for got, expected in zip(block, frame_blocks):
             for a, b in zip(got.candidates, expected.candidates):
                 assert_bytes_equal(a.logits, b.logits, "mask logits")
                 assert (a.iou, a.occlusion) == (b.iou, b.occlusion)
+
+    def test_one_token_frames_keep_masks(self):
+        # At one patch a frame, numpy computes a one-frame block's products as
+        # one-row products (gemv) and a clip block's as a GEMM, whose last bits
+        # may differ; the values agree to rounding and the masks hold.
+        layers, block, frame_blocks = clip_and_frame_blocks(PipelineConfig(patch_size=16, seed=3),
+                                                            16, 7, seed=1)
+        for layer, (got, expected) in layers.items():
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12, err_msg=layer)
+        for got, expected in zip(block, frame_blocks):
+            for a, b in zip(got.candidates, expected.candidates):
+                np.testing.assert_allclose(a.logits, b.logits, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose([a.iou, a.occlusion], [b.iou, b.occlusion], rtol=1e-12)
+                np.testing.assert_array_equal(a.grid, b.grid)
 
 
 class TestBinarize:
