@@ -12,7 +12,6 @@ only, never how good the scores are.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -61,11 +60,6 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _resolved_digest(options: dict) -> str:
-    payload = json.dumps(options, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _write_json(path: str | Path, body, **options) -> None:
     """`body` as sorted-key JSON plus a newline; the one way cli writes JSON files."""
     write_regular_file(path, (json.dumps(body, sort_keys=True, **options) + "\n").encode())
@@ -74,7 +68,7 @@ def _write_json(path: str | Path, body, **options) -> None:
 def _write_sidecar(target: Path, command: str, options: dict) -> None:
     """Config sidecar next to an output file, or inside an output directory."""
     sidecar = target / "run_config.json" if target.is_dir() else target.with_name(target.name + ".config.json")
-    body = {"command": command, "options": options, "config_digest": _resolved_digest(options)}
+    body = {"command": command, "options": options, "config_digest": config_digest(options)}
     _write_json(sidecar, body, indent=1)
 
 
@@ -264,7 +258,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     records = parallel_map(_infer_one, work, args.jobs)
     payload = {
         "format": PREDICTIONS_FORMAT,
-        "config_digest": config_digest(cfg),
+        "config_digest": config_digest(cfg_kwargs),
         "seed": cfg.seed,
         "checkpoint": args.ckpt,
         "predictions": records,
@@ -442,8 +436,9 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "jobs", 1) < 1:
-        return _fail(f"--jobs must be >= 1, got {args.jobs}")
+    for flag in ("jobs", "log_interval", "coords"):
+        if getattr(args, flag, 1) < 1:
+            return _fail(f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}")
     try:
         # an overflow surfaces as NonFiniteValueError at a checked boundary and
         # is reported below; numpy's own warnings would only precede that line

@@ -81,10 +81,6 @@ class RleMask:
     def empty(cls, height: int, width: int) -> "RleMask":
         return cls(height, width, (height * width,))
 
-    @classmethod
-    def full(cls, height: int, width: int) -> "RleMask":
-        return cls(height, width, (0, height * width))
-
 
 def rle_encode(bitmap: np.ndarray | Sequence[Sequence[int]]) -> RleMask:
     """Encode a row-major binary grid into canonical run-length form."""

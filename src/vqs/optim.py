@@ -46,9 +46,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self.params.items()}
 

@@ -4,9 +4,10 @@ A query frame plus its mask seed a memory bank. Each stage takes its clip as
 blocks of frames (see `run_stage`), fuses the bank into their features with
 cross-attention, enhances the clip with a spatio-temporal self-attention
 block, and decodes three mask candidates per frame (mask logits, a
-predicted-IoU score, an occlusion score) from one logits node a block. Non-final
+predicted-IoU score, an occlusion score) from one logits node a block; the
+decoder also fixes each frame's best candidate by predicted IoU. Non-final
 stages mine high-confidence target masks and confusable distractor masks
-from the candidates, re-encode them as memory entries, and fuse them with
+around that best candidate, re-encode them as memory entries, and fuse them with
 the original query memory under learned softmax importance weights to form
 the next stage's bank. The final stage emits one mask per frame, gated on
 the occlusion score.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -90,6 +91,10 @@ class PipelineConfig:
             )
         if self.patch_size < 1:
             raise PipelineConfigError("patch_size must be >= 1")
+        if self.num_heads < 1:
+            raise PipelineConfigError("num_heads must be >= 1")
+        if self.model_dim < 2:
+            raise PipelineConfigError("model_dim must be >= 2")
         if self.model_dim % self.num_heads != 0:
             raise PipelineConfigError("model_dim must be divisible by num_heads")
         if self.model_dim % 2 != 0:
@@ -100,8 +105,9 @@ class PipelineConfig:
         return max(1, self.model_dim // 2)
 
 
-def config_digest(cfg: PipelineConfig) -> str:
-    payload = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+def config_digest(options: dict) -> str:
+    """sha256 of `options` as compact sorted-key JSON: a run's resolved settings."""
+    payload = json.dumps(options, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -328,27 +334,36 @@ def stt_block(clip_features: Sequence[Tensor], cfg: PipelineConfig, params: Para
 
 @dataclass(frozen=True)
 class MaskCandidate:
-    """One decoded hypothesis as values: mask logits on the feature grid, the
-    predicted IoU and the occlusion logit (positive means the target is present)."""
+    """One decoded hypothesis as values: mask logits on the feature grid, their
+    binarized mask (logits above zero, computed once for the decoder's whole
+    block), the predicted IoU and the occlusion logit (positive means the
+    target is present)."""
 
     logits: np.ndarray           # (grid_h, grid_w)
+    grid: np.ndarray             # (grid_h, grid_w) bool
     iou: float
     occlusion: float
-
-    @property
-    def grid(self) -> np.ndarray:
-        """The binarized mask on the feature grid: logits above zero."""
-        return self.logits > 0
 
 
 @dataclass
 class FrameCandidates:
-    """A frame's candidates, plus `nodes(h)`, which builds candidate h's (mask
-    logits, IoU, occlusion) tape nodes: a loss asks only for the one it routes to."""
+    """A frame's candidates and `best`, the index of the highest predicted IoU
+    (the first of equal maxima): the one decision that mining and emission read.
+
+    `occlusion_node(h)` builds candidate h's occlusion-logit tape node and
+    `mask_nodes(h)` its (mask logits, IoU) nodes: a loss asks only for the
+    candidate it routes to, and for its mask nodes only where the frame has gt.
+    """
 
     frame_index: int
     candidates: tuple[MaskCandidate, ...]
-    nodes: Callable[[int], tuple[Tensor, Tensor, Tensor]]
+    occlusion_node: Callable[[int], Tensor]
+    mask_nodes: Callable[[int], tuple[Tensor, Tensor]]
+    best: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        ious = [c.iou for c in self.candidates]
+        self.best = ious.index(max(ious))  # np.argmax costs 10x on 3 items
 
 
 def _frame_rows(block: Tensor, tokens: int) -> list[Tensor]:
@@ -381,20 +396,24 @@ def decode_masks(
     if not finite.all():
         raise ad.NonFiniteValueError(
             f"non-finite decoder output for frame {frame_index + int(np.argmin(finite))}")
-    grids = logits.value.reshape(len(scores), *grid_hw, NUM_CANDIDATES)
+    logit_grids = logits.value.reshape(len(scores), *grid_hw, NUM_CANDIDATES)
+    grids = logit_grids > 0
     ious = ad.stable_sigmoid(score_rows[:, 0::2]).tolist()
     occlusions = score_rows[:, 1::2].tolist()
 
     def frame(i: int) -> FrameCandidates:
-        def nodes(h: int) -> tuple[Tensor, Tensor, Tensor]:
+        # score row i holds candidate h's IoU logit at 2h and its occlusion logit at 2h + 1
+        def occlusion_node(h: int) -> Tensor:
+            return ad.reshape(ad.narrow(scores[i], 1, 2 * h + 1, 1), ())
+
+        def mask_nodes(h: int) -> tuple[Tensor, Tensor]:
             rows = _frame_rows(logits, tokens)[i]
             return (ad.reshape(ad.narrow(rows, 1, h, 1), grid_hw),
-                    ad.reshape(ad.sigmoid(ad.narrow(scores[i], 1, 2 * h, 1)), ()),
-                    ad.reshape(ad.narrow(scores[i], 1, 2 * h + 1, 1), ()))
+                    ad.reshape(ad.sigmoid(ad.narrow(scores[i], 1, 2 * h, 1)), ()))
 
-        cands = (MaskCandidate(grids[i, :, :, h], ious[i][h], occlusions[i][h])
+        cands = (MaskCandidate(logit_grids[i, :, :, h], grids[i, :, :, h], ious[i][h], occlusions[i][h])
                  for h in range(NUM_CANDIDATES))
-        return FrameCandidates(frame_index + i, tuple(cands), nodes)
+        return FrameCandidates(frame_index + i, tuple(cands), occlusion_node, mask_nodes)
 
     return [frame(i) for i in range(len(scores))]
 
@@ -408,11 +427,6 @@ def binarize_candidate(candidate: MaskCandidate, frame_hw: tuple[int, int]) -> R
         raise PipelineConfigError(f"frame {h}x{w} not a multiple of grid {gh}x{gw}")
     up = np.repeat(np.repeat(grid, h // gh, axis=0), w // gw, axis=1)
     return rle_encode(up)
-
-
-def best_candidate_index(frame: FrameCandidates) -> int:
-    ious = [c.iou for c in frame.candidates]
-    return ious.index(max(ious))  # the first of equal maxima; np.argmax costs 10x on 3 items
 
 
 # --- Selection --------------------------------------------------------------------
@@ -440,6 +454,25 @@ class SelectedCandidate:
         return out
 
 
+def _mine(
+    picks: Sequence[tuple[int, int, Optional[float], float]],
+    kind: str,
+    stage_candidates: Sequence[FrameCandidates],
+    clip_features: Sequence[Tensor],
+    params: ParamStore,
+) -> tuple[list[MemoryEntry], list[SelectedCandidate]]:
+    """Encode each (clip frame, candidate, divergence, rank score) pick as a
+    `kind` memory entry, with its provenance."""
+    entries: list[MemoryEntry] = []
+    provenance: list[SelectedCandidate] = []
+    for local_idx, cand_idx, divergence, rank in picks:
+        frame = stage_candidates[local_idx]
+        cand = frame.candidates[cand_idx]
+        entries.append(encode_memory(clip_features[local_idx], cand.grid.astype(np.float64), params, kind))
+        provenance.append(SelectedCandidate(frame.frame_index, cand_idx, cand.iou, divergence, rank))
+    return entries, provenance
+
+
 def tfg_select(
     stage_candidates: Sequence[FrameCandidates],
     clip_features: Sequence[Tensor],
@@ -448,32 +481,17 @@ def tfg_select(
 ) -> tuple[list[MemoryEntry], list[SelectedCandidate]]:
     """Mine up to n_t confident target masks and encode them as memory.
 
-    Per frame the best candidate by predicted IoU survives (first index wins
-    ties); those below tau_target are dropped; the rest rank by score with
-    lower frame index breaking ties.
+    Per frame the best candidate survives; those below tau_target are
+    dropped; the rest rank by predicted IoU with lower frame index breaking
+    ties.
     """
-    per_frame = []
+    picks = []
     for local_idx, frame in enumerate(stage_candidates):
-        cand_idx = best_candidate_index(frame)
-        cand = frame.candidates[cand_idx]
-        if cand.iou >= cfg.tau_target:
-            per_frame.append((local_idx, cand_idx, cand))
-    per_frame.sort(key=lambda item: (-item[2].iou, item[0]))
-    entries: list[MemoryEntry] = []
-    provenance: list[SelectedCandidate] = []
-    for local_idx, cand_idx, cand in per_frame[: cfg.num_targets]:
-        fractions = cand.grid.astype(np.float64)
-        entries.append(encode_memory(clip_features[local_idx], fractions, params, KIND_TARGET))
-        provenance.append(
-            SelectedCandidate(
-                frame_index=stage_candidates[local_idx].frame_index,
-                candidate_index=cand_idx,
-                iou_score=cand.iou,
-                divergence=None,
-                rank_score=cand.iou,
-            )
-        )
-    return entries, provenance
+        iou = frame.candidates[frame.best].iou
+        if iou >= cfg.tau_target:
+            picks.append((local_idx, frame.best, None, iou))
+    picks.sort(key=lambda pick: (-pick[3], pick[0]))
+    return _mine(picks[: cfg.num_targets], KIND_TARGET, stage_candidates, clip_features, params)
 
 
 def dfg_select(
@@ -491,32 +509,17 @@ def dfg_select(
     candidate index).
     An empty selection is valid.
     """
-    qualified = []
+    picks = []
     for local_idx, frame in enumerate(stage_candidates):
-        best_idx = best_candidate_index(frame)
-        best_grid = frame.candidates[best_idx].grid
+        best_grid = frame.candidates[frame.best].grid
         for cand_idx, cand in enumerate(frame.candidates):
-            if cand_idx == best_idx:
+            if cand_idx == frame.best:
                 continue
             divergence = 1.0 - grid_iou(cand.grid, best_grid)
             if divergence > cfg.tau_divergence and cand.iou > cfg.tau_score:
-                qualified.append((local_idx, cand_idx, cand, divergence, divergence * cand.iou))
-    qualified.sort(key=lambda item: (-item[4], item[0], item[1]))
-    entries: list[MemoryEntry] = []
-    provenance: list[SelectedCandidate] = []
-    for local_idx, cand_idx, cand, divergence, product in qualified[: cfg.num_distractors]:
-        fractions = cand.grid.astype(np.float64)
-        entries.append(encode_memory(clip_features[local_idx], fractions, params, KIND_DISTRACTOR))
-        provenance.append(
-            SelectedCandidate(
-                frame_index=stage_candidates[local_idx].frame_index,
-                candidate_index=cand_idx,
-                iou_score=cand.iou,
-                divergence=divergence,
-                rank_score=product,
-            )
-        )
-    return entries, provenance
+                picks.append((local_idx, cand_idx, divergence, divergence * cand.iou))
+    picks.sort(key=lambda pick: (-pick[3], pick[0], pick[1]))
+    return _mine(picks[: cfg.num_distractors], KIND_DISTRACTOR, stage_candidates, clip_features, params)
 
 
 # --- Adaptive memory fusion ----------------------------------------------------------
@@ -545,7 +548,7 @@ def amg_fuse(
     memory only. With nothing mined at all the untouched query bank returns.
     """
     if not targets and not distractors:
-        return MemoryBank((MemoryEntry(init_entry.tokens, KIND_QUERY_INIT, ad.tensor(1.0)),))
+        return MemoryBank((init_entry,))
     d = cfg.model_dim
     pooled_init = _pool_entries([init_entry], d)
     target_reduced = _mlp(_pool_entries(targets, d), params, "amg_target")
@@ -643,7 +646,7 @@ def run_clip(
     frame_offset: int = 0,
 ) -> list[StageOutput]:
     """All num_stages stages over one clip, evolving the bank in between."""
-    bank = MemoryBank((MemoryEntry(init_entry.tokens, KIND_QUERY_INIT, ad.tensor(1.0)),))
+    bank = MemoryBank((init_entry,))
     outputs: list[StageOutput] = []
     for k in range(cfg.num_stages):
         is_final = k == cfg.num_stages - 1
@@ -661,8 +664,7 @@ def finalize_predictions(
     """Highest-scoring candidate per frame, emitted only when not occluded."""
     results: list[Optional[RleMask]] = []
     for frame in candidates:
-        idx = best_candidate_index(frame)
-        cand = frame.candidates[idx]
+        cand = frame.candidates[frame.best]
         if cand.occlusion > 0.0:
             results.append(binarize_candidate(cand, frame_hw))
         else:
@@ -763,5 +765,5 @@ def infer_video(
             }
         )
     response = ResponseSet(video_id, group_into_masklets(per_frame))
-    provenance = {"config_digest": config_digest(cfg), "seed": cfg.seed, "clips": clip_records}
+    provenance = {"config_digest": config_digest(asdict(cfg)), "seed": cfg.seed, "clips": clip_records}
     return response, provenance

@@ -56,15 +56,6 @@ class LossBreakdown:
     total: float
     node: Tensor
 
-    def components(self) -> dict[str, float]:
-        return {
-            "dice": self.dice,
-            "mask_bce": self.mask_bce,
-            "iou_head": self.iou_head,
-            "occlusion_bce": self.occlusion_bce,
-            "total": self.total,
-        }
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -109,41 +100,33 @@ def frame_loss(
     """Best-candidate-routed supervision for one frame.
 
     `gt_counts` is the frame's entry of `gt_patch_counts`, None when its gt
-    has no foreground.
+    has no foreground; such a frame builds only its routed candidate's
+    occlusion node.
     """
     present = gt_counts is not None
     if not present:
-        gt_counts = np.zeros_like(candidates.candidates[0].grid, dtype=np.int64)
+        gt_counts = np.zeros(candidates.candidates[0].grid.shape, dtype=np.int64)
     idx, actual_iou = _routed_candidate(candidates, gt_counts, cfg.patch_size)
-    mask_logits, iou_score, occlusion_score = candidates.nodes(idx)
-
     occ_target = ad.tensor(1.0 if present else 0.0)
-    occlusion_node = ad.bce_with_logits(occlusion_score, occ_target)
-    terms = [occlusion_node]
+    occlusion_node = ad.bce_with_logits(candidates.occlusion_node(idx), occ_target)
+    occlusion_bce = float(occlusion_node.value)
+    if not present:
+        return LossBreakdown(0.0, 0.0, 0.0, occlusion_bce, occlusion_bce, occlusion_node)
 
-    if present:
-        g = ad.tensor(gt_counts / (cfg.patch_size * cfg.patch_size))
-        p = ad.sigmoid(mask_logits)
-        overlap = ad.sum_all(ad.multiply(p, g))
-        denom = ad.add(ad.sum_all(p), ad.sum_all(g))
-        dice_node = ad.subtract(ad.tensor(1.0), ad.divide(ad.scale(overlap, 2.0), denom))
-        bce_node = ad.mean_all(ad.bce_with_logits(mask_logits, g))
-        iou_node = ad.abs_(ad.subtract(iou_score, ad.tensor(actual_iou)))
-        terms.extend([dice_node, bce_node, iou_node])
-        dice_val = float(dice_node.value)
-        bce_val = float(bce_node.value)
-        iou_val = float(iou_node.value)
-    else:
-        dice_val = bce_val = iou_val = 0.0
-
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
+    mask_logits, iou_score = candidates.mask_nodes(idx)
+    g = ad.tensor(gt_counts / (cfg.patch_size * cfg.patch_size))
+    p = ad.sigmoid(mask_logits)
+    overlap = ad.sum_all(ad.multiply(p, g))
+    denom = ad.add(ad.sum_all(p), ad.sum_all(g))
+    dice_node = ad.subtract(ad.tensor(1.0), ad.divide(ad.scale(overlap, 2.0), denom))
+    bce_node = ad.mean_all(ad.bce_with_logits(mask_logits, g))
+    iou_node = ad.abs_(ad.subtract(iou_score, ad.tensor(actual_iou)))
+    total = ad.add(ad.add(ad.add(occlusion_node, dice_node), bce_node), iou_node)
     return LossBreakdown(
-        dice=dice_val,
-        mask_bce=bce_val,
-        iou_head=iou_val,
-        occlusion_bce=float(occlusion_node.value),
+        dice=float(dice_node.value),
+        mask_bce=float(bce_node.value),
+        iou_head=float(iou_node.value),
+        occlusion_bce=occlusion_bce,
         total=float(total.value),
         node=total,
     )
@@ -165,7 +148,7 @@ def total_loss(
             term = ad.scale(loss.node, weight)
             node = term if node is None else ad.add(node, term)
             for key in aggregate:
-                aggregate[key] += weight * loss.components()[key]
+                aggregate[key] += weight * getattr(loss, key)
     if node is None:
         node = ad.tensor(0.0)
     aggregate["total"] = float(node.value)

@@ -35,14 +35,15 @@ def assert_bytes_equal(got, expected, what=""):
 
 
 def make_candidate(logits, iou=0.5, occ=1.0) -> MaskCandidate:
-    return MaskCandidate(np.asarray(logits, dtype=np.float64), iou, occ)
+    logits = np.asarray(logits, dtype=np.float64)
+    return MaskCandidate(logits, logits > 0, iou, occ)
 
 
 def frame_of(cands, index=0) -> FrameCandidates:
     """A frame of the given candidates; a candidate's tape nodes are leaves of its values."""
     cands = tuple(cands)
-    return FrameCandidates(index, cands, lambda h: (
-        ad.tensor(cands[h].logits), ad.tensor(cands[h].iou), ad.tensor(cands[h].occlusion)))
+    return FrameCandidates(index, cands, lambda h: ad.tensor(cands[h].occlusion),
+                           lambda h: (ad.tensor(cands[h].logits), ad.tensor(cands[h].iou)))
 
 
 def bytes_read() -> int:

@@ -279,7 +279,7 @@ class TestCriterion10ClipsAndAssembly:
     def test_partition_and_grouping(self):
         partition_ok = clip_spans(15, 7) == [(0, 7), (7, 14), (14, 15)]
         rng = np.random.default_rng(10)
-        full = RleMask.full(4, 4)
+        full = RleMask(4, 4, (0, 16))
         grouping_ok = True
         for _ in range(500):
             n = int(rng.integers(1, 30))

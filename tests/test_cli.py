@@ -87,6 +87,29 @@ class TestDispatch:
         payload = json.loads(captured.err.strip())
         assert "error" in payload
 
+    @pytest.mark.parametrize("argv, names", [
+        (("train", "--steps", 2, "--log-interval", 0), "--log-interval must be >= 1, got 0"),
+        (("gradcheck", "--coords", 0), "--coords must be >= 1, got 0"),
+        (("gradcheck", "--coords", -1), "--coords must be >= 1, got -1"),
+        (("infer", "--heads", 0), "num_heads must be >= 1"),
+        (("infer", "--heads", -2), "num_heads must be >= 1"),
+        (("train", "--heads", 0), "num_heads must be >= 1"),
+        (("infer", "--model-dim", 0), "model_dim must be >= 2"),
+    ], ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_out_of_range_flag_rejected(self, dataset, tmp_path, capsys, monkeypatch, argv, names):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected flag reached the command's work")
+
+        for work in ("overfit_train", "gradient_check_report", "parallel_map"):
+            monkeypatch.setattr(cli, work, no_work)
+        command, *flags = argv
+        paths = {"infer": ("--data", dataset, "--out", tmp_path / "p.json"),
+                 "train": ("--data", dataset, "--ckpt-out", tmp_path / "c.ckpt"),
+                 "gradcheck": ()}[command]
+        assert run_cli(command, *paths, *flags) == 1
+        assert one_json_error_line(capsys.readouterr().err) == names
+        assert list(tmp_path.iterdir()) == []
+
     def test_console_script_help(self):
         proc = run_module("--help")
         assert proc.returncode == 0

@@ -43,45 +43,56 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def definitions(source: str) -> list[tuple[str, int]]:
+def definitions(source: str) -> list[tuple[str, int, bool]]:
     """Module-level functions and classes, and the methods of those classes,
-    except dunders, as (name, line)."""
+    except dunders, as (name, line, is_method)."""
     found = []
     for node in ast.parse(source).body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for item in [node, *members]:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (item.name.startswith("__") and item.name.endswith("__")):
-                    found.append((item.name, item.lineno))
+                    found.append((item.name, item.lineno, item is not node))
     return found
 
 
-def referenced_names(sources: list[str]) -> set[str]:
-    """Every name read as a variable or an attribute anywhere in `sources`."""
-    names = set()
+def referenced_names(sources: list[str]) -> tuple[set[str], set[str]]:
+    """The names read as variables and the names read as attributes (`.name`)
+    anywhere in `sources`."""
+    variables, attributes = set(), set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                variables.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+    return variables, attributes
+
+
+def unreferenced(source: str, refs: tuple[set[str], set[str]]) -> list[tuple[str, int]]:
+    """Definitions of `source` that `refs` (from `referenced_names`) never name; a
+    method counts only when read as an attribute, since a local variable of the
+    same name is not it."""
+    variables, attributes = refs
+    return [(name, line) for name, line, is_method in definitions(source)
+            if name not in attributes and (is_method or name not in variables)]
 
 
 def test_detector_finds_an_unreferenced_definition():
     source = ("class A:\n    def used(self): pass\n    def idle(self): pass\n"
-              "    def __repr__(self): return ''\n"
+              "    def shadowed(self): pass\n    def __repr__(self): return ''\n"
               "def helper(): pass\ndef orphan(): pass\n")
-    refs = referenced_names([source, "A().used()\nhelper()\n"])
-    assert [(n, line) for n, line in definitions(source) if n not in refs] == [("idle", 3), ("orphan", 6)]
+    uses = "A().used()\nhelper()\nshadowed = 1\nprint(shadowed)\n"
+    assert unreferenced(source, referenced_names([source, uses])) == [("idle", 3), ("shadowed", 4), ("orphan", 7)]
 
 
 def test_every_definition_is_referenced():
     # a definition only the tests name is dead code that the tests keep alive
     files = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     refs = referenced_names([p.read_text() for p in files])
-    defined = {(path.name, name): line for path in MODULES for name, line in definitions(path.read_text())}
-    dead = [f"{path}:{line}: {name}" for (path, name), line in defined.items()
-            if name not in refs and (path, name) not in KEPT_UNREFERENCED]
+    defined = {(path.name, name): line for path in MODULES for name, line, _ in definitions(path.read_text())}
+    dead = [f"{path.name}:{line}: {name}" for path in MODULES
+            for name, line in unreferenced(path.read_text(), refs)
+            if (path.name, name) not in KEPT_UNREFERENCED]
     assert dead == []
     assert [key for key in KEPT_UNREFERENCED if key not in defined] == []

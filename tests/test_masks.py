@@ -166,21 +166,21 @@ class TestOccurrences:
         Masklet(3, 5, (m, m, m))
 
     def test_response_set_rejects_overlap(self):
-        m = RleMask.full(2, 2)
+        m = RleMask(2, 2, (0, 4))
         a = Masklet(0, 2, (m, m, m))
         b = Masklet(2, 3, (m, m))
         with pytest.raises(Exception):
             ResponseSet("v", (a, b))
 
     def test_response_set_rejects_unsorted(self):
-        m = RleMask.full(2, 2)
+        m = RleMask(2, 2, (0, 4))
         a = Masklet(4, 5, (m, m))
         b = Masklet(0, 1, (m, m))
         with pytest.raises(Exception):
             ResponseSet("v", (a, b))
 
     def test_group_into_masklets(self):
-        m = RleMask.full(2, 2)
+        m = RleMask(2, 2, (0, 4))
         e = RleMask.empty(2, 2)
         seq = [None, None, m, m, m, None, e, None, None, m, m]
         occs = group_into_masklets(seq)
@@ -188,7 +188,7 @@ class TestOccurrences:
 
     def test_group_matches_bruteforce(self):
         rng = np.random.default_rng(31)
-        m = RleMask.full(2, 2)
+        m = RleMask(2, 2, (0, 4))
         for _ in range(300):
             present = rng.random(12) < 0.5
             seq = [m if p else None for p in present]

@@ -60,7 +60,7 @@ class TestTIou:
     def test_shift_from_perfect_never_helps(self):
         # gt: one contiguous segment shorter than the video; start from a
         # perfect prediction and shift it by one frame either way.
-        m = RleMask.full(4, 4)
+        m = RleMask(4, 4, (0, 16))
         rng = np.random.default_rng(3)
         for _ in range(200):
             start = int(rng.integers(0, 10))
@@ -199,7 +199,7 @@ class TestEvaluateRun:
 
     def test_dimension_mismatch_rejected(self):
         gt, _ = two_frame_pair()
-        wrong = ResponseSet("v", (Masklet(1, 1, (RleMask.full(8, 8),)),))
+        wrong = ResponseSet("v", (Masklet(1, 1, (RleMask(8, 8, (0, 64)),)),))
         with pytest.raises(Exception) as exc:
             evaluate_run({"v": gt}, {"v": wrong})
         assert "v" in str(exc.value)

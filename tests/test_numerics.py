@@ -358,7 +358,7 @@ class TestCheckpoint:
         save_params(store, path)
         loaded = load_params(path)
         assert loaded.init_seed == 77
-        assert loaded.names() == store.names()
+        assert list(loaded.params) == list(store.params)
         for name in store.params:
             assert np.array_equal(loaded.params[name].value, store.params[name].value)
         assert loaded.step_count == 0

@@ -1,4 +1,5 @@
 import gc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from vqs.pipeline import (
     PipelineConfigError,
     amg_fuse,
     amg_weights,
-    best_candidate_index,
     binarize_candidate,
     clip_spans,
     config_digest,
@@ -63,8 +63,9 @@ class TestConfig:
             PipelineConfig(num_stages=3, stage_weights=(0.5, 1.0))
 
     def test_digest_deterministic(self):
-        assert config_digest(TOY) == config_digest(PipelineConfig(patch_size=8, model_dim=16, num_heads=2, seed=5))
-        assert config_digest(TOY) != config_digest(PipelineConfig())
+        same = PipelineConfig(patch_size=8, model_dim=16, num_heads=2, seed=5)
+        assert config_digest(asdict(TOY)) == config_digest(asdict(same))
+        assert config_digest(asdict(TOY)) != config_digest(asdict(PipelineConfig()))
 
 
 class TestEncodeFrame:
@@ -98,7 +99,7 @@ class TestEncodeFrame:
 
 class TestEncodeMemory:
     def test_full_mask_fraction_ones(self):
-        fr = mask_patch_counts(RleMask.full(64, 64), 8) / 64
+        fr = mask_patch_counts(RleMask(64, 64, (0, 4096)), 8) / 64
         assert np.array_equal(fr, np.ones((8, 8)))
 
     def test_empty_mask_fraction_zeros(self):
@@ -437,6 +438,24 @@ class TestDfgSelect:
         assert entries == []
 
 
+@pytest.mark.parametrize("consumer", ["tfg_select", "dfg_select", "finalize_predictions"])
+def test_iou_tie_picks_first_candidate(consumer):
+    # candidates 1 and 2 tie at the top predicted IoU with disjoint masks: 1 is the best
+    cands = [make_candidate(line_logits({0, 1, 2}), 0.6),
+             make_candidate(line_logits({0, 1}), 0.9),
+             make_candidate(line_logits({5, 6, 7}), 0.9)]
+    frames = [frame_of(cands)]
+    if consumer == "finalize_predictions":
+        emitted = finalize_predictions(frames, (1, 10))
+        assert [m.runs for m in emitted] == [binarize_candidate(cands[1], (1, 10)).runs]
+        return
+    cfg = selection_cfg()
+    select = tfg_select if consumer == "tfg_select" else dfg_select
+    _, prov = select(frames, [ad.tensor(np.zeros((10, 4)))], cfg, init_params(cfg))
+    # TFG mines the best candidate; DFG excludes it and mines the tied one beside it
+    assert [p.candidate_index for p in prov] == [1 if consumer == "tfg_select" else 2]
+
+
 def oracle_tfg(frames, tau_t, n_t):
     """Exhaustive reference: best per frame, filter, stable rank."""
     rows = []
@@ -678,7 +697,7 @@ class TestInferVideo:
         assert resp_a == resp_b
         assert prov_a == prov_b
         assert len(prov_a["clips"]) == 3
-        assert prov_a["config_digest"] == config_digest(TOY)
+        assert prov_a["config_digest"] == config_digest(asdict(TOY))
         prev_end = -1
         for occ in resp_a.occurrences:
             assert occ.start_frame > prev_end
@@ -706,7 +725,7 @@ class TestInferVideo:
                     init_params(TOY))
         assert len(seen) == 4
         for frame in seen:
-            for node in frame.nodes(0):
+            for node in (frame.occlusion_node(0), *frame.mask_nodes(0)):
                 # the decoder's outputs start the trace: inference gave them no parents
                 *upstream, _ = ad.trace(node)
                 assert len(upstream) <= 3 and upstream[0].parents == ()
@@ -736,7 +755,7 @@ class TestScorePreflight:
 
         monkeypatch.setattr(pipeline, "encode_frame", no_encoding)
         frame = np.zeros((side, side, 3), dtype=np.uint8)
-        video = pipeline.run_video([frame] * num_frames, frame, RleMask.full(side, side), cfg,
+        video = pipeline.run_video([frame] * num_frames, frame, RleMask(side, side, (0, side * side)), cfg,
                                    init_params(cfg))
         return next(video)
 

@@ -80,7 +80,7 @@ class TestOverlapKernel:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MaskDimensionError):
-            intersection_areas([(RleMask.full(2, 2), RleMask.full(2, 2)), (RleMask.full(2, 3), RleMask.full(2, 3))])
+            intersection_areas([(RleMask(2, 2, (0, 4)), RleMask(2, 2, (0, 4))), (RleMask(2, 3, (0, 6)), RleMask(2, 3, (0, 6)))])
         with pytest.raises(MaskDimensionError, match="mask shape mismatch"):
             mask_intersection_area(RleMask.empty(2, 2), RleMask.empty(2, 3))
 

@@ -192,17 +192,18 @@ def test_step_builds_routed_candidate_nodes_only(monkeypatch):
     scene = tiny_scene(seed=5)
     cfg = toy_pipeline(seed=4)
     gt_counts = gt_patch_counts(scene, cfg.patch_size)
-    asked = []
+    asked = []  # (frame, candidate, method, what it built)
     decode = pipeline.decode_masks
 
     def spy(*args, **kwargs):
         frames = decode(*args, **kwargs)
         for fc in frames:
-            def nodes(h, fc=fc, build=fc.nodes):
-                asked.append((fc, h, build(h)))
-                return asked[-1][2]
+            for method in ("occlusion_node", "mask_nodes"):
+                def build(h, fc=fc, method=method, real=getattr(fc, method)):
+                    asked.append((fc, h, method, real(h)))
+                    return asked[-1][3]
 
-            fc.nodes = nodes
+                setattr(fc, method, build)
         return frames
 
     monkeypatch.setattr(pipeline, "decode_masks", spy)
@@ -211,13 +212,22 @@ def test_step_builds_routed_candidate_nodes_only(monkeypatch):
     for n in ad.trace(node):
         for parent in n.parents:
             users[id(parent)] = users.get(id(parent), 0) + 1
-    assert len(asked) == cfg.num_stages * len(scene.frames)  # one candidate a frame and stage
-    for fc, h, (mask_logits, _, _) in asked:
+    with_gt = len(gt_counts)
+    assert 0 < with_gt < len(scene.frames)  # frames with and without gt both occur
+    methods = [method for _, _, method, _ in asked]
+    assert methods.count("occlusion_node") == cfg.num_stages * len(scene.frames)
+    # a frame without gt trains only its occlusion head: it builds no mask-logit or IoU node
+    assert [fc.frame_index in gt_counts for fc, _, method, _ in asked
+            if method == "mask_nodes"] == [True] * (cfg.num_stages * with_gt)
+    for fc, h, method, built in asked:
         counts = gt_counts.get(fc.frame_index)
-        no_gt = np.zeros_like(fc.candidates[0].grid, dtype=np.int64)
+        no_gt = np.zeros(fc.candidates[0].grid.shape, dtype=np.int64)
         assert h == training._routed_candidate(fc, no_gt if counts is None else counts, cfg.patch_size)[0]
-        # one logits node feeds both the dice sigmoid and the BCE
-        assert users.get(id(mask_logits), 0) == (0 if counts is None else 2)
+        # the IoU or occlusion node feeds one loss term; the logits node both the dice sigmoid and the BCE
+        mask_logits, scalar = built if method == "mask_nodes" else (None, built)
+        assert users.get(id(scalar), 0) == 1
+        if mask_logits is not None:
+            assert users.get(id(mask_logits), 0) == 2
 
 
 class TestTapeLifetime:
