@@ -19,21 +19,21 @@ receives its node's output value from `backward` instead of closing over
 the node, so no node refers to itself and reference counting frees a tape
 as soon as its last user drops it.
 
-Attention heads are fused nodes with hand-written VJPs: `attention_heads`
-for softmax self-attention, all heads of a block in one node, and
-`weighted_attention_head` for one head of attention over several
-scalar-weighted key/value sets. The forward runs the same numpy operations
-in the same order as the equivalent graph of primitives (narrow, transpose,
-matmul, scale, softmax or exp, concat, ...), in place on one score buffer,
-and the VJP reuses the softmax that the forward saved in its closure, so
-values and gradients are bit-identical to that graph. Replay
-refreshes the saved intermediates together with the value, and `no_record()`
-drops them along with the forward. Two rules keep gradients so.
-Parents are listed in an order under which `backward` sums gradients into
-the shared projections and parameters upstream in the same order as through
-the primitive graph: the parent order decides where `trace` meets them, and
-floating-point sums depend on their order. A parent listed several times
-receives its terms in the order the primitive graph would sum them.
+Attention is one fused node with a hand-written VJP, `attention_heads`: all
+heads of a block, with two per-head kernels, softmax self-attention (STT) and
+attention over scalar-weighted key/value sets (memory). Each runs the same
+numpy operations in the same order as the per-head graph of primitives
+(narrow, transpose, matmul, scale, softmax or exp, concat, ...), and the VJP
+reuses the scores the forward saved, so values and gradients are
+bit-identical to that graph. Replay refreshes the saved intermediates with
+the value; `no_record()` drops them with the forward. Parents are listed in
+an order under which `backward` sums gradients into the shared projections
+and parameters upstream in the same order as through the per-head graphs,
+since the parent order decides where `trace` meets them and floating-point
+sums depend on their order: (q, k, v) for softmax, and (q, V_1..V_E,
+K_1..K_E, then each head's weights, head 0 first) for weighted sets, as the
+concat of per-head nodes added them. A parent listed several times receives
+its terms in the order the per-head graphs would sum them.
 
 `backward` stores a parent's first gradient without copying it, so one array
 may be the `.grad` of several nodes. That is safe because gradients are
@@ -308,13 +308,6 @@ class AttentionParams:
     wo: Tensor
 
 
-def _padded(like: Array, cols: slice, part: Array) -> Array:
-    """Zeros shaped like `like` with `part` in columns `cols`: narrow's VJP."""
-    full = np.zeros_like(like)
-    full[:, cols] = part
-    return full
-
-
 # Query rows per block of the backward pass's row-local N x M passes: a block
 # of dP, P and their product stays in cache.
 _BLOCK_ROWS = 64
@@ -329,175 +322,159 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: Sequence[slice]) -> Tensor:
-    """softmax(q_h k_h^T / sqrt(d_h)) v_h for the columns h of each head, side by side.
+def attention_heads(
+    q: Tensor,
+    kv_sets: Sequence[tuple[Tensor, Tensor]],
+    weights: Optional[Sequence[Tensor]],
+    heads: Sequence[slice],
+) -> Tensor:
+    """Attention of q onto key/value sets for the columns h of each head, side by side.
+
+    Without weights there is one (k, v) set, and each head is
+    softmax(q_h k_h^T / sqrt(d_h)) v_h. With one scalar weight a set, each
+    head is sum_e w_e exp(S_e - m) V_e / sum_e w_e rowsum(exp(S_e - m)) with
+    S_e = (q_h / sqrt(d_h)) K_e,h^T. Its per-query shift m is the row max over
+    all S_e at build time; it is detached and replay keeps it, like any frozen
+    routing choice. A weight is a parent twice a head, for its numerator and
+    its denominator term.
 
     All heads are one node. They run on up to one thread per CPU
     (`parallel.thread_map`), and each writes only its own columns of the
     output and of the q, k and v gradients, so no value depends on threads.
     q, k and v get full-width gradients, zero outside the heads' columns.
-    The heads' score matrices are one (H, N, M) buffer, allocated by the
+    Each set's score matrices are one (H, N, M) buffer, allocated by the
     calling thread, and built, normalised and kept for the backward pass in
-    place.
+    place; so are their gradients.
 
-    Backward is dS = P * (dP - rowsum(dP * P)) (Dao et al., FlashAttention,
-    arXiv 2205.14135), built in blocks of query rows. The three products that
-    sum over N or M (dS K, Q^T dS, P^T dO) run over all rows at once:
-    splitting them changes which BLAS kernel runs, and with it the bits.
+    Softmax backward is dS = P * (dP - rowsum(dP * P)) (Dao et al.,
+    FlashAttention, arXiv 2205.14135), built in blocks of query rows. The
+    three products that sum over N or M (dS K, Q^T dS, P^T dO) run over all
+    rows at once: splitting them changes which BLAS kernel runs, and with it
+    the bits.
     """
+    if len(kv_sets) != (1 if weights is None else len(weights)):
+        raise ValueError("attention takes one key/value set without weights, or one weight a set")
     heads = tuple(heads)
+    keys, values = [k for k, _ in kv_sets], [v for _, v in kv_sets]
     scales = [1.0 / math.sqrt(cols.stop - cols.start) for cols in heads]
     offsets = np.cumsum([0] + [cols.stop - cols.start for cols in heads]).tolist()
     out_cols = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
-    saved: tuple = ()
+    shifts: list[Optional[Array]] = [None] * len(heads)
+    saved: list = []
 
-    def forward():
-        nonlocal saved
-        p = np.empty((len(heads), q.value.shape[0], k.value.shape[0]))
-        out = np.empty((q.value.shape[0], offsets[-1]))
-
-        def head(h):
-            cols = heads[h]
-            qs = q.value[:, cols].copy()
-            kt = k.value[:, cols].T.copy()
-            vs = v.value[:, cols].copy()
-            ph = np.matmul(qs, kt, out=p[h])
+    def forward_head(h, out, scores):
+        cols = heads[h]
+        qs = q.value[:, cols].copy()
+        kts = [k.value[:, cols].T.copy() for k in keys]
+        vss = [v.value[:, cols].copy() for v in values]
+        if weights is None:
+            ph = np.matmul(qs, kts[0], out=scores[0][h])
             ph *= scales[h]
             ph -= ph.max(axis=-1, keepdims=True)
             np.exp(ph, out=ph)
             ph /= ph.sum(axis=-1, keepdims=True)
-            out[:, out_cols[h]] = ph @ vs
-            return qs, kt, vs
-
-        saved = (thread_map(head, range(len(heads))), p)
-        return out
-
-    def vjp(g, y):
-        per_head, p = saved
-        g_s = np.empty_like(p)
-        blocks = _row_blocks(p.shape[1])
-        scratch = np.empty((len(heads), max(b.stop - b.start for b in blocks), p.shape[2]))
-        g_q, g_k, g_v = np.zeros_like(q.value), np.zeros_like(k.value), np.zeros_like(v.value)
-
-        def head(h):
-            (qs, kt, vs), cols, g_o = per_head[h], heads[h], g[:, out_cols[h]]
-            for rows in blocks:
-                ds, ph = g_s[h, rows], p[h, rows]
-                np.matmul(g_o[rows], vs.T, out=ds)
-                ds -= np.multiply(ds, ph, out=scratch[h, : len(ds)]).sum(axis=-1, keepdims=True)
-                ds *= ph
-                ds *= scales[h]
-            g_q[:, cols] = g_s[h] @ kt.T
-            g_k[:, cols] = (qs.T @ g_s[h]).T
-            g_v[:, cols] = p[h].T @ g_o
-
-        thread_map(head, range(len(heads)))
-        if len(heads) > 1:
-            # a sum of per-head gradients zero-padded to full width turns -0.0
-            # into +0.0; this keeps the gradients equal to that sum bit for bit
-            for grad in (g_q, g_k, g_v):
-                grad += 0.0
-        return g_q, g_k, g_v
-
-    return _node(forward, (q, k, v), vjp)
-
-
-def weighted_attention_head(
-    q: Tensor,
-    keys: Sequence[Tensor],
-    values: Sequence[Tensor],
-    weights: Sequence[Tensor],
-    start: int,
-    length: int,
-) -> Tensor:
-    """One head of attention over several key/value sets, each weighted by a scalar.
-
-    out = sum_e w_e exp(S_e - m) V_e / sum_e w_e rowsum(exp(S_e - m)) with
-    S_e = (q_h / sqrt(length)) K_e,h^T over columns [start, start + length).
-    The per-query shift m is the row max over all S_e at build time; it is
-    detached and replay keeps it, like any frozen routing choice.
-
-    Parents are (q, V_1..V_E, K_1..K_E, w_1, w_1, ..., w_E, w_E): each weight
-    once for its numerator term and once for its denominator term. With this
-    order, gradients sum into the parameters upstream in the same order as
-    through the primitive graph; (q, K..., V...), for one, moves them by an
-    ulp.
-    """
-    cols = slice(start, start + length)
-    c = 1.0 / math.sqrt(length)
-    shift: Optional[Array] = None
-    saved: tuple = ()
-
-    def forward():
-        nonlocal shift, saved
-        qs = q.value[:, cols].copy()
-        qs *= c
-        kts = [k.value[:, cols].T.copy() for k in keys]
-        exps = [qs @ kt for kt in kts]
-        if shift is None:  # max is exact: the entries' row maxima, without copying the scores
-            shift = np.maximum.reduce([p.max(axis=1, keepdims=True) for p in exps])
-        vss = [v.value[:, cols].copy() for v in values]
+            out[:, out_cols[h]] = ph @ vss[0]
+            return qs, kts, vss, [ph]
+        qs *= scales[h]
+        exps = [np.matmul(qs, kt, out=s[h]) for kt, s in zip(kts, scores)]
+        if shifts[h] is None:  # max is exact: the sets' row maxima, without copying the scores
+            shifts[h] = np.maximum.reduce([p.max(axis=1, keepdims=True) for p in exps])
         num = den = None
         mats, sums = [], []
         for p, vs, w in zip(exps, vss, weights):
-            p -= shift
+            p -= shifts[h]
             np.exp(p, out=p)
             mats.append(p @ vs)
             sums.append(p.sum(axis=1, keepdims=True))
             num = mats[-1] * w.value if num is None else num + mats[-1] * w.value
             den = sums[-1] * w.value if den is None else den + sums[-1] * w.value
-        saved = (qs, kts, vss, exps, mats, sums, num, den)
-        return num / den
+        out[:, out_cols[h]] = num / den
+        return qs, kts, vss, exps, mats, sums, num, den
+
+    def forward():
+        nonlocal saved
+        out = np.empty((q.value.shape[0], offsets[-1]))
+        scores = [np.empty((len(heads), q.value.shape[0], k.value.shape[0])) for k in keys]
+        saved = thread_map(lambda h: forward_head(h, out, scores), range(len(heads)))
+        return out
 
     def vjp(g, y):
-        qs, kts, vss, exps, mats, sums, num, den = saved
-        g_num = g / den
-        g_den = _unbroadcast(-g * num / (den * den), den.shape)
-        g_qs = None
-        g_keys, g_values, g_w_num, g_w_den = [], [], [], []
-        for k, v, w, kt, vs, p, mat, row_sum in zip(keys, values, weights, kts, vss, exps, mats, sums):
-            g_mat = g_num * w.value
-            g_w_num.append(_unbroadcast(g_num * mat, w.value.shape))
-            g_w_den.append(_unbroadcast(g_den * row_sum, w.value.shape))
-            g_s = g_mat @ vs.T
-            g_s += g_den * w.value
-            g_s *= p
-            g_values.append(_padded(v.value, cols, p.T @ g_mat))
-            g_keys.append(_padded(k.value, cols, (qs.T @ g_s).T))
-            g_qs = g_s @ kt.T if g_qs is None else g_qs + g_s @ kt.T
-        # A weight shared by several entries gets its numerator terms first,
-        # then its denominator terms, in entry order: the primitive graph's sum.
-        terms: dict[int, list[Array]] = {}
-        for w, g_w in [*zip(weights, g_w_num), *zip(weights, g_w_den)]:
-            terms.setdefault(id(w), []).append(g_w)
-        return (
-            _padded(q.value, cols, g_qs * c),
-            *g_values,
-            *g_keys,
-            *(terms[id(w)].pop(0) for w in weights for _ in range(2)),
-        )
+        g_q = np.zeros_like(q.value)
+        g_keys, g_values = [np.zeros_like(k.value) for k in keys], [np.zeros_like(v.value) for v in values]
+        g_s = [np.empty((len(heads), *p.shape)) for p in saved[0][3]]  # dS, shaped like each set's scores
+        if weights is None:
+            blocks = _row_blocks(g_s[0].shape[1])
+            scratch = np.empty((len(heads), max(b.stop - b.start for b in blocks), g_s[0].shape[2]))
 
-    parents = (q, *values, *keys, *(w for w in weights for _ in range(2)))
-    return _node(forward, parents, vjp)
+        def head(h):
+            cols, g_o = heads[h], g[:, out_cols[h]]
+            if weights is None:
+                qs, (kt,), (vs,), (ph,) = saved[h]
+                for rows in blocks:
+                    ds, pr = g_s[0][h, rows], ph[rows]
+                    np.matmul(g_o[rows], vs.T, out=ds)
+                    ds -= np.multiply(ds, pr, out=scratch[h, : len(ds)]).sum(axis=-1, keepdims=True)
+                    ds *= pr
+                    ds *= scales[h]
+                g_q[:, cols] = g_s[0][h] @ kt.T
+                g_keys[0][:, cols] = (qs.T @ g_s[0][h]).T
+                g_values[0][:, cols] = ph.T @ g_o
+                return []
+            qs, kts, vss, exps, mats, sums, num, den = saved[h]
+            g_num = g_o / den
+            g_den = _unbroadcast(-g_o * num / (den * den), den.shape)
+            g_qs = None
+            g_w_num, g_w_den = [], []
+            for e, (w, kt, vs, p, mat, row_sum) in enumerate(zip(weights, kts, vss, exps, mats, sums)):
+                g_mat = g_num * w.value
+                g_w_num.append(_unbroadcast(g_num * mat, w.value.shape))
+                g_w_den.append(_unbroadcast(g_den * row_sum, w.value.shape))
+                g_s_e = np.matmul(g_mat, vs.T, out=g_s[e][h])
+                g_s_e += g_den * w.value
+                g_s_e *= p
+                g_values[e][:, cols] = p.T @ g_mat
+                g_keys[e][:, cols] = (qs.T @ g_s_e).T
+                g_qs = g_s_e @ kt.T if g_qs is None else g_qs + g_s_e @ kt.T
+            g_q[:, cols] = g_qs * scales[h]
+            # A weight shared by several sets gets its numerator terms first,
+            # then its denominator terms, in set order: the composed graph's sum.
+            terms: dict[int, list[Array]] = {}
+            for w, g_w in [*zip(weights, g_w_num), *zip(weights, g_w_den)]:
+                terms.setdefault(id(w), []).append(g_w)
+            return [terms[id(w)].pop(0) for w in weights for _ in range(2)]
+
+        g_weights = thread_map(head, range(len(heads)))
+        if len(heads) > 1:
+            # a sum of per-head gradients zero-padded to full width turns -0.0
+            # into +0.0; this keeps the gradients equal to that sum bit for bit
+            for grad in (g_q, *g_keys, *g_values):
+                grad += 0.0
+        kv_grads = (*g_keys, *g_values) if weights is None else (*g_values, *g_keys)
+        return (g_q, *kv_grads, *(g_w for per_head in g_weights for g_w in per_head))
+
+    kv_parents = (*keys, *values) if weights is None else (*values, *keys)
+    w_parents = () if weights is None else tuple(w for _ in heads for w in weights for _ in range(2))
+    return _node(forward, (q, *kv_parents, *w_parents), vjp)
 
 
 def attention(
     q_in: Tensor,
-    k_in: Tensor,
-    v_in: Tensor,
+    kv_in: Sequence[Tensor],
+    weights: Optional[Sequence[Tensor]],
     params: AttentionParams,
     num_heads: int,
 ) -> Tensor:
-    """Multi-head scaled-dot-product attention over 2-D token matrices."""
+    """Multi-head attention of q_in's tokens onto each token matrix of kv_in,
+    projected by `params`: softmax attention without weights, attention over
+    scalar-weighted sets with one weight a matrix (`attention_heads`)."""
     d = q_in.value.shape[-1]
     if d % num_heads != 0:
         raise ValueError(f"model dim {d} is not divisible by {num_heads} heads")
     d_head = d // num_heads
     q = matmul(q_in, params.wq)
-    k = matmul(k_in, params.wk)
-    v = matmul(v_in, params.wv)
+    kv_sets = [(matmul(t, params.wk), matmul(t, params.wv)) for t in kv_in]
     heads = [slice(h * d_head, (h + 1) * d_head) for h in range(num_heads)]
-    return matmul(attention_heads(q, k, v, heads), params.wo)
+    return matmul(attention_heads(q, kv_sets, weights, heads), params.wo)
 
 
 def trace(root: Tensor) -> ComputationRecord:

@@ -276,15 +276,15 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _pipeline_config(args)
+    tcfg = TrainConfig(
+        steps=args.steps, lr=args.lr, beta1=args.beta1, beta2=args.beta2,
+        eps=args.eps, weight_decay=args.weight_decay, seed=args.seed,
+    )
     manifest = load_manifest(args.data)
     scenes = manifest["scenes"]
     if not 0 <= args.scene < len(scenes):
         raise CliError(f"scene index {args.scene} out of range (dataset has {len(scenes)})")
     record = load_scene_record(args.data, scenes[args.scene])
-    tcfg = TrainConfig(
-        steps=args.steps, lr=args.lr, beta1=args.beta1, beta2=args.beta2,
-        eps=args.eps, weight_decay=args.weight_decay, seed=args.seed,
-    )
     store, curve = overfit_train(record, cfg, tcfg)
     for pt in curve:
         if pt.step == 1 or pt.step % args.log_interval == 0 or pt.step == len(curve):

@@ -89,6 +89,10 @@ class PipelineConfig:
             raise PipelineConfigError(
                 f"{len(self.stage_weights)} stage weights for {self.num_stages} stages"
             )
+        if not all(np.isfinite(w) and w >= 0 for w in self.stage_weights):
+            raise PipelineConfigError(
+                f"stage weights (--gamma) must be finite and >= 0, got {list(self.stage_weights)}"
+            )
         if self.patch_size < 1:
             raise PipelineConfigError("patch_size must be >= 1")
         if self.num_heads < 1:
@@ -300,19 +304,9 @@ def memory_attention(
     active = [e for e in bank.entries if float(e.scale.value) != 0.0]
     if not active:
         raise PipelineConfigError("all memory entries have zero scale")
-    p = _attention_params(params, "mem_attn")
-    d_head = cfg.model_dim // cfg.num_heads
-    q = ad.matmul(features, p.wq)
-    keys = [ad.matmul(e.tokens, p.wk) for e in active]
-    values = [ad.matmul(e.tokens, p.wv) for e in active]
-    scales = [e.scale for e in active]
-    head_outputs = [
-        ad.weighted_attention_head(q, keys, values, scales, h * d_head, d_head)
-        for h in range(cfg.num_heads)
-    ]
-    merged = ad.concat(head_outputs, axis=1) if len(head_outputs) > 1 else head_outputs[0]
-    projected = ad.matmul(merged, p.wo)
-    return ad.add(features, projected)
+    attended = ad.attention(features, [e.tokens for e in active], [e.scale for e in active],
+                            _attention_params(params, "mem_attn"), cfg.num_heads)
+    return ad.add(features, attended)
 
 
 def stt_block(clip_features: Sequence[Tensor], cfg: PipelineConfig, params: ParamStore) -> list[Tensor]:
@@ -321,7 +315,7 @@ def stt_block(clip_features: Sequence[Tensor], cfg: PipelineConfig, params: Para
     if not clip_features:
         raise PipelineConfigError("empty clip")
     x = ad.concat(list(clip_features), axis=0) if len(clip_features) > 1 else clip_features[0]
-    x = ad.add(x, ad.attention(x, x, x, _attention_params(params, "stt_attn"), cfg.num_heads))
+    x = ad.add(x, ad.attention(x, [x], None, _attention_params(params, "stt_attn"), cfg.num_heads))
     x = ad.add(x, _mlp(x, params, "stt_mlp"))
     if len(clip_features) == 1:
         return [x]
@@ -674,11 +668,12 @@ def finalize_predictions(
 
 # The most bytes that one clip's attention scores may take at once: the STT
 # block holds every head's matrix together, num_heads * 8 * (frames * grid_h *
-# grid_w)**2 bytes, and training keeps them for its backward pass; a memory
-# attention head holds up to 1 + n_t + n_d entries of (frames * grid_h * grid_w)
-# x (grid_h * grid_w) scores. A video whose clips would need more is rejected
-# before anything is allocated. 1 GiB admits a 256x256 clip of 7 frames at the
-# default flags (822 MB in STT); a 512x512 one would need 13 GB.
+# grid_w)**2 bytes, and training keeps them for its backward pass; memory
+# attention holds every head's 1 + n_t + n_d entries of (frames * grid_h *
+# grid_w) x (grid_h * grid_w) scores together. A video whose clips would need
+# more is rejected before anything is allocated. 1 GiB admits a 256x256 clip
+# of 7 frames at the default flags (822 MB in STT, 470 MB in memory
+# attention); a 512x512 one would need 13 GB.
 MAX_SCORE_BYTES = 1 << 30
 
 
@@ -717,7 +712,8 @@ def run_video(
     entries = 1 + cfg.num_targets + cfg.num_distractors
     for what, score_bytes, held in (
         ("attention", cfg.num_heads * 8 * (clip * gh * gw) ** 2, f"{cfg.num_heads} heads"),
-        ("memory attention", entries * 8 * clip * (gh * gw) ** 2, f"{entries} memory entries a head"),
+        ("memory attention", cfg.num_heads * entries * 8 * clip * (gh * gw) ** 2,
+         f"{cfg.num_heads} heads of {entries} memory entries"),
     ):
         if score_bytes > MAX_SCORE_BYTES:
             raise PipelineConfigError(

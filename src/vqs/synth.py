@@ -459,6 +459,13 @@ class DatasetConfig:
     target_scale: tuple[float, float] = (0.12, 0.30)
     fps: int = 6
 
+    def __post_init__(self) -> None:
+        for flag, bounds in (("--drift", self.appearance_drift), ("--scale", self.target_scale)):
+            if not all(math.isfinite(b) for b in bounds):
+                raise SceneConfigError(f"{flag} range must be finite, got {bounds[0]}:{bounds[1]}")
+        if self.fps < 1:
+            raise SceneConfigError(f"--fps must be >= 1, got {self.fps}")
+
     def sample_scene(self, scene_seed: int) -> SceneConfig:
         rng = np.random.default_rng(np.random.PCG64(mix_seed(scene_seed, _SAMPLER_SALT)))
         frame_size = self.frame_sizes[int(rng.integers(0, len(self.frame_sizes)))]

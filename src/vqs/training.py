@@ -70,6 +70,15 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        for name, ok, rule in (
+            ("lr", np.isfinite(self.lr) and self.lr >= 0, "finite and >= 0"),
+            ("weight_decay", np.isfinite(self.weight_decay) and self.weight_decay >= 0, "finite and >= 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("eps", np.isfinite(self.eps) and self.eps > 0, "finite and > 0"),
+        ):
+            if not ok:
+                raise ValueError(f"--{name.replace('_', '-')} must be {rule}, got {getattr(self, name)}")
 
 
 def _routed_candidate(candidates: FrameCandidates, gt_counts: np.ndarray,
@@ -215,16 +224,17 @@ def _probe(rng: np.random.Generator, node: Tensor) -> Tensor:
 
 def _attention(rng: np.random.Generator) -> Tensor:
     x = _leaf(rng, (3, 4), "x")
-    out = ad.attention(x, x, x, ad.AttentionParams(*(_leaf(rng, (4, 4), f"w{p}") for p in "qkvo")), 2)
+    out = ad.attention(x, [x], None, ad.AttentionParams(*(_leaf(rng, (4, 4), f"w{p}") for p in "qkvo")), 2)
     return ad.mean_all(ad.multiply(out, out))
 
 
-def _weighted_attention_head(rng: np.random.Generator) -> Tensor:
-    """One memory head over three scalar-weighted key/value sets of different lengths."""
-    keys = [_leaf(rng, (n, 4), f"k{i}") for i, n in enumerate((2, 4, 3))]
-    values = [_leaf(rng, (n, 4), f"v{i}") for i, n in enumerate((2, 4, 3))]
-    weights = [ad.tensor(w, name=f"w{i}") for i, w in enumerate((1.0, 0.3, 1.7))]
-    return _probe(rng, ad.weighted_attention_head(_leaf(rng, (3, 4), "q"), keys, values, weights, 2, 2))
+def _attention_heads_weighted(rng: np.random.Generator) -> Tensor:
+    """Two heads over three scalar-weighted key/value sets of different lengths,
+    the last two sharing one weight."""
+    kv_sets = [(_leaf(rng, (n, 4), f"k{i}"), _leaf(rng, (n, 4), f"v{i}")) for i, n in enumerate((2, 4, 3))]
+    shared = ad.tensor(0.3, name="w1")
+    weights = [ad.tensor(1.0, name="w0"), shared, shared]
+    return _probe(rng, ad.attention_heads(_leaf(rng, (3, 4), "q"), kv_sets, weights, [slice(0, 2), slice(2, 4)]))
 
 
 def _stage_frame_loss(rng: np.random.Generator) -> Tensor:
@@ -271,9 +281,9 @@ GRADIENT_CHECKS: dict[str, Callable[[np.random.Generator], Tensor]] = {
         y := ad.linear(_leaf(r, (5, 4)), _leaf(r, (4, 3), "w"), _leaf(r, (3,), "b")), y)),
     "attention": _attention,
     "attention_heads": lambda r: _probe(r, ad.attention_heads(
-        _leaf(r, (3, 6), "q"), _leaf(r, (5, 6), "k"), _leaf(r, (5, 6), "v"),
+        _leaf(r, (3, 6), "q"), [(_leaf(r, (5, 6), "k"), _leaf(r, (5, 6), "v"))], None,
         [slice(0, 2), slice(2, 4), slice(4, 6)])),
-    "weighted_attention_head": _weighted_attention_head,
+    "attention_heads_weighted": _attention_heads_weighted,
     "stage_frame_loss": _stage_frame_loss,
 }
 

@@ -173,22 +173,6 @@ def composed_attention_head(q, k, v, start, length):
     return ad.matmul(ad.softmax(scores, axis=-1), vs)
 
 
-def composed_attention_heads(q, k, v, heads):
-    """Drop-in for `autodiff.attention_heads`: one composed head per column slice, side by side."""
-    outs = [composed_attention_head(q, k, v, cols.start, cols.stop - cols.start) for cols in heads]
-    return ad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
-
-
-def composed_attention(q_in, k_in, v_in, params, num_heads):
-    """Drop-in for `autodiff.attention`."""
-    d_head = q_in.value.shape[-1] // num_heads
-    q = ad.matmul(q_in, params.wq)
-    k = ad.matmul(k_in, params.wk)
-    v = ad.matmul(v_in, params.wv)
-    heads = [slice(h * d_head, (h + 1) * d_head) for h in range(num_heads)]
-    return ad.matmul(composed_attention_heads(q, k, v, heads), params.wo)
-
-
 def composed_weighted_attention_head(q, keys, values, weights, start, length):
     qs = ad.scale(ad.narrow(q, 1, start, length), 1.0 / math.sqrt(length))
     scores = [ad.matmul(qs, transpose(ad.narrow(k, 1, start, length))) for k in keys]
@@ -205,17 +189,31 @@ def composed_weighted_attention_head(q, keys, values, weights, start, length):
     return ad.divide(numerator, denominator)
 
 
+def composed_attention_heads(q, kv_sets, weights, heads):
+    """Drop-in for `autodiff.attention_heads`: one composed head per column slice, side by side."""
+    keys, values = [k for k, _ in kv_sets], [v for _, v in kv_sets]
+    if weights is None:
+        outs = [composed_attention_head(q, keys[0], values[0], cols.start, cols.stop - cols.start)
+                for cols in heads]
+    else:
+        outs = [composed_weighted_attention_head(q, keys, values, weights, cols.start, cols.stop - cols.start)
+                for cols in heads]
+    return ad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
+
+
+def composed_attention(q_in, kv_in, weights, params, num_heads):
+    """Drop-in for `autodiff.attention`."""
+    d_head = q_in.value.shape[-1] // num_heads
+    q = ad.matmul(q_in, params.wq)
+    kv_sets = [(ad.matmul(t, params.wk), ad.matmul(t, params.wv)) for t in kv_in]
+    heads = [slice(h * d_head, (h + 1) * d_head) for h in range(num_heads)]
+    return ad.matmul(composed_attention_heads(q, kv_sets, weights, heads), params.wo)
+
+
 def composed_memory_attention(features, bank, cfg, params):
     """Drop-in for `pipeline.memory_attention`."""
     active = [e for e in bank.entries if float(e.scale.value) != 0.0]
-    d_head = cfg.model_dim // cfg.num_heads
-    q = ad.matmul(features, params["mem_attn.wq"])
-    keys = [ad.matmul(e.tokens, params["mem_attn.wk"]) for e in active]
-    values = [ad.matmul(e.tokens, params["mem_attn.wv"]) for e in active]
-    weights = [e.scale for e in active]
-    heads = [
-        composed_weighted_attention_head(q, keys, values, weights, h * d_head, d_head)
-        for h in range(cfg.num_heads)
-    ]
-    merged = ad.concat(heads, axis=1) if len(heads) > 1 else heads[0]
-    return ad.add(features, ad.matmul(merged, params["mem_attn.wo"]))
+    mem_params = ad.AttentionParams(*(params[f"mem_attn.w{p}"] for p in "qkvo"))
+    attended = composed_attention(features, [e.tokens for e in active], [e.scale for e in active],
+                                  mem_params, cfg.num_heads)
+    return ad.add(features, attended)

@@ -95,16 +95,36 @@ class TestDispatch:
         (("infer", "--heads", -2), "num_heads must be >= 1"),
         (("train", "--heads", 0), "num_heads must be >= 1"),
         (("infer", "--model-dim", 0), "model_dim must be >= 2"),
+        (("train", "--lr", -1), "invalid input: --lr must be finite and >= 0, got -1.0"),
+        (("train", "--lr", "inf"), "invalid input: --lr must be finite and >= 0, got inf"),
+        (("train", "--weight-decay", "nan"), "invalid input: --weight-decay must be finite and >= 0, got nan"),
+        (("train", "--weight-decay", -0.1), "invalid input: --weight-decay must be finite and >= 0, got -0.1"),
+        (("train", "--beta1", 2), "invalid input: --beta1 must be in [0, 1), got 2.0"),
+        (("train", "--beta1", -0.5), "invalid input: --beta1 must be in [0, 1), got -0.5"),
+        (("train", "--beta2", 1), "invalid input: --beta2 must be in [0, 1), got 1.0"),
+        (("train", "--beta2", "nan"), "invalid input: --beta2 must be in [0, 1), got nan"),
+        (("train", "--eps", 0), "invalid input: --eps must be finite and > 0, got 0.0"),
+        (("train", "--eps", "1e400"), "invalid input: --eps must be finite and > 0, got inf"),
+        (("train", "--gamma", "nan,1"), "stage weights (--gamma) must be finite and >= 0, got [nan, 1.0]"),
+        (("train", "--gamma", "0.5,-1"), "stage weights (--gamma) must be finite and >= 0, got [0.5, -1.0]"),
+        (("infer", "--gamma", "inf,1"), "stage weights (--gamma) must be finite and >= 0, got [inf, 1.0]"),
+        (("gen", "--scale", "nan:nan"), "--scale range must be finite, got nan:nan"),
+        (("gen", "--scale", "0.1:inf"), "--scale range must be finite, got 0.1:inf"),
+        (("gen", "--drift", "nan:0.1"), "--drift range must be finite, got nan:0.1"),
+        (("gen", "--fps", 0), "--fps must be >= 1, got 0"),
+        (("gen", "--fps", -3), "--fps must be >= 1, got -3"),
     ], ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_out_of_range_flag_rejected(self, dataset, tmp_path, capsys, monkeypatch, argv, names):
         def no_work(*args, **kwargs):
             raise AssertionError("a rejected flag reached the command's work")
 
-        for work in ("overfit_train", "gradient_check_report", "parallel_map"):
+        for work in ("overfit_train", "gradient_check_report", "parallel_map", "generate_dataset",
+                     "load_manifest"):
             monkeypatch.setattr(cli, work, no_work)
         command, *flags = argv
         paths = {"infer": ("--data", dataset, "--out", tmp_path / "p.json"),
                  "train": ("--data", dataset, "--ckpt-out", tmp_path / "c.ckpt"),
+                 "gen": ("--scenes", 1, "--frames", "4:4", "--frame-sizes", "16x16", "--out", tmp_path / "ds"),
                  "gradcheck": ()}[command]
         assert run_cli(command, *paths, *flags) == 1
         assert one_json_error_line(capsys.readouterr().err) == names
@@ -711,9 +731,26 @@ class TestScorePreflight:
         assert run_cli(*argv) == 1
         assert one_json_error_line(capsys.readouterr().err) == (
             f"memory attention over clips of 1 frames of 8x8 patches needs {needed} bytes of "
-            f"scores for 4 memory entries a head, above the limit of {needed - 1}; use a larger "
+            f"scores for 1 heads of 4 memory entries, above the limit of {needed - 1}; use a larger "
             f"--patch-size or a smaller --clip-len")
         monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", needed)
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+
+    def test_memory_attention_counts_every_head(self, two_videos, tmp_path, capsys, monkeypatch):
+        # the one attention node holds every head's exp-scores at once: two heads over
+        # 4 entries of one-frame clips of 8x8 patches need twice what one head does
+        per_head = 4 * 8 * 64 * 64
+        monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", per_head)
+        argv = ["infer", "--data", two_videos, "--model-dim", 16, "--patch-size", 4, "--heads", 2,
+                "--clip-len", 1, "--out", tmp_path / "p.json"]
+        assert run_cli(*argv) == 1
+        assert one_json_error_line(capsys.readouterr().err) == (
+            f"memory attention over clips of 1 frames of 8x8 patches needs {2 * per_head} bytes of "
+            f"scores for 2 heads of 4 memory entries, above the limit of {per_head}; use a larger "
+            f"--patch-size or a smaller --clip-len")
+        assert not (tmp_path / "p.json").exists()
+        monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", 2 * per_head)
         assert run_cli(*argv) == 0
         capsys.readouterr()
 

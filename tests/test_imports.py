@@ -13,7 +13,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Definitions that neither src nor perfbench names in code, each with the reason it stays.
 KEPT_UNREFERENCED = {
     ("masks.py", "mask_iou"): "perfbench's TRACED wraps it by name, given as a string",
-    ("pipeline.py", "amg_weights"): "reserved for the decision trace of the AMG weights (ROADMAP item 3)",
+    ("pipeline.py", "amg_weights"): "reserved for the decision trace of the AMG weights (ROADMAP item 5)",
 }
 
 

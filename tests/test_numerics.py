@@ -93,25 +93,25 @@ class TestAttention:
         params = identity_attention_params(d)
         q = tensor(np.random.default_rng(1).normal(size=(3, d)))
         kv = tensor([[1.0, -2.0, 0.5, 7.0]])
-        out = ad.attention(q, kv, kv, params, num_heads=1).value
+        out = ad.attention(q, [kv], None, params, num_heads=1).value
         assert np.array_equal(out, np.broadcast_to(kv.value, (3, d)))
 
     def test_identical_keys_weigh_half(self):
+        # keys differ from values, so this calls the node without projections
         d = 2
-        params = identity_attention_params(d)
         q = tensor([[5.0, -3.0]])
         k = tensor([[1.0, 2.0], [1.0, 2.0]])
         v = tensor([[10.0, 0.0], [0.0, 4.0]])
-        out = ad.attention(q, k, v, params, num_heads=1).value
+        out = ad.attention_heads(q, [(k, v)], None, [slice(0, d)]).value
         assert np.allclose(out, [[5.0, 2.0]], atol=1e-12)
 
     def test_hand_computed_two_tokens(self):
+        # keys differ from values, so this calls the node without projections
         d = 2
-        params = identity_attention_params(d)
         q = tensor([[1.0, 0.0]])
         k = tensor([[1.0, 0.0], [0.0, 1.0]])
         v = tensor([[2.0, 0.0], [0.0, 4.0]])
-        out = ad.attention(q, k, v, params, num_heads=1).value
+        out = ad.attention_heads(q, [(k, v)], None, [slice(0, d)]).value
         s = 1.0 / math.sqrt(2)
         w0 = math.exp(s) / (math.exp(s) + math.exp(0.0))
         expected = [[w0 * 2.0, (1 - w0) * 4.0]]
@@ -121,7 +121,7 @@ class TestAttention:
         params = identity_attention_params(3)
         x = tensor(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            ad.attention(x, x, x, params, num_heads=2)
+            ad.attention(x, [x], None, params, num_heads=2)
 
     def test_matches_plain_numpy(self):
         rng = np.random.default_rng(42)
@@ -131,7 +131,7 @@ class TestAttention:
             wq=tensor(mats["q"]), wk=tensor(mats["k"]), wv=tensor(mats["v"]), wo=tensor(mats["o"])
         )
         x = rng.normal(size=(5, d))
-        got = ad.attention(tensor(x), tensor(x), tensor(x), params, heads).value
+        got = ad.attention(tensor(x), [tensor(x)], None, params, heads).value
 
         q, k, v = x @ mats["q"], x @ mats["k"], x @ mats["v"]
         dh = d // heads

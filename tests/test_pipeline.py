@@ -746,7 +746,7 @@ class TestInferVideo:
 
 
 class TestScorePreflight:
-    """run_video rejects clips whose STT score matrices would pass MAX_SCORE_BYTES
+    """run_video rejects clips whose attention scores would pass MAX_SCORE_BYTES
     before it allocates anything; the sizes here are computed, never built."""
 
     def first_clip(self, monkeypatch, side, num_frames, cfg=PipelineConfig()):
@@ -769,8 +769,9 @@ class TestScorePreflight:
             self.first_clip(monkeypatch, 256, 7)
 
     def test_short_video_sized_by_its_frames(self, monkeypatch):
-        # a 2-frame video's only clip has 2 frames, whatever clip_len says
-        monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", 2 * 8 * (2 * 64 * 64) ** 2)
+        # a 2-frame video's only clip has 2 frames, whatever clip_len says; memory
+        # attention's 2 heads of 4 entries then need the most
+        monkeypatch.setattr(pipeline, "MAX_SCORE_BYTES", 2 * 4 * 8 * 2 * (64 * 64) ** 2)
         with pytest.raises(LookupError, match="encode_frame reached"):
             self.first_clip(monkeypatch, 512, 2)
         with pytest.raises(PipelineConfigError, match="clips of 3 frames"):
