@@ -12,6 +12,7 @@ only, never how good the scores are.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -430,10 +431,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     for flag in ("jobs", "log_interval", "coords"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +78,14 @@ class RleMask:
         return cls(height, width, runs)
 
     @classmethod
+    def _prechecked(cls, height: int, width: int, run_lists: list[tuple[int, ...]]) -> list["RleMask"]:
+        """Masks of int run lists that already passed __post_init__'s checks, built without them."""
+        masks = [object.__new__(cls) for _ in run_lists]
+        for mask, runs in zip(masks, run_lists):
+            vars(mask).update(height=height, width=width, runs=runs)
+        return masks
+
+    @classmethod
     def empty(cls, height: int, width: int) -> "RleMask":
         return cls(height, width, (height * width,))
 
@@ -110,50 +118,61 @@ def _check_same_shape(a: RleMask, b: RleMask) -> None:
         raise MaskDimensionError(f"mask shape mismatch: {a.shape} vs {b.shape}")
 
 
-def _foreground(masks: Sequence[RleMask], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Foreground intervals of `masks` laid end to end, as global [start, stop)
-    offsets, plus each mask's interval count. Mask i starts at i*H*W because
-    every mask's runs sum to H*W."""
-    lengths = np.fromiter(map(len, (m.runs for m in masks)), dtype=np.intp, count=len(masks))
-    runs = np.fromiter(chain.from_iterable(m.runs for m in masks), dtype=dtype, count=int(lengths.sum()))
-    stops = np.cumsum(runs)
-    # a run is foreground when its index within its own mask is odd
-    local = np.arange(runs.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    fg = (local & 1).astype(bool)
-    return stops[fg] - runs[fg], stops[fg], lengths // 2
+def framewise_overlaps(a_masks: Collection[RleMask], a_frames: Collection[int],
+                       b_masks: Collection[RleMask], b_frames: Collection[int],
+                       size: int) -> tuple[list[int], list[int], list[int]]:
+    """Each a mask's area, each b mask's area, and each a mask's overlap with
+    the b mask on its frame (0 where b has none), in one O(runs) pass.
+
+    Every mask's foreground intervals are laid at offset frame * size, where
+    `size` is every mask's H*W; b's frames must increase. Prefix sums of b's
+    interval lengths, with `np.searchsorted` to find the interval an offset
+    falls in, count b's foreground before any offset, and each of a's
+    intervals covers the difference of two such counts. No bitmap is
+    decoded; offsets that int64 cannot hold are counted in Python ints.
+    """
+    masks, n_a = [*a_masks, *b_masks], len(a_masks)
+    frames = [*a_frames, *b_frames]
+    if not masks:
+        return [], [], []
+    first, last = min(frames), max(frames)
+    end = (last + 1 - first) * size
+    dtype = np.int64 if end < 2**63 and -2**63 <= first <= last < 2**63 else object
+    # a run is foreground when its index within its own mask is odd; with
+    # every list padded to even length, when its index in all of them is
+    lists = [m.runs if len(m.runs) % 2 == 0 else (*m.runs, 0) for m in masks]
+    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    runs = np.fromiter(chain.from_iterable(lists), dtype=dtype, count=int(lengths.sum()))
+    # laid end to end, mask i would end at (i + 1) * size; move it to its frame
+    shift = (np.array(frames, dtype=dtype) - first - np.arange(len(masks), dtype=dtype)) * size
+    stops = runs.cumsum() + np.repeat(shift, lengths)
+    start, stop, count = stops[0::2], stops[1::2], lengths // 2
+    k = int(count[:n_a].sum())  # a's intervals come first
+    b_start, b_stop = start[k:], stop[k:]
+    b_before = np.concatenate(([0], np.cumsum(b_stop - b_start)))
+    # past b's last interval an offset lies inside none: its start is `end`
+    b_start = np.append(b_start, end)
+    offsets = np.concatenate((start[:k], stop[:k]))
+    j = np.searchsorted(b_stop, offsets, side="right")  # b intervals ended by then
+    covered = b_before[j] + np.maximum(offsets - b_start[j], 0)
+    # one grouped sum: every mask's interval lengths, then a's covered lengths
+    totals = np.concatenate(([0], np.cumsum(np.concatenate((stop - start, covered[k:] - covered[:k])))))
+    bounds = np.concatenate(([0], np.cumsum(np.concatenate((count, count[:n_a])))))
+    sums = (totals[bounds[1:]] - totals[bounds[:-1]]).tolist()
+    return sums[:n_a], sums[n_a:len(masks)], sums[len(masks):]
 
 
 def intersection_areas(pairs: Sequence[tuple[RleMask, RleMask]]) -> list[int]:
-    """Exact foreground overlap of every (a, b) pair, in one O(runs) pass.
-
-    The pairs are laid end to end, so every foreground interval has a global
-    offset. Prefix sums of b's interval lengths, with `np.searchsorted` to find
-    the interval an offset falls in, count b's foreground before any offset;
-    each of a's intervals covers the difference of two such counts, and the
-    per-pair sums are differences of one integer cumsum. No bitmap is decoded.
-    Offsets that int64 cannot hold are counted in Python ints.
-    """
+    """Exact foreground overlap of every (a, b) pair: pair i on frame i of
+    `framewise_overlaps`."""
     shapes = {m.shape for pair in pairs for m in pair}
     if len(shapes) > 1:
         raise MaskDimensionError(f"mask shapes differ: {sorted(shapes)}")
     if not pairs:
         return []
     height, width = shapes.pop()
-    end = len(pairs) * height * width
-    dtype = np.int64 if end < 2**63 else object
-    a_start, a_stop, a_count = _foreground([a for a, _ in pairs], dtype)
-    b_start, b_stop, _ = _foreground([b for _, b in pairs], dtype)
-    b_before = np.concatenate(([0], np.cumsum(b_stop - b_start)))
-    # past b's last interval an offset lies inside none: its start is `end`
-    b_start = np.append(b_start, end)
-
-    def b_covered(offsets: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(b_stop, offsets, side="right")  # b intervals ended by then
-        return b_before[k] + np.maximum(offsets - b_start[k], 0)
-
-    totals = np.concatenate(([0], np.cumsum(b_covered(a_stop) - b_covered(a_start))))
-    bounds = np.concatenate(([0], np.cumsum(a_count)))
-    return (totals[bounds[1:]] - totals[bounds[:-1]]).tolist()
+    frames = range(len(pairs))
+    return framewise_overlaps([a for a, _ in pairs], frames, [b for _, b in pairs], frames, height * width)[2]
 
 
 def mask_intersection_area(a: RleMask, b: RleMask) -> int:
@@ -190,7 +209,7 @@ class Masklet:
         expected = self.end_frame - self.start_frame + 1
         if len(self.masks) != expected:
             raise MaskError(f"expected {expected} masks for [{self.start_frame}, {self.end_frame}], got {len(self.masks)}")
-        shapes = {m.shape for m in self.masks}
+        shapes = {(m.height, m.width) for m in self.masks}
         if len(shapes) > 1:
             raise MaskDimensionError(f"masks in one occurrence must share dimensions, got {sorted(shapes)}")
 
@@ -200,9 +219,6 @@ class Masklet:
 
     def frames(self) -> range:
         return range(self.start_frame, self.end_frame + 1)
-
-    def mask_at(self, frame: int) -> RleMask:
-        return self.masks[frame - self.start_frame]
 
 
 @dataclass(frozen=True)
@@ -232,12 +248,9 @@ class ResponseSet:
         return self.occurrences[0].shape if self.occurrences else None
 
     def frame_masks(self) -> dict[int, RleMask]:
-        """Frame index -> mask for every annotated frame."""
-        out: dict[int, RleMask] = {}
-        for occ in self.occurrences:
-            for f in occ.frames():
-                out[f] = occ.mask_at(f)
-        return out
+        """Frame index -> mask for every annotated frame, in frame order."""
+        return dict(zip(chain.from_iterable(occ.frames() for occ in self.occurrences),
+                        chain.from_iterable(occ.masks for occ in self.occurrences)))
 
 
 def group_into_masklets(per_frame: Sequence[Optional[RleMask]]) -> tuple[Masklet, ...]:
@@ -287,12 +300,15 @@ def annotation_to_dict(response: ResponseSet, height: int, width: int) -> dict:
     }
 
 
-def _parsed_run_lists(obj: dict) -> Optional[Iterator[tuple[int, ...]]]:
-    """Every run list of an annotation, in order, converted in one numpy pass.
+def _parsed_run_lists(obj: dict, height: int, width: int) -> Optional[tuple[list[RleMask], Optional[tuple[int, ...]]]]:
+    """An annotation's run lists, in order, converted and checked in numpy
+    passes: the masks of every list before the first that fails RleMask's
+    checks, and that list's runs (None when all pass).
 
     None unless every token is 1 to 18 ASCII digits, which numpy's parser and
-    int() read alike and which cannot overflow int64; the caller then parses
-    list by list with int(), so every error keeps its class and text.
+    int() read alike and which cannot overflow int64, height and width are at
+    least 1, and no list's sum, with each run clipped at H*W + 1, can pass
+    int64; the caller then parses list by list with int().
     """
     try:
         texts = [text for raw in obj["occurrences"] for text in raw["masks"]]
@@ -302,35 +318,52 @@ def _parsed_run_lists(obj: dict) -> Optional[Iterator[tuple[int, ...]]]:
     chars = np.frombuffer(data, dtype=np.uint8)
     commas = np.flatnonzero(chars == ord(","))
     digits = np.count_nonzero((chars >= ord("0")) & (chars <= ord("9")))
-    token_lengths = np.diff(commas, prepend=-1, append=chars.size) - 1
+    bounds = np.concatenate(([-1], commas, [chars.size]))
+    token_lengths = bounds[1:] - bounds[:-1] - 1
     if digits + commas.size != chars.size or not 1 <= token_lengths.min() <= token_lengths.max() <= 18:
         return None
-    values = np.fromstring(data, dtype=np.int64, sep=",").tolist()
-    out = []
-    pos = 0
-    for text in texts:
-        count = text.count(",") + 1
-        out.append(tuple(values[pos:pos + count]))
-        pos += count
-    return iter(out)
+    area = height * width
+    if min(height, width) < 1 or (area + 1) * (commas.size + 1) >= 2**63:
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=",")
+    # list j's tokens are [starts[j], stops[j]): its last token ends at the
+    # comma that joined it to the next list, or at the end of the data
+    stops = np.searchsorted(commas, np.cumsum(np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) + 1) - 1) + 1
+    starts = np.concatenate(([0], stops[:-1]))
+    zero = values == 0
+    zero[starts] = False
+    failing = np.flatnonzero((np.add.reduceat(np.minimum(values, area + 1), starts) != area)
+                             | np.logical_or.reduceat(zero, starts))
+    runs = values.tolist()
+    lists = [tuple(runs[i:j]) for i, j in zip(starts.tolist(), stops.tolist())]
+    if failing.size:
+        return RleMask._prechecked(height, width, lists[:failing[0]]), lists[failing[0]]
+    return RleMask._prechecked(height, width, lists), None
 
 
 def annotation_from_dict(obj: dict) -> tuple[ResponseSet, int, int]:
-    """Parse one annotation or prediction object; MaskError if it is malformed."""
-    parsed = _parsed_run_lists(obj)
+    """Parse one annotation or prediction object; MaskError if it is malformed.
+
+    Run lists that pass the batch check of `_parsed_run_lists` become masks
+    without RleMask's per-list check; the first that fails goes through it,
+    in its place among the occurrences, so every error keeps its order,
+    class and text."""
     try:
         video_id = str(obj["video_id"])
         height = int(obj["height"])
         width = int(obj["width"])
-        occs = [
-            Masklet(
-                int(raw["start"]),
-                int(raw["end"]),
-                tuple(RleMask(height, width, next(parsed)) if parsed is not None
-                      else RleMask.from_runs_csv(text, height, width) for text in raw["masks"]),
-            )
-            for raw in obj["occurrences"]
-        ]
+        checked, failing = _parsed_run_lists(obj, height, width) or (None, None)
+        occs, done = [], 0
+        for raw in obj["occurrences"]:
+            start, end = int(raw["start"]), int(raw["end"])
+            if checked is None:
+                masks = tuple(RleMask.from_runs_csv(text, height, width) for text in raw["masks"])
+            else:
+                masks = tuple(checked[done:done + len(raw["masks"])])
+                done += len(masks)
+                if len(masks) < len(raw["masks"]):
+                    RleMask(height, width, failing)  # raises that list's error
+            occs.append(Masklet(start, end, masks))
     except (KeyError, TypeError, AttributeError) as exc:
         raise MaskError(f"malformed annotation object: {exc}") from exc
     return ResponseSet(video_id, tuple(occs)), height, width

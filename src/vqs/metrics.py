@@ -18,7 +18,7 @@ from .masks import (
     MaskDimensionError,
     MaskError,
     ResponseSet,
-    intersection_areas,
+    framewise_overlaps,
     iou_from_areas,
 )
 from .parallel import parallel_map
@@ -150,19 +150,18 @@ class FrameOverlaps:
 
 
 def frame_overlaps(gt: ResponseSet, pred: ResponseSet) -> FrameOverlaps:
-    """Both responses' per-frame areas and one overlap pass over their common frames."""
-    gt_masks = gt.frame_masks()
-    pred_masks = pred.frame_masks()
-    if gt_masks and pred_masks:
-        gshape = next(iter(gt_masks.values())).shape
-        pshape = next(iter(pred_masks.values())).shape
-        if gshape != pshape:
-            raise MaskDimensionError(f"gt masks are {gshape}, predictions are {pshape}")
-    common = [t for t in gt_masks if t in pred_masks]
+    """Both responses' per-frame areas and the overlaps of their common frames,
+    from one interval pass over the video."""
+    if gt.shape and pred.shape and gt.shape != pred.shape:
+        raise MaskDimensionError(f"gt masks are {gt.shape}, predictions are {pred.shape}")
+    height, width = gt.shape or pred.shape or (1, 1)
+    gt_masks, pred_masks = gt.frame_masks(), pred.frame_masks()
+    gt_area, pred_area, inter = framewise_overlaps(gt_masks.values(), gt_masks, pred_masks.values(), pred_masks,
+                                                   height * width)
     return FrameOverlaps(
-        gt_area={t: m.area() for t, m in gt_masks.items()},
-        pred_area={t: m.area() for t, m in pred_masks.items()},
-        inter=dict(zip(common, intersection_areas([(gt_masks[t], pred_masks[t]) for t in common]))),
+        gt_area=dict(zip(gt_masks, gt_area)),
+        pred_area=dict(zip(pred_masks, pred_area)),
+        inter={t: v for t, v in zip(gt_masks, inter) if t in pred_masks},
     )
 
 

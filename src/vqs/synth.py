@@ -257,6 +257,8 @@ class SceneConfig:
             )
         if self.full_timeline and self.num_occurrences != 1:
             raise SceneConfigError("full_timeline requires exactly one occurrence")
+        if self.fps < 1:
+            raise SceneConfigError(f"fps must be >= 1, got {self.fps}")
 
 
 @dataclass
@@ -445,6 +447,9 @@ def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
 
 # --- Dataset generation --------------------------------------------------------
 
+# Largest frame gen will draw: checked before any scene allocates its frames.
+MAX_FRAME_PIXELS = 4096 * 4096
+
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -465,6 +470,10 @@ class DatasetConfig:
                 raise SceneConfigError(f"{flag} range must be finite, got {bounds[0]}:{bounds[1]}")
         if self.fps < 1:
             raise SceneConfigError(f"--fps must be >= 1, got {self.fps}")
+        for h, w in self.frame_sizes:
+            if min(h, w) < 8 or h * w > MAX_FRAME_PIXELS:
+                raise SceneConfigError(f"--frame-sizes {h}x{w}: each side must be >= 8 and a frame "
+                                       f"at most {MAX_FRAME_PIXELS} pixels")
 
     def sample_scene(self, scene_seed: int) -> SceneConfig:
         rng = np.random.default_rng(np.random.PCG64(mix_seed(scene_seed, _SAMPLER_SALT)))

@@ -10,6 +10,9 @@ resolution, run-length encoded and compared with `mask_iou`, and patch
 fractions are float means of decoded pixels. The grid forms must match them
 bit for bit.
 
+The annotation reference parses and checks every run list on its own, as the
+library did before it checked a whole annotation's lists in numpy passes.
+
 The attention references build each head from autodiff primitives, one node
 per narrow, transpose, matmul, scale, softmax or exp, as the library did
 before its heads became single fused nodes. The fused nodes must match them
@@ -25,8 +28,26 @@ import math
 import numpy as np
 
 from vqs import autodiff as ad
-from vqs.masks import RleMask, mask_iou, rle_decode
+from vqs.masks import MaskError, Masklet, ResponseSet, RleMask, mask_iou, rle_decode
 from vqs.pipeline import binarize_candidate
+
+
+def per_list_annotation(obj):
+    """`annotation_from_dict` list by list: every mask through
+    `RleMask.from_runs_csv`, then the Masklets and the ResponseSet, with
+    malformed objects reported as one MaskError."""
+    try:
+        video_id = str(obj["video_id"])
+        height = int(obj["height"])
+        width = int(obj["width"])
+        occs = [
+            Masklet(int(raw["start"]), int(raw["end"]),
+                    tuple(RleMask.from_runs_csv(text, height, width) for text in raw["masks"]))
+            for raw in obj["occurrences"]
+        ]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise MaskError(f"malformed annotation object: {exc}") from exc
+    return ResponseSet(video_id, tuple(occs)), height, width
 
 
 def decode_runs(runs, height, width):

@@ -113,6 +113,10 @@ class TestDispatch:
         (("gen", "--drift", "nan:0.1"), "--drift range must be finite, got nan:0.1"),
         (("gen", "--fps", 0), "--fps must be >= 1, got 0"),
         (("gen", "--fps", -3), "--fps must be >= 1, got -3"),
+        (("gen", "--frame-sizes", "64x64,7x64"),
+         "--frame-sizes 7x64: each side must be >= 8 and a frame at most 16777216 pixels"),
+        (("gen", "--frame-sizes", "100000x100000"),
+         "--frame-sizes 100000x100000: each side must be >= 8 and a frame at most 16777216 pixels"),
     ], ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_out_of_range_flag_rejected(self, dataset, tmp_path, capsys, monkeypatch, argv, names):
         def no_work(*args, **kwargs):
@@ -129,6 +133,31 @@ class TestDispatch:
         assert run_cli(command, *paths, *flags) == 1
         assert one_json_error_line(capsys.readouterr().err) == names
         assert list(tmp_path.iterdir()) == []
+
+    def test_cached_parser_keeps_no_state(self, dataset, tmp_path, capsys, monkeypatch):
+        """Calls in one process print and write what each prints and writes alone."""
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal's width
+        gt_objects = [json.loads((dataset / e["gt"]).read_text()) for e in load_manifest(dataset)["scenes"]]
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(gt_objects[1:] + [dict(gt_objects[0], occurrences=[])]))
+        calls = [("eval", "--gt", dataset, "--pred", pred, "--format", "csv"),
+                 ("eval", "--gt", dataset, "--pred", pred, "--out", tmp_path / "{}.json"),
+                 ("--help",)]
+        together, alone = [], []
+        for side, results in (("together", together), ("alone", alone)):
+            for call in calls:
+                argv = [str(a).format(side) for a in call]
+                if side == "together":
+                    code = run_cli(*argv)
+                    out = capsys.readouterr()
+                    results.append((code, out.out, out.err))
+                else:
+                    proc = run_module(*argv)
+                    results.append((proc.returncode, proc.stdout, proc.stderr))
+        assert together == alone
+        assert [r[0] for r in together] == [0, 0, 0] and "stAP" in together[0][1]
+        assert (tmp_path / "together.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+        assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     def test_console_script_help(self):
         proc = run_module("--help")

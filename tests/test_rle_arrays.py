@@ -12,6 +12,8 @@ from vqs.cli import dispatch
 from vqs.masks import (
     MaskDimensionError,
     MaskError,
+    Masklet,
+    ResponseSet,
     RleMask,
     _parsed_run_lists,
     annotation_from_dict,
@@ -23,7 +25,9 @@ from vqs.masks import (
 from vqs.metrics import frame_overlaps
 
 from .helpers import random_response
-from .oracles import decode_runs, response_to_pixel_frames
+from vqs.synth import SceneConfig, generate_scene, scene_gt_dict
+
+from .oracles import decode_runs, per_list_annotation, response_to_pixel_frames
 
 
 def random_bitmap(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
@@ -174,9 +178,10 @@ class TestOnePassParser:
 
     def test_plain_lists_take_the_one_pass(self):
         obj = {"occurrences": [{"masks": ["1,7", "0,8"]}, {"masks": ["8"]}]}
-        assert list(_parsed_run_lists(obj)) == [(1, 7), (0, 8), (8,)]
+        masks, failing = _parsed_run_lists(obj, 1, 8)
+        assert [m.runs for m in masks] == [(1, 7), (0, 8), (8,)] and failing is None
         for name in ("space", "30-digit-run", "empty", "trailing-comma", "19-digits", "fullwidth-digit"):
-            assert _parsed_run_lists({"occurrences": [{"masks": ["1,7", TRICKY[name][0]]}]}) is None
+            assert _parsed_run_lists({"occurrences": [{"masks": ["1,7", TRICKY[name][0]]}]}, 1, 8) is None
 
     def test_30_digit_run_is_exact(self):
         _, (runs,) = annotation_outcome([f"0,{HUGE}"], 10**15, 10**14)
@@ -189,6 +194,119 @@ class TestOnePassParser:
         # the second mask's sum is reported before the third's zero run, as list by list
         assert annotation_outcome(["1,7", "2,7", "1,0,7"], 1, 8) == ("CorruptMaskError", "runs sum to 9, expected 8")
         assert annotation_outcome(["1,7", "1,0,7"], 1, 8) == ("CorruptMaskError", "zero-length run after the first")
+
+
+class TestBatchCheck:
+    """annotation_from_dict against the list-by-list oracle, and which lists
+    still run RleMask's own check."""
+
+    DEFECTS = ("bad-sum", "zero-run", "mask-count", "unsorted", "overlapping", "other-shape", "token", "dims")
+    TOKENS = (" 5", "+3", "x", "", "1.0", "-1", "0" * 19, "５", "1_0", f"{HUGE}")
+
+    def annotation(self, rng, defects):
+        h, w = (int(v) for v in rng.integers(1, 6, size=2))
+        occurrences, frame = [], int(rng.integers(-1, 3))
+        for _ in range(rng.integers(0, 5)):
+            length = int(rng.integers(1, 4))
+            masks = [rle_encode(random_bitmap(rng, h, w)).to_runs_csv() for _ in range(length)]
+            occurrences.append({"start": frame, "end": frame + length - 1, "masks": masks})
+            frame += length + int(rng.integers(1, 3))
+        obj = {"video_id": "v", "height": h, "width": w, "occurrences": occurrences}
+        for defect in defects:
+            if defect == "dims":
+                obj[str(rng.choice(["height", "width"]))] = rng.choice([0, -2, "3", 2.5, True, None, 10**20])
+            if defect == "dims" or not occurrences:
+                continue
+            occ = occurrences[rng.integers(len(occurrences))]
+            if not occ["masks"]:
+                continue
+            k = int(rng.integers(len(occ["masks"])))
+            tokens = occ["masks"][k].split(",")
+            if defect == "bad-sum":
+                i = int(rng.integers(len(tokens)))
+                if tokens[i].isascii() and tokens[i].isdigit():
+                    tokens[i] = str(int(tokens[i]) + int(rng.choice([-1, 1, 7])))
+            elif defect == "zero-run":
+                tokens.insert(int(rng.integers(1, len(tokens) + 1)), "0")
+            elif defect == "mask-count":
+                occ["masks"] = occ["masks"][1:] if rng.random() < 0.5 else occ["masks"] + occ["masks"][:1]
+            elif defect in ("unsorted", "overlapping") and len(occurrences) > 1:
+                i = int(rng.integers(1, len(occurrences)))
+                if defect == "unsorted":
+                    occurrences[i - 1], occurrences[i] = occurrences[i], occurrences[i - 1]
+                else:
+                    shift = occurrences[i]["start"] - occurrences[i - 1]["end"]
+                    occurrences[i]["start"] -= shift
+                    occurrences[i]["end"] -= shift
+            elif defect == "other-shape":
+                tokens = rle_encode(random_bitmap(rng, h + 1, w)).to_runs_csv().split(",")
+            elif defect == "token":
+                tokens[int(rng.integers(len(tokens)))] = str(rng.choice(self.TOKENS))
+            if "masks" in occ and k < len(occ["masks"]):
+                occ["masks"][k] = ",".join(tokens)
+        return obj
+
+    @staticmethod
+    def outcome(parse, obj):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return parse(obj)
+            except MaskError as exc:
+                return (type(exc).__name__, str(exc))
+
+    def test_matches_per_list_oracle(self):
+        rng = np.random.default_rng(20261020)
+        kinds = {}
+        for _ in range(3000):
+            defects = list(rng.choice(self.DEFECTS, size=rng.integers(0, 3)))
+            obj = self.annotation(rng, defects)
+            want = self.outcome(per_list_annotation, json.loads(json.dumps(obj)))
+            got = self.outcome(annotation_from_dict, obj)
+            assert got == want, (defects, obj)
+            if isinstance(got[0], ResponseSet):
+                assert all(type(r) is int for occ in got[0].occurrences for m in occ.masks for r in m.runs)
+            kinds.setdefault(got[0] if isinstance(got[0], str) else "ok", set()).add(got[1] if isinstance(got[0], str) else 0)
+        # every outcome class is reached, with many distinct messages
+        assert set(kinds) == {"ok", "CorruptMaskError", "MaskError", "MaskDimensionError"}
+        assert sum(map(len, kinds.values())) > 200
+
+    def test_valid_lists_skip_the_per_list_check(self, monkeypatch):
+        obj = scene_gt_dict(generate_scene(SceneConfig(num_frames=72, seed=2)))
+        calls = []
+        check = RleMask.__post_init__
+        monkeypatch.setattr(RleMask, "__post_init__", lambda mask: calls.append(mask) or check(mask))
+        response, _, _ = annotation_from_dict(obj)
+        assert len(calls) == 0
+        assert response == per_list_annotation(obj)[0]
+        assert len(calls) == sum(len(occ["masks"]) for occ in obj["occurrences"]) > 10
+        calls.clear()
+        obj["occurrences"][0]["masks"][-1] += ",1"
+        obj["occurrences"][-1]["masks"][-1] += ",0"  # a later bad list is never built
+        with pytest.raises(MaskError, match="runs sum to 4097, expected 4096"):
+            annotation_from_dict(obj)
+        assert len(calls) == 1
+
+
+def test_frame_overlaps_past_int64():
+    """2**31 x 2**31 masks on frames 0-3: the frame offsets pass int64."""
+    side = 2**31
+    n = side * side
+    rng = np.random.default_rng(31)
+
+    def mask():
+        cuts = sorted({int(v) * (n // 2**20) for v in rng.integers(1, 2**20, size=4)})
+        return RleMask(side, side, tuple(np.diff([0, *cuts, n]).tolist()))
+
+    gt_masks, pred_masks = [mask() for _ in range(4)], [mask() for _ in range(3)]
+    gt = ResponseSet("v", (Masklet(0, 3, tuple(gt_masks)),))
+    pred = ResponseSet("v", (Masklet(1, 1, pred_masks[:1]), Masklet(3, 3, pred_masks[1:2])))
+    table = frame_overlaps(gt, pred)
+    assert table.gt_area == {t: m.area() for t, m in enumerate(gt_masks)}
+    assert table.pred_area == {1: pred_masks[0].area(), 3: pred_masks[1].area()}
+    assert table.inter == {1: interval_overlap(gt_masks[1], pred_masks[0]),
+                           3: interval_overlap(gt_masks[3], pred_masks[1])}
+    assert all(type(v) is int for v in table.inter.values()) and min(table.inter.values()) > 0
 
 
 def test_eval_of_huge_masks_decodes_no_bitmap(tmp_path, capsys):

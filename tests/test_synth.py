@@ -167,6 +167,11 @@ class TestGenerateScene:
         with pytest.raises(SceneConfigError):
             SceneConfig(num_frames=3, num_occurrences=3)
 
+    @pytest.mark.parametrize("fps", [0, -6])
+    def test_fps_below_one_rejected(self, fps):
+        with pytest.raises(SceneConfigError, match=f"fps must be >= 1, got {fps}"):
+            SceneConfig(fps=fps)
+
     def test_query_mask_matches_query_state(self):
         cfg = SceneConfig(num_frames=6, num_occurrences=1, seed=77)
         record = generate_scene(cfg)
