@@ -306,9 +306,9 @@ def _parsed_run_lists(obj: dict, height: int, width: int) -> Optional[tuple[list
     checks, and that list's runs (None when all pass).
 
     None unless every token is 1 to 18 ASCII digits, which numpy's parser and
-    int() read alike and which cannot overflow int64, height and width are at
-    least 1, and no list's sum, with each run clipped at H*W + 1, can pass
-    int64; the caller then parses list by list with int().
+    int() read alike and which cannot overflow int64, and no list's sum, with
+    each run clipped at H*W + 1, can pass int64; the caller then parses list
+    by list with int().
     """
     try:
         texts = [text for raw in obj["occurrences"] for text in raw["masks"]]
@@ -323,7 +323,7 @@ def _parsed_run_lists(obj: dict, height: int, width: int) -> Optional[tuple[list
     if digits + commas.size != chars.size or not 1 <= token_lengths.min() <= token_lengths.max() <= 18:
         return None
     area = height * width
-    if min(height, width) < 1 or (area + 1) * (commas.size + 1) >= 2**63:
+    if (area + 1) * (commas.size + 1) >= 2**63:
         return None
     values = np.fromstring(data, dtype=np.int64, sep=",")
     # list j's tokens are [starts[j], stops[j]): its last token ends at the
@@ -342,7 +342,9 @@ def _parsed_run_lists(obj: dict, height: int, width: int) -> Optional[tuple[list
 
 
 def annotation_from_dict(obj: dict) -> tuple[ResponseSet, int, int]:
-    """Parse one annotation or prediction object; MaskError if it is malformed.
+    """Parse one annotation or prediction object; MaskError if it is malformed,
+    MaskDimensionError naming the field unless `height` and `width` are
+    integers (not booleans) of at least 1.
 
     Run lists that pass the batch check of `_parsed_run_lists` become masks
     without RleMask's per-list check; the first that fails goes through it,
@@ -350,8 +352,10 @@ def annotation_from_dict(obj: dict) -> tuple[ResponseSet, int, int]:
     class and text."""
     try:
         video_id = str(obj["video_id"])
-        height = int(obj["height"])
-        width = int(obj["width"])
+        for key in ("height", "width"):
+            if isinstance(obj[key], bool) or not isinstance(obj[key], int) or obj[key] < 1:
+                raise MaskDimensionError(f"annotation {key!r} must be an integer >= 1, got {obj[key]!r}")
+        height, width = obj["height"], obj["width"]
         checked, failing = _parsed_run_lists(obj, height, width) or (None, None)
         occs, done = [], 0
         for raw in obj["occurrences"]:

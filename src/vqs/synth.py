@@ -17,6 +17,7 @@ from __future__ import annotations
 import colorsys
 import errno
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import re
 import stat
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .masks import (
 )
 from .parallel import parallel_map
 
-MANIFEST_FORMAT = "vqs-dataset-v1"
+MANIFEST_FORMAT = "vqs-dataset-v2"
 MANIFEST_NAME = "manifest.json"
 
 SHAPES = ("disk", "rectangle", "triangle")
@@ -72,66 +73,112 @@ def mix_seed(master_seed: int, index: int) -> int:
 
 
 # --- PPM (binary P6) ---------------------------------------------------------
+#
+# A scene's frames file holds its frames as consecutive binary P6 images, each
+# with its own header: the Netpbm format allows a sequence of images in a file.
 
 
-def write_ppm(path: str | Path, image: np.ndarray) -> None:
-    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
-        raise ValueError(f"expected uint8 HxWx3 image, got {image.dtype} {image.shape}")
-    h, w = image.shape[:2]
-    write_regular_file(path, b"P6\n%d %d\n255\n" % (w, h), np.ascontiguousarray(image))
+def write_ppm(path: str | Path, *images: np.ndarray) -> None:
+    """Write `images` in turn as binary P6 images, in one `write_regular_file` call."""
+    chunks = []
+    for image in images:
+        if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
+            raise ValueError(f"expected uint8 HxWx3 image, got {image.dtype} {image.shape}")
+        chunks += (b"P6\n%d %d\n255\n" % image.shape[1::-1], np.ascontiguousarray(image))
+    write_regular_file(path, *chunks)
 
 
 _PPM_HEADER = re.compile(rb"P6\s*(\S+)\s+(\S+)\s+(\S+)\s")
+_PPM_HEADER_MAX = 64  # a header ends within this many bytes, so one bounded read takes it
 
 
-def parse_ppm(blob: bytes, name: str | Path) -> np.ndarray:
-    """The HxWx3 image held in a binary PPM's bytes, as a read-only view of them.
+def parse_ppm(head: bytes, where: str, available: int) -> tuple[int, int, int]:
+    """(height, width, payload offset) of the binary PPM image whose bytes
+    start with `head`, of which the file holds `available`.
 
-    ValueError naming `name` unless the header gives a positive integer width
-    and height and maxval 255, and the payload holds all H*W*3 bytes. The sizes
-    are checked before any array is made, so a header never sizes an allocation.
+    ValueError naming `where` unless the header gives a positive integer width
+    and height and maxval 255 and the file holds all H*W*3 payload bytes. The
+    sizes are checked before any array is made, so a header never sizes an
+    allocation or a read.
     """
-    if not blob.startswith(b"P6"):
-        raise ValueError(f"{name}: not a binary PPM")
-    header = _PPM_HEADER.match(blob)
+    if head[:2] != b"P6":
+        raise ValueError(f"{where}: not a binary PPM")
+    header = _PPM_HEADER.match(head, 0, _PPM_HEADER_MAX)
     if header is None:
-        raise ValueError(f"{name}: truncated PPM header")
+        raise ValueError(f"{where}: truncated PPM header")
     w, h, maxval = header.groups()  # bytes.isdigit() admits ASCII digits only
     if not (w.isdigit() and h.isdigit() and int(w) > 0 and int(h) > 0):
-        raise ValueError(f"{name}: PPM width and height must be positive integers, "
+        raise ValueError(f"{where}: PPM width and height must be positive integers, "
                          f"got {w.decode('latin-1')} {h.decode('latin-1')}")
     if not (maxval.isdigit() and int(maxval) == 255):
-        raise ValueError(f"{name}: unsupported maxval {maxval.decode('latin-1')}")
-    h, w = int(h), int(w)
-    pos = header.end()
-    if len(blob) - pos < h * w * 3:
-        raise ValueError(f"{name}: pixel payload holds {len(blob) - pos} bytes, "
-                         f"a {w}x{h} image needs {h * w * 3}")
-    return np.frombuffer(blob, dtype=np.uint8, offset=pos, count=h * w * 3).reshape(h, w, 3)
+        raise ValueError(f"{where}: unsupported maxval {maxval.decode('latin-1')}")
+    h, w, payload = int(h), int(w), available - header.end()
+    if payload < h * w * 3:
+        raise ValueError(f"{where}: pixel payload holds {payload} bytes, a {w}x{h} image needs {h * w * 3}")
+    return h, w, header.end()
 
 
-def _read_regular_file(path: str | Path) -> Optional[bytes]:
-    """A regular file's bytes; None when it cannot be opened or read, or is not
-    a regular file: a FIFO could stall the open and a device need not end."""
+def _open_regular(path: str | Path) -> tuple[int, int]:
+    """(fd, size) of a regular file opened for reading; FileNotFoundError unless
+    it is one: a FIFO could stall the open and a device need not end."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except OSError:
-        return None
+        raise FileNotFoundError(f"{path}: no readable regular file") from None
+    info = os.fstat(fd)
+    if stat.S_ISREG(info.st_mode):
+        return fd, info.st_size
+    os.close(fd)
+    raise FileNotFoundError(f"{path}: no readable regular file")
+
+
+def regular_file_bytes(path: str | Path) -> bytes:
+    """A regular file's bytes, in one read; FileNotFoundError as `_open_regular`
+    and when the read fails."""
+    fd, size = _open_regular(path)
     try:
-        info = os.fstat(fd)
-        return os.read(fd, info.st_size) if stat.S_ISREG(info.st_mode) else None
+        return os.read(fd, size)
     except OSError:
-        return None
+        raise FileNotFoundError(f"{path}: no readable regular file") from None
     finally:
         os.close(fd)
 
 
-def regular_file_bytes(path: str | Path) -> bytes:
-    """`_read_regular_file`, with FileNotFoundError in place of None."""
-    blob = _read_regular_file(path)
-    if blob is None:
-        raise FileNotFoundError(f"{path}: no readable regular file")
-    return blob
+# a piece of a file, with its image's (height, width) or why it holds no image
+_Piece = tuple[bytes, tuple[int, int] | ValueError]
+
+
+def _ppm_pieces(read, size: int, name, num_frames: Optional[int] = None) -> Iterator[_Piece]:
+    """A file's `size` bytes in order, `read(pos, n)` giving n of them from pos:
+    a PPM image (header and payload) a piece with its (height, width), then
+    what does not parse in one piece with a ValueError naming why, as does an
+    image count other than `num_frames`. A read takes a header's 64 bytes,
+    one image or, at most once, what does not parse."""
+    pos = t = 0
+    while pos < size:
+        head = read(pos, _PPM_HEADER_MAX)
+        try:
+            h, w, start = parse_ppm(head, f"frame {t} of {name}", size - pos)
+        except ValueError as exc:
+            if num_frames is not None and t >= num_frames:
+                exc = ValueError(f"{name}: {size - pos} bytes left over after {t} PPM images, "
+                                 f"expected {num_frames}")
+            yield read(pos, size - pos), exc
+            return
+        yield read(pos, start + h * w * 3), (h, w)
+        pos, t = pos + start + h * w * 3, t + 1
+    if num_frames is not None and t != num_frames:
+        yield b"", ValueError(f"{name}: holds {t} PPM images, expected {num_frames}")
+
+
+def _file_pieces(path: str | Path, num_frames: Optional[int] = None) -> Iterator[_Piece]:
+    """`_ppm_pieces` of a regular file, read by `os.pread`, so that no more than
+    one frame is held at a time; OSError as `_open_regular` or when a read fails."""
+    fd, size = _open_regular(path)
+    try:
+        yield from _ppm_pieces(lambda pos, n: os.pread(fd, n, pos), size, path, num_frames)
+    finally:
+        os.close(fd)
 
 
 def write_regular_file(path: str | Path, *chunks) -> None:
@@ -152,10 +199,18 @@ def write_regular_file(path: str | Path, *chunks) -> None:
             fh.write(chunk)
 
 
-def read_ppm(path: str | Path) -> np.ndarray:
-    """The image in a PPM file; FileNotFoundError unless it is a regular file
-    that can be read, so that a FIFO or a device in its place never blocks."""
-    return parse_ppm(regular_file_bytes(Path(path)), path).copy()
+def read_ppm(path: str | Path, num_frames: int = 1) -> list[np.ndarray]:
+    """The `num_frames` images of a PPM file, as read-only views into the one
+    buffer that holds its bytes; FileNotFoundError, as `regular_file_bytes`,
+    and ValueError as `_ppm_pieces`."""
+    blob = memoryview(regular_file_bytes(Path(path)))
+    images = []
+    for piece, shape in _ppm_pieces(lambda pos, n: blob[pos:pos + n], len(blob), path, num_frames):
+        if isinstance(shape, ValueError):
+            raise shape
+        pixels = piece[len(piece) - shape[0] * shape[1] * 3:]  # the payload ends the piece
+        images.append(np.frombuffer(pixels, np.uint8).reshape(*shape, 3))
+    return images
 
 
 # --- Shapes -------------------------------------------------------------------
@@ -174,10 +229,12 @@ class ShapeState:
 
 
 def rasterize_shape(state: ShapeState, height: int, width: int) -> np.ndarray:
-    """Boolean foreground grid via a pixel-center-inside test."""
-    ys, xs = np.mgrid[0:height, 0:width]
-    px = xs + 0.5
-    py = ys + 0.5
+    """Boolean foreground grid via a pixel-center-inside test.
+
+    Pixel centres are a row and a column of coordinates that broadcast to the
+    grid, so each pixel's expression is that of a full coordinate grid."""
+    px = np.arange(width)[None, :] + 0.5
+    py = np.arange(height)[:, None] + 0.5
     if state.shape == "disk":
         return (px - state.cx) ** 2 + (py - state.cy) ** 2 <= state.size**2
     if state.shape == "rectangle":
@@ -198,13 +255,6 @@ def rasterize_shape(state: ShapeState, height: int, width: int) -> np.ndarray:
         s3 = half_plane(cx_, cy_, ax, ay)
         return (s1 >= 0) & (s2 >= 0) & (s3 >= 0)
     raise SceneConfigError(f"unknown shape {state.shape!r}")
-
-
-def _shape_reach(state: ShapeState) -> float:
-    """Maximum distance from center to any foreground pixel."""
-    if state.shape == "rectangle":
-        return state.size * max(1.0, state.aspect)
-    return state.size
 
 
 def _hsv_color(hue: float, sat: float = 0.85, val: float = 0.95) -> tuple[int, int, int]:
@@ -288,8 +338,8 @@ class Trajectory:
         size = max(1.5, size)
         cx = self.x0 + self.vx * t + self.amp_x * math.sin(self.omega * t + self.phase)
         cy = self.y0 + self.vy * t + self.amp_y * math.sin(self.omega * t + self.phase + 1.3)
-        probe = ShapeState(self.shape, cx, cy, size, self.aspect, (0, 0, 0))
-        reach = _shape_reach(probe) + 1.0
+        # the farthest foreground pixel from the centre, and one pixel more
+        reach = size * (max(1.0, self.aspect) if self.shape == "rectangle" else 1.0) + 1.0
         cx = min(max(cx, reach), width - reach) if width > 2 * reach else width / 2.0
         cy = min(max(cy, reach), height - reach) if height > 2 * reach else height / 2.0
         hue = self.base_hue + self.hue_amp * math.sin(0.37 * t + self.phase)
@@ -303,8 +353,6 @@ class SceneRecord:
     query_frame: np.ndarray
     query_mask: RleMask
     gt: ResponseSet
-    target_states: list[list[ShapeState]]       # per occurrence, per frame
-    query_state: Optional[ShapeState]           # None when loaded from disk
     video_id: str = "scene"
 
 
@@ -376,10 +424,6 @@ def _background(rng: np.random.Generator, height: int, width: int) -> np.ndarray
     return np.rint(mix).astype(np.uint8)
 
 
-def _paint(image: np.ndarray, mask: np.ndarray, color: tuple[int, int, int]) -> None:
-    image[mask] = np.array(color, dtype=np.uint8)
-
-
 def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
     """Render one scene deterministically from its config and seed."""
     h, w = cfg.frame_size
@@ -398,40 +442,28 @@ def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
     background = _background(rng, h, w)
 
     frames: list[np.ndarray] = []
-    occ_masklets: list[Masklet] = []
-    target_states: list[list[ShapeState]] = []
-    span_lookup = {}
-    for occ_idx, (start, end) in enumerate(spans):
-        for t in range(start, end + 1):
-            span_lookup[t] = occ_idx
-        target_states.append([])
-
-    occ_masks: dict[int, list[RleMask]] = {i: [] for i in range(len(spans))}
+    occ_masks: list[list[RleMask]] = [[] for _ in spans]
+    occ_at = {t: k for k, (start, end) in enumerate(spans) for t in range(start, end + 1)}
     for t in range(cfg.num_frames):
         frame = background.copy()
         for d in distractors:
             st = d.state_at(t, h, w)
-            _paint(frame, rasterize_shape(st, h, w), st.color)
-        if t in span_lookup:
-            occ_idx = span_lookup[t]
-            start = spans[occ_idx][0]
-            st = occurrence_trajectories[occ_idx].state_at(t - start, h, w)
+            frame[rasterize_shape(st, h, w)] = st.color
+        if t in occ_at:
+            k = occ_at[t]
+            st = occurrence_trajectories[k].state_at(t - spans[k][0], h, w)
             fg = rasterize_shape(st, h, w)
-            _paint(frame, fg, st.color)
-            occ_masks[occ_idx].append(rle_encode(fg))
-            target_states[occ_idx].append(st)
+            frame[fg] = st.color
+            occ_masks[k].append(rle_encode(fg))
         frames.append(frame)
-
-    for occ_idx, (start, end) in enumerate(spans):
-        occ_masklets.append(Masklet(start, end, tuple(occ_masks[occ_idx])))
+    occ_masklets = [Masklet(start, end, tuple(masks)) for (start, end), masks in zip(spans, occ_masks)]
 
     # the query lives outside the video: its own background stream and pose
     qrng = np.random.default_rng(np.random.PCG64(mix_seed(cfg.seed, _QUERY_SALT)))
-    query_traj = _sample_trajectory(qrng, cfg, cfg.target_shape, target_hue)
-    qstate = query_traj.state_at(0, h, w)
+    qstate = _sample_trajectory(qrng, cfg, cfg.target_shape, target_hue).state_at(0, h, w)
     query = _background(qrng, h, w)
     qmask_grid = rasterize_shape(qstate, h, w)
-    _paint(query, qmask_grid, qstate.color)
+    query[qmask_grid] = qstate.color
 
     return SceneRecord(
         config=cfg,
@@ -439,8 +471,6 @@ def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
         query_frame=query,
         query_mask=rle_encode(qmask_grid),
         gt=ResponseSet(video_id, tuple(occ_masklets)),
-        target_states=target_states,
-        query_state=qstate,
         video_id=video_id,
     )
 
@@ -505,53 +535,33 @@ def scene_gt_dict(record: SceneRecord) -> dict:
 
 
 def _write_scene(out_dir: Path, scene_id: str, record: SceneRecord) -> dict:
-    scene_dir = out_dir / "scenes" / scene_id
-    frames_dir = scene_dir / "frames"
-    frames_dir.mkdir(parents=True, exist_ok=True)
-    frame_paths = []
-    for t, frame in enumerate(record.frames):
-        rel = f"scenes/{scene_id}/frames/{t:04d}.ppm"
-        write_ppm(out_dir / rel, frame)
-        frame_paths.append(rel)
-    query_rel = f"scenes/{scene_id}/query.ppm"
-    write_ppm(out_dir / query_rel, record.query_frame)
-    gt_rel = f"scenes/{scene_id}/gt.json"
+    cfg, scene = record.config, f"scenes/{scene_id}"
+    (out_dir / scene).mkdir(parents=True, exist_ok=True)
+    entry = {"id": scene_id, "seed": cfg.seed, "height": cfg.frame_size[0], "width": cfg.frame_size[1],
+             "num_frames": cfg.num_frames, "fps": cfg.fps,
+             "frames": f"{scene}/frames.ppm", "query": f"{scene}/query.ppm", "gt": f"{scene}/gt.json"}
+    write_ppm(out_dir / entry["frames"], *record.frames)
+    write_ppm(out_dir / entry["query"], record.query_frame)
     gt_text = json.dumps(scene_gt_dict(record), sort_keys=True, separators=(",", ":")) + "\n"
-    write_regular_file(out_dir / gt_rel, gt_text.encode())
-    h, w = record.config.frame_size
-    return {
-        "id": scene_id,
-        "seed": record.config.seed,
-        "height": h,
-        "width": w,
-        "num_frames": record.config.num_frames,
-        "fps": record.config.fps,
-        "frames": frame_paths,
-        "query": query_rel,
-        "gt": gt_rel,
-    }
+    write_regular_file(out_dir / entry["gt"], gt_text.encode())
+    return entry
 
 
 def _dataset_files(scenes: list[dict]) -> list[str]:
     """Every file the manifest's scenes name, in digest order, repeats included."""
     return sorted(rel for scene in scenes
-                  for rel in (*scene.get("frames", []), scene.get("query"), scene.get("gt"))
+                  for rel in (scene.get("frames"), scene.get("query"), scene.get("gt"))
                   if rel is not None)
 
 
-def _digest_file(digest, rel: str, blob: bytes) -> None:
-    """Feed one file to a dataset digest: its relative path, a NUL, its bytes."""
-    digest.update(rel.encode("utf-8"))
-    digest.update(b"\0")
-    digest.update(blob)
-
-
 def compute_digest(root: str | Path, files: Iterable[str]) -> str:
-    """sha256 over sorted relative paths and their bytes."""
-    root = Path(root)
+    """sha256 over sorted relative paths, each followed by a NUL and the file's
+    bytes, read in `_file_pieces`, so that no read takes more than one frame."""
     digest = hashlib.sha256()
     for rel in sorted(files):
-        _digest_file(digest, rel, (root / rel).read_bytes())
+        digest.update(rel.encode("utf-8") + b"\0")
+        for piece, _ in _file_pieces(Path(root) / rel):
+            digest.update(piece)
     return digest.hexdigest()
 
 
@@ -590,21 +600,22 @@ def generate_dataset(
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
-    """The parsed manifest; SceneConfigError when its shape is not a manifest's,
-    FileNotFoundError, as `read_ppm`, unless it is a readable regular file."""
+    """The parsed manifest; SceneConfigError when its format is not
+    MANIFEST_FORMAT or its shape is not a manifest's, FileNotFoundError, as
+    `regular_file_bytes`, unless it is a readable regular file."""
     manifest = json.loads(regular_file_bytes(Path(dataset_dir) / MANIFEST_NAME))
     if not isinstance(manifest, dict):
         raise SceneConfigError("manifest: top level must be an object")
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise SceneConfigError(f"manifest: format {manifest.get('format')!r} is not {MANIFEST_FORMAT!r}; "
+                               f"regenerate the dataset with vqs gen")
     if not isinstance(manifest.get("scenes", []), list):
         raise SceneConfigError("manifest: 'scenes' must be a list")
     ids = set()
     for i, entry in enumerate(manifest.get("scenes", [])):
         if not isinstance(entry, dict):
             raise SceneConfigError(f"manifest: scenes[{i}] must be an object")
-        frames = entry.get("frames", [])
-        if not isinstance(frames, list) or not all(isinstance(f, str) for f in frames):
-            raise SceneConfigError(f"manifest: scenes[{i}]: 'frames' must be a list of strings")
-        for key in ("id", "query", "gt"):
+        for key in ("id", "frames", "query", "gt"):
             if key in entry and not isinstance(entry[key], str):
                 raise SceneConfigError(f"manifest: scenes[{i}]: {key!r} must be a string")
         for key in ("num_frames", "fps"):
@@ -633,28 +644,24 @@ def _query_mask(obj: dict, height: int, width: int) -> RleMask:
 
 def load_scene_gt(dataset_dir: str | Path, scene_entry: dict) -> tuple[ResponseSet, RleMask]:
     """gt annotation plus the query mask for one manifest scene entry;
-    FileNotFoundError, as `read_ppm`, unless the gt is a readable regular file."""
+    FileNotFoundError, as `regular_file_bytes`, unless the gt is a readable regular file."""
     obj = json.loads(regular_file_bytes(Path(dataset_dir) / scene_entry["gt"]))
     response, h, w = annotation_from_dict(obj)
     return response, _query_mask(obj, h, w)
 
 
 def load_scene_record(dataset_dir: str | Path, scene_entry: dict) -> SceneRecord:
-    """Read one scene's frames, query and annotations, each file once.
-
-    Neither the generating config nor the trajectory states are persisted, so
-    `config` and `query_state` are None and `target_states` is empty.
-    """
+    """Read one scene's frames, query and annotations, each file once; the
+    frames are read-only views into the one buffer of the frames file. The
+    generating config is not persisted, so `config` is None."""
     root = Path(dataset_dir)
     response, qmask = load_scene_gt(root, scene_entry)
     return SceneRecord(
         config=None,
-        frames=[read_ppm(root / rel) for rel in scene_entry["frames"]],
-        query_frame=read_ppm(root / scene_entry["query"]),
+        frames=read_ppm(root / scene_entry["frames"], scene_entry["num_frames"]),
+        query_frame=read_ppm(root / scene_entry["query"])[0],
         query_mask=qmask,
         gt=response,
-        target_states=[],
-        query_state=None,
         video_id=scene_entry["id"],
     )
 
@@ -745,76 +752,59 @@ def _gt_violations(sid: str, entry: dict, blob: bytes) -> list[str]:
 def validate_manifest(dataset_dir: str | Path) -> list[str]:
     """All invariant violations in a dataset directory; empty list when clean.
 
-    One pass in digest order reads each file once. Its bytes feed the digest,
-    a frame's PPM parse and a gt file's checks; the query-equality check
-    compares each file's sha256, so no file's bytes outlive its turn. A file
-    that cannot be opened or read, or is not a regular file, is reported
-    missing; nothing is raised.
+    One pass in digest order reads each file once, in `_file_pieces`, so that
+    a frames file is held one frame at a time. Its pieces feed the digest, the
+    gt checks and a sha256 and shape per frame; a query equal to a frame is
+    found by comparing the query file's sha256 with each frame's. A file that
+    cannot be opened or read, or is not a regular file, is reported missing;
+    nothing is raised.
     """
     root = Path(dataset_dir)
-    violations: list[str] = []
     try:
         manifest = load_manifest(root)
     except (OSError, json.JSONDecodeError) as exc:
         return [f"manifest: unreadable ({exc})"]
     except SceneConfigError as exc:
         return [str(exc)]
-    if manifest.get("format") != MANIFEST_FORMAT:
-        violations.append(f"manifest: unknown format {manifest.get('format')!r}")
     scenes = manifest.get("scenes", [])
-    frame_files = {rel for entry in scenes for rel in entry.get("frames", [])}
     gt_users: dict[str, list[int]] = {}
     for i, entry in enumerate(scenes):
         gt_users.setdefault(entry.get("gt"), []).append(i)
 
     digest = hashlib.sha256()
-    shas: dict[str, bytes] = {}                    # every file that opened
-    frame_shapes: dict[str, tuple | str] = {}      # (height, width) or the parse error
+    lengths = {entry.get("frames"): entry["num_frames"] for entry in scenes}
+    scans: dict[str, list[_Piece]] = {}  # each piece's sha256 in place of its bytes
     gt_checks: dict[int, list[str]] = {}
-    blob = b""
-    for rel in _dataset_files(scenes):
-        if rel not in shas:  # sorted, so a repeated file follows its first listing
-            path = root / rel
-            blob = _read_regular_file(path)
-            if blob is None:
-                continue
-            shas[rel] = hashlib.sha256(blob).digest()
-            if rel in frame_files:
-                try:
-                    frame_shapes[rel] = parse_ppm(blob, path).shape[:2]
-                except ValueError as exc:
-                    frame_shapes[rel] = str(exc)
-            for i in gt_users.get(rel, ()):
-                gt_checks[i] = _gt_violations(scenes[i].get("id", "<missing id>"), scenes[i], blob)
-        _digest_file(digest, rel, blob)
+    for rel, listings in itertools.groupby(_dataset_files(scenes)):
+        copies = len(list(listings))  # a file listed twice is read once and hashed twice
+        scan, kept = [], [rel.encode("utf-8") + b"\0"]
+        digest.update(kept[0])
+        try:
+            for piece, shape in _file_pieces(root / rel, lengths.get(rel)):
+                digest.update(piece)
+                scan.append((hashlib.sha256(piece).digest(), shape))
+                if copies > 1 or rel in gt_users:
+                    kept.append(piece)
+        except OSError:
+            continue
+        scans[rel] = scan
+        for piece in kept * (copies - 1):
+            digest.update(piece)
+        for i in gt_users.get(rel, ()):
+            gt_checks[i] = _gt_violations(scenes[i].get("id", "<missing id>"), scenes[i], b"".join(kept[1:]))
 
-    missing_files = False
-    for entry in scenes:
-        sid = entry.get("id", "<missing id>")
-        for rel in [*entry.get("frames", []), entry.get("query"), entry.get("gt")]:
-            if rel not in shas:
-                violations.append(f"{sid}: missing file {rel}")
-                missing_files = True
-    if not missing_files and "digest" in manifest and digest.hexdigest() != manifest["digest"]:
+    violations = [f"{entry.get('id', '<missing id>')}: missing file {rel}" for entry in scenes
+                  for rel in (entry.get("frames"), entry.get("query"), entry.get("gt")) if rel not in scans]
+    if not violations and "digest" in manifest and digest.hexdigest() != manifest["digest"]:
         violations.append("manifest: digest does not match dataset content")
-
     for i, entry in enumerate(scenes):
-        sid = entry.get("id", "<missing id>")
-        frames = entry.get("frames", [])
-        if entry["num_frames"] != len(frames):
-            violations.append(f"{sid}: num_frames is {entry['num_frames']}, "
-                              f"but {len(frames)} frames are listed")
+        sid, rel = entry.get("id", "<missing id>"), entry.get("frames")
         violations.extend(gt_checks.get(i, []))
-        query_sha = shas.get(entry.get("query"))
-        if query_sha is not None:
-            for frame_rel in frames:
-                if shas.get(frame_rel) == query_sha:
-                    violations.append(f"{sid}: query frame identical to video frame {frame_rel}")
-                    break
-        for frame_rel in frames:
-            shape = frame_shapes.get(frame_rel)
-            if isinstance(shape, str):
-                violations.append(f"{sid}: {shape}")
-            elif shape is not None and shape != (entry.get("height"), entry.get("width")):
-                violations.append(f"{sid}: frame {frame_rel} has shape {shape}")
+        images = [(sha, shape) for sha, shape in scans.get(rel, []) if not isinstance(shape, ValueError)]
+        query = scans.get(entry.get("query"), [])
+        same = [t for t, (sha, _) in enumerate(images) if len(query) == 1 and sha == query[0][0]]
+        violations += [f"{sid}: query frame identical to video frame {t} of {rel}" for t in same[:1]]
+        violations += [f"{sid}: frame {t} of {rel} has shape {shape}" for t, (_, shape) in enumerate(images)
+                       if shape != (entry.get("height"), entry.get("width"))]
+        violations += [f"{sid}: {shape}" for _, shape in scans.get(rel, []) if isinstance(shape, ValueError)]
     return violations

@@ -10,6 +10,10 @@ resolution, run-length encoded and compared with `mask_iou`, and patch
 fractions are float means of decoded pixels. The grid forms must match them
 bit for bit.
 
+The rasterizer reference is the full coordinate grid `synth.rasterize_shape`
+built with `np.mgrid` before it broadcast a row and a column of pixel centres;
+the two must agree pixel for pixel.
+
 The annotation reference parses and checks every run list on its own, as the
 library did before it checked a whole annotation's lists in numpy passes.
 
@@ -28,18 +32,21 @@ import math
 import numpy as np
 
 from vqs import autodiff as ad
-from vqs.masks import MaskError, Masklet, ResponseSet, RleMask, mask_iou, rle_decode
+from vqs.masks import MaskDimensionError, MaskError, Masklet, ResponseSet, RleMask, mask_iou, rle_decode
 from vqs.pipeline import binarize_candidate
 
 
 def per_list_annotation(obj):
     """`annotation_from_dict` list by list: every mask through
     `RleMask.from_runs_csv`, then the Masklets and the ResponseSet, with
-    malformed objects reported as one MaskError."""
+    malformed objects reported as one MaskError, and a height or width that is
+    no JSON integer of at least 1 as a MaskDimensionError naming it."""
     try:
         video_id = str(obj["video_id"])
-        height = int(obj["height"])
-        width = int(obj["width"])
+        for key in ("height", "width"):
+            if type(obj[key]) is not int or obj[key] < 1:
+                raise MaskDimensionError(f"annotation {key!r} must be an integer >= 1, got {obj[key]!r}")
+        height, width = obj["height"], obj["width"]
         occs = [
             Masklet(int(raw["start"]), int(raw["end"]),
                     tuple(RleMask.from_runs_csv(text, height, width) for text in raw["masks"]))
@@ -48,6 +55,30 @@ def per_list_annotation(obj):
     except (KeyError, TypeError, AttributeError) as exc:
         raise MaskError(f"malformed annotation object: {exc}") from exc
     return ResponseSet(video_id, tuple(occs)), height, width
+
+
+def mgrid_rasterize_shape(state, height, width):
+    """`synth.rasterize_shape` on full (height, width) coordinate grids from `np.mgrid`."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    px = xs + 0.5
+    py = ys + 0.5
+    if state.shape == "disk":
+        return (px - state.cx) ** 2 + (py - state.cy) ** 2 <= state.size**2
+    if state.shape == "rectangle":
+        hx = state.size
+        hy = state.size * state.aspect
+        return (np.abs(px - state.cx) <= hx) & (np.abs(py - state.cy) <= hy)
+    ax, ay = state.cx, state.cy - state.size
+    bx, by = state.cx - 0.9 * state.size, state.cy + 0.8 * state.size
+    cx_, cy_ = state.cx + 0.9 * state.size, state.cy + 0.8 * state.size
+
+    def half_plane(x0, y0, x1, y1):
+        return (px - x0) * (y1 - y0) - (py - y0) * (x1 - x0)
+
+    s1 = half_plane(ax, ay, bx, by)
+    s2 = half_plane(bx, by, cx_, cy_)
+    s3 = half_plane(cx_, cy_, ax, ay)
+    return (s1 >= 0) & (s2 >= 0) & (s3 >= 0)
 
 
 def decode_runs(runs, height, width):

@@ -22,7 +22,7 @@ from vqs.optim import load_params, save_params
 from vqs.autodiff import Tensor
 from vqs.optim import ParamStore
 from vqs.pipeline import PipelineConfig, init_params
-from vqs.synth import load_manifest, load_scene_gt, read_ppm
+from vqs.synth import load_manifest, load_scene_gt, read_ppm, write_ppm
 
 
 def run_cli(*argv):
@@ -257,7 +257,30 @@ class TestGen:
         assert "config_digest" in sidecar
 
 
+# an annotation's height or width that vqs never writes, and the error naming it
+DIMENSION_DEFECTS = {
+    "float": (2.5, "annotation {field!r} must be an integer >= 1, got 2.5"),
+    "string": ("2", "annotation {field!r} must be an integer >= 1, got '2'"),
+    "bool": (True, "annotation {field!r} must be an integer >= 1, got True"),
+    "zero": (0, "annotation {field!r} must be an integer >= 1, got 0"),
+    "negative": (-1, "annotation {field!r} must be an integer >= 1, got -1"),
+    "missing": (None, "malformed annotation object: {field!r}"),
+}
+
+
 class TestEval:
+    @pytest.mark.parametrize("field", ["height", "width"])
+    @pytest.mark.parametrize("defect", sorted(DIMENSION_DEFECTS))
+    def test_gt_array_dimension_rejected(self, tmp_path, capsys, field, defect):
+        value, message = DIMENSION_DEFECTS[defect]
+        gt = {"video_id": "v", "height": 2, "width": 4, "num_frames": 1,
+              "occurrences": [{"start": 0, "end": 0, "masks": ["8"]}]}
+        (tmp_path / "pred.json").write_text(json.dumps([gt]))
+        gt = {k: v for k, v in gt.items() if k != field} if value is None else {**gt, field: value}
+        (tmp_path / "gt.json").write_text(json.dumps([gt]))
+        assert run_cli("eval", "--gt", tmp_path / "gt.json", "--pred", tmp_path / "pred.json") == 1
+        assert one_json_error_line(capsys.readouterr().err) == message.format(field=field)
+
     def test_perfect_prediction_scores_100(self, dataset, tmp_path, capsys):
         manifest = load_manifest(dataset)
         gt_objects = [json.loads((dataset / e["gt"]).read_text()) for e in manifest["scenes"]]
@@ -580,10 +603,10 @@ MANIFEST_DEFECTS = {
     "top-level-list": (lambda m: [m], "manifest: top level must be an object"),
     "scenes-object": (lambda m: {**m, "scenes": {}}, "manifest: 'scenes' must be a list"),
     "entry-int": (lambda m: {**m, "scenes": [5]}, "manifest: scenes[0] must be an object"),
-    "frames-string": (lambda m: {**m, "scenes": [{**m["scenes"][0], "frames": "f.ppm"}]},
-                      "manifest: scenes[0]: 'frames' must be a list of strings"),
-    "frame-int": (lambda m: {**m, "scenes": [m["scenes"][0], {**m["scenes"][1], "frames": [3]}]},
-                  "manifest: scenes[1]: 'frames' must be a list of strings"),
+    "frames-list": (lambda m: {**m, "scenes": [{**m["scenes"][0], "frames": [m["scenes"][0]["frames"]]}]},
+                    "manifest: scenes[0]: 'frames' must be a string"),
+    "frame-int": (lambda m: {**m, "scenes": [m["scenes"][0], {**m["scenes"][1], "frames": 3}]},
+                  "manifest: scenes[1]: 'frames' must be a string"),
     "id-int": (lambda m: {**m, "scenes": [{**m["scenes"][0], "id": 7}]},
                "manifest: scenes[0]: 'id' must be a string"),
     "query-list": (lambda m: {**m, "scenes": [{**m["scenes"][0], "query": ["q.ppm"]}]},
@@ -637,6 +660,48 @@ class TestManifestShape:
             assert one_json_error_line(out.err) == message
 
 
+class TestOldDataset:
+    """A dataset in any format but MANIFEST_FORMAT, such as the one PPM file per
+    frame of vqs-dataset-v1, is one error naming the format, with no second loader."""
+
+    @pytest.mark.parametrize("command", ["validate", "infer", "stats", "train", "eval"])
+    @pytest.mark.parametrize("found", ["vqs-dataset-v1", "vqs-dataset-v3", None, "missing"])
+    def test_other_format_is_one_error(self, tmp_path, capsys, command, found):
+        data = tmp_path / "ds"
+        (data / "scenes/s/frames").mkdir(parents=True)
+        frames = [f"scenes/s/frames/{t:04d}.ppm" for t in range(2)]
+        for t, rel in enumerate(frames):
+            write_ppm(data / rel, np.full((8, 8, 3), t, dtype=np.uint8))
+        write_ppm(data / "scenes/s/query.ppm", np.full((8, 8, 3), 9, dtype=np.uint8))
+        (data / "scenes/s/gt.json").write_text(json.dumps({
+            "video_id": "s", "height": 8, "width": 8, "num_frames": 2, "fps": 6,
+            "occurrences": [{"start": 0, "end": 0, "masks": ["60,4"]}], "query_mask": "60,4"}))
+        manifest = {"format": found, "seed": 0, "config": {}, "scenes": [{
+            "id": "s", "seed": 0, "height": 8, "width": 8, "num_frames": 2, "fps": 6,
+            "frames": frames, "query": "scenes/s/query.ppm", "gt": "scenes/s/gt.json"}]}
+        if found == "missing":
+            del manifest["format"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text("[]")
+        argv = {
+            "validate": ["validate", "--data", data],
+            "infer": ["infer", "--data", data, "--out", tmp_path / "p.json"],
+            "stats": ["stats", "--data", data],
+            "train": ["train", "--data", data, "--ckpt-out", tmp_path / "t.ckpt"],
+            "eval": ["eval", "--gt", data, "--pred", pred_path],
+        }[command]
+        assert run_cli(*argv) == 1
+        message = (f"manifest: format {None if found == 'missing' else found!r} is not 'vqs-dataset-v2'; "
+                   f"regenerate the dataset with vqs gen")
+        out = capsys.readouterr()
+        if command == "validate":
+            assert out.out.splitlines() == [f"violation: {message}", f"1 violation(s) in {data}"]
+        else:
+            assert one_json_error_line(out.err) == message
+        assert not (tmp_path / "p.json").exists() and not (tmp_path / "t.ckpt").exists()
+
+
 class TestNumFramesCount:
     def test_validate_reports_num_frames_unlike_frames(self, two_videos, tmp_path, capsys):
         data = tmp_path / "ds"
@@ -647,16 +712,16 @@ class TestNumFramesCount:
         manifest_path.write_text(json.dumps(manifest))
         assert run_cli("validate", "--data", data) == 1
         assert capsys.readouterr().out.splitlines() == [
-            "violation: scene_0000: num_frames is 13, but 8 frames are listed",
+            f"violation: scene_0000: {data / 'scenes/scene_0000/frames.ppm'}: holds 8 PPM images, expected 13",
             f"1 violation(s) in {data}",
         ]
 
 
-# a bad header to write in front of a frame's own payload, and the text of the
-# error after the frame's path
+# a bad header to write in place of frame 0's in a frames file, and the text of
+# the error after the frame's name; {payload} is the byte count after the header
 PPM_HEADER_DEFECTS = {
     "huge": (b"P6\n1000000 1000000\n255\n",
-             "pixel payload holds 3072 bytes, a 1000000x1000000 image needs 3000000000000"),
+             "pixel payload holds {payload} bytes, a 1000000x1000000 image needs 3000000000000"),
     "negative": (b"P6\n-1 -1\n255\n", "PPM width and height must be positive integers, got -1 -1"),
     "zero-width": (b"P6\n0 4\n255\n", "PPM width and height must be positive integers, got 0 4"),
     "non-integer": (b"P6\n32 3e1\n255\n", "PPM width and height must be positive integers, got 32 3e1"),
@@ -673,7 +738,7 @@ class TestFifoSceneFile:
         data = tmp_path / "ds"
         shutil.copytree(two_videos, data)
         entry = load_manifest(data)["scenes"][0]
-        path = data / (entry["frames"][3] if victim == "frame" else entry["gt"])
+        path = data / (entry["frames"] if victim == "frame" else entry["gt"])
         path.unlink()
         os.mkfifo(path)  # opening it for reading would wait for a writer
         out = ["--out", tmp_path / "p.json"] if command == "infer" else ["--ckpt-out", tmp_path / "t.ckpt", "--steps", 1]
@@ -708,7 +773,8 @@ class TestFifoOutput:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize("command, victim", [
         ("gen", "run_config.json"), ("gen", "manifest.json"),
-        ("gen", "scenes/scene_0000/frames/0000.ppm"), ("gen", "scenes/scene_0000/gt.json"),
+        ("gen", "scenes/scene_0000/frames.ppm"), ("gen", "scenes/scene_0000/query.ppm"),
+        ("gen", "scenes/scene_0000/gt.json"),
         ("infer", "p.json"), ("infer", "p.json.config.json"),
         ("train", "t.ckpt"), ("train", "t.ckpt.config.json"), ("train", "curve.csv"),
         ("eval", "r.json"), ("eval", "r.csv"), ("eval", "r.json.config.json"),
@@ -791,15 +857,16 @@ class TestPpmHeader:
         header, message = PPM_HEADER_DEFECTS[defect]
         data = tmp_path / "ds"
         shutil.copytree(two_videos, data)
-        frame = data / load_manifest(data)["scenes"][0]["frames"][0]
-        payload = frame.read_bytes()[len(b"P6\n32 32\n255\n"):]
+        entry = load_manifest(data)["scenes"][0]
+        frame = data / entry["frames"]
+        payload = frame.read_bytes()[len(b"P6\n32 32\n255\n"):]  # frame 0's, then the other frames
         frame.write_bytes(header + (b"" if defect == "no-header" else payload))
-        error = f"{frame}: {message}"
+        error = f"frame 0 of {frame}: {message.format(payload=len(payload))}"
         if via == "read_ppm":
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError) as exc:
-                    read_ppm(frame)
+                    read_ppm(frame, entry["num_frames"])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -915,7 +982,7 @@ class TestInferReadsOnce:
         monkeypatch.undo()
         assert record["video_id"] == entry["id"]
         assert loads == [(str(two_videos), entry)]
-        expected = sorted(root / rel for rel in [*entry["frames"], entry["query"], entry["gt"]])
+        expected = sorted(root / rel for rel in (entry["frames"], entry["query"], entry["gt"]))
         assert sorted(opened) == expected
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,19 @@ class TestOccurrences:
     def test_malformed_occurrences_raise_mask_error(self, occurrences):
         obj = {"video_id": "v", "height": 4, "width": 4, "occurrences": occurrences}
         with pytest.raises(MaskError, match="malformed annotation object"):
+            annotation_from_dict(obj)
+
+    @pytest.mark.parametrize("field", ["height", "width"])
+    @pytest.mark.parametrize("value", [2.5, "2", True, 0, -1, None],
+                             ids=["float", "string", "bool", "zero", "negative", "missing"])
+    def test_annotation_dimension_must_be_a_positive_int(self, field, value):
+        # 2.5, "2" and True used to pass through int() as 2, 2 and 1
+        obj = {"video_id": "v", "height": 2, "width": 4,
+               "occurrences": [{"start": 0, "end": 0, "masks": ["8"]}]}
+        obj = {k: v for k, v in obj.items() if k != field} if value is None else {**obj, field: value}
+        error = (MaskError, f"malformed annotation object: {field!r}") if value is None else \
+            (MaskDimensionError, f"annotation {field!r} must be an integer >= 1, got {value!r}")
+        with pytest.raises(error[0], match=f"^{re.escape(error[1])}$"):
             annotation_from_dict(obj)
 
     def test_annotation_dims_must_match(self):

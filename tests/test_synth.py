@@ -9,10 +9,15 @@ import pytest
 
 from vqs.masks import rle_decode
 from vqs.synth import (
+    _QUERY_SALT,
+    SHAPES,
     DatasetConfig,
     SceneConfig,
     SceneConfigError,
+    ShapeState,
     _dataset_files,
+    _sample_timeline,
+    _sample_trajectory,
     compute_digest,
     compute_stats,
     generate_dataset,
@@ -20,6 +25,7 @@ from vqs.synth import (
     load_manifest,
     load_scene_gt,
     mix_seed,
+    rasterize_shape,
     read_ppm,
     validate_manifest,
     write_ppm,
@@ -27,7 +33,7 @@ from vqs.synth import (
 )
 
 from .helpers import bytes_read
-from .oracles import decode_runs
+from .oracles import decode_runs, mgrid_rasterize_shape
 
 
 def oracle_rasterize(state, height, width):
@@ -52,6 +58,20 @@ def oracle_rasterize(state, height, width):
     return out
 
 
+def scene_states(cfg):
+    """Each occurrence's target states, frame by frame, and the query's state:
+    `Trajectory.state_at` on trajectories drawn as `generate_scene` draws them."""
+    h, w = cfg.frame_size
+    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+    spans = _sample_timeline(rng, cfg)
+    hue = float(rng.uniform(0.0, 1.0))
+    trajectories = [_sample_trajectory(rng, cfg, cfg.target_shape, hue) for _ in spans]
+    qrng = np.random.default_rng(np.random.PCG64(mix_seed(cfg.seed, _QUERY_SALT)))
+    query = _sample_trajectory(qrng, cfg, cfg.target_shape, hue).state_at(0, h, w)
+    return [[traj.state_at(t, h, w) for t in range(end - start + 1)]
+            for traj, (start, end) in zip(trajectories, spans)], query
+
+
 class TestSeedMixing:
     def test_deterministic(self):
         assert mix_seed(7, 0) == mix_seed(7, 0)
@@ -70,13 +90,61 @@ class TestPpm:
         img = rng.integers(0, 256, size=(13, 17, 3), dtype=np.uint8)
         path = tmp_path / "x.ppm"
         write_ppm(path, img)
-        assert np.array_equal(read_ppm(path), img)
+        [back] = read_ppm(path)
+        assert np.array_equal(back, img)
+
+    def test_sequence_read_as_views_of_one_buffer(self, tmp_path):
+        rng = np.random.default_rng(1)
+        imgs = [rng.integers(0, 256, size=(9, 11, 3), dtype=np.uint8) for _ in range(4)]
+        path = tmp_path / "frames.ppm"
+        write_ppm(path, *imgs)
+        assert path.read_bytes() == b"".join(b"P6\n11 9\n255\n" + img.tobytes() for img in imgs)
+        back = read_ppm(path, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(back, imgs))
+        # read-only views, one image's bytes apart in one buffer
+        assert not any(f.flags.writeable for f in back)
+        starts = [f.__array_interface__["data"][0] for f in back]
+        assert np.diff(starts).tolist() == [len(b"P6\n11 9\n255\n") + 9 * 11 * 3] * 3
+
+    @pytest.mark.parametrize("written, expected, tail, message", [
+        (3, 4, b"", "holds 3 PPM images, expected 4"),
+        (3, 2, b"", "holds 3 PPM images, expected 2"),
+        (3, 3, b"junk", "4 bytes left over after 3 PPM images, expected 3"),
+        (3, 4, b"junk", "frame 3 of {path}: not a binary PPM"),
+    ])
+    def test_image_count_and_trailing_bytes_named(self, tmp_path, written, expected, tail, message):
+        path = tmp_path / "frames.ppm"
+        write_ppm(path, *[np.zeros((8, 8, 3), dtype=np.uint8)] * written)
+        with open(path, "ab") as fh:
+            fh.write(tail)
+        error = message.format(path=path) if "{path}" in message else f"{path}: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            read_ppm(path, expected)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n2 2\n255\nxxxx")
         with pytest.raises(ValueError):
             read_ppm(path)
+
+
+class TestRasterizer:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_mgrid_oracle(self, shape):
+        rng = np.random.default_rng([2026, SHAPES.index(shape)])
+        for k in range(300):
+            h, w = (int(v) for v in rng.integers(8, 97, size=2))
+            # centres up to a frame beyond each edge; every other draw on the
+            # half-pixel lattice, where pixel centres fall on the boundary
+            cx, cy = rng.uniform(-w, 2 * w), rng.uniform(-h, 2 * h)
+            size, aspect = rng.uniform(0.5, max(h, w)), rng.uniform(0.6, 1.0)
+            if k % 2:
+                cx, cy, size = (np.round(2 * v) / 2 for v in (cx, cy, size))
+                aspect = 0.75
+            state = ShapeState(shape, float(cx), float(cy), float(size), float(aspect), (0, 0, 0))
+            got = rasterize_shape(state, h, w)
+            assert got.shape == (h, w) and got.dtype == bool
+            assert np.array_equal(got, mgrid_rasterize_shape(state, h, w)), state
 
 
 class TestWriteRegularFile:
@@ -128,7 +196,7 @@ class TestGenerateScene:
         for prev, nxt in zip(occs, occs[1:]):
             assert nxt.start_frame > prev.end_frame + 0  # disjoint and sorted
         h, w = cfg.frame_size
-        for occ, states in zip(occs, record.target_states):
+        for occ, states in zip(occs, scene_states(cfg)[0]):
             assert len(states) == len(occ.masks)
             for mask, state in zip(occ.masks, states):
                 expected = oracle_rasterize(state, h, w)
@@ -176,7 +244,7 @@ class TestGenerateScene:
         cfg = SceneConfig(num_frames=6, num_occurrences=1, seed=77)
         record = generate_scene(cfg)
         h, w = cfg.frame_size
-        expected = oracle_rasterize(record.query_state, h, w)
+        expected = oracle_rasterize(scene_states(cfg)[1], h, w)
         assert np.array_equal(rle_decode(record.query_mask).astype(bool), expected)
 
 
@@ -206,7 +274,7 @@ class TestGenerateDataset:
         assert man_a["digest"] == man_b["digest"]
         assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
         for scene in man_a["scenes"]:
-            for rel in [*scene["frames"], scene["query"], scene["gt"]]:
+            for rel in (scene["frames"], scene["query"], scene["gt"]):
                 assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
 
     def test_different_seed_differs(self, tmp_path):
@@ -303,7 +371,7 @@ class TestValidateManifest:
 
     def test_missing_file_reported(self, tmp_path):
         out, manifest = small_dataset(tmp_path, n=1)
-        victim = out / manifest["scenes"][0]["frames"][0]
+        victim = out / manifest["scenes"][0]["frames"]
         victim.unlink()
         violations = validate_manifest(out)
         assert any("missing file" in v for v in violations)
@@ -320,7 +388,7 @@ class TestValidateManifest:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_reported_missing(self, tmp_path):
         out, manifest = small_dataset(tmp_path, n=1)
-        victim = manifest["scenes"][0]["frames"][0]
+        victim = manifest["scenes"][0]["frames"]
         (out / victim).unlink()
         os.mkfifo(out / victim)  # opening it for reading would wait for a writer
         assert validate_manifest(out) == [f"scene_0000: missing file {victim}"]
@@ -328,62 +396,72 @@ class TestValidateManifest:
     def test_query_equal_to_frame_reported(self, tmp_path):
         out, manifest = small_dataset(tmp_path, n=1)
         entry = manifest["scenes"][0]
-        frame0 = out / entry["frames"][0]
-        (out / entry["query"]).write_bytes(frame0.read_bytes())
+        frames = read_ppm(out / entry["frames"], entry["num_frames"])
+        write_ppm(out / entry["query"], frames[-1])
+        first = next(t for t, frame in enumerate(frames) if np.array_equal(frame, frames[-1]))
         violations = validate_manifest(out)
-        assert any("identical to video frame" in v for v in violations)
+        assert f"scene_0000: query frame identical to video frame {first} of {entry['frames']}" in violations
 
 
-def multi_defect_dataset(tmp_path, missing_frame=True):
-    """A four-scene dataset with one of each defect validate reports.
+def multi_defect_dataset(tmp_path, missing_frames=True):
+    """A six-scene dataset with one of each defect validate reports.
 
-    Scene 0 has overlapping masklets and, when `missing_frame`, a deleted
-    frame, which turns the digest check off. Scene 1 has a bad run sum and a
-    query equal to one of its frames, and scene 2 gt that is not JSON, a query
-    with a flipped byte and a frame of the wrong shape; a gt defect does not
-    end its scene's other checks. Scene 3 has a query equal to one of its
-    frames, a frame of the wrong shape and a frame that is not a PPM.
+    Scene 0 has overlapping masklets and, when `missing_frames`, no frames
+    file, which turns the digest check off. Scene 1 has a bad run sum and a
+    query equal to its frame 0, and scene 2 gt that is not JSON, a query with
+    a flipped byte and a frame 1 of the wrong shape; a gt defect does not end
+    its scene's other checks. Scene 3 has a query equal to its frame 3, a frame
+    2 of the wrong shape and a frame 5 that is not a PPM. Scene 4's frames
+    file lacks its last image, and scene 5's has bytes after its last image.
     """
-    out, manifest = small_dataset(tmp_path, n=4, seed=4)
-    s0, s1, s2, s3 = manifest["scenes"]
+    out, manifest = small_dataset(tmp_path, n=6, seed=4)
+    s0, s1, s2, s3, s4, s5 = manifest["scenes"]
+    f1, f2, f3, f4 = (read_ppm(out / s["frames"], s["num_frames"]) for s in (s1, s2, s3, s4))
+    wrong_shape = np.zeros((16, 24, 3), dtype=np.uint8)
     gt0 = json.loads((out / s0["gt"]).read_text())
     gt0["occurrences"] = [gt0["occurrences"][0], dict(gt0["occurrences"][0])]
     (out / s0["gt"]).write_text(json.dumps(gt0))
-    if missing_frame:
-        (out / s0["frames"][1]).unlink()
+    if missing_frames:
+        (out / s0["frames"]).unlink()
     gt1 = json.loads((out / s1["gt"]).read_text())
     runs = gt1["occurrences"][0]["masks"][0].split(",")
     runs[0] = str(int(runs[0]) + 1)
     gt1["occurrences"][0]["masks"][0] = ",".join(runs)
     (out / s1["gt"]).write_text(json.dumps(gt1))
-    (out / s1["query"]).write_bytes((out / s1["frames"][0]).read_bytes())
+    write_ppm(out / s1["query"], f1[0])
     (out / s2["gt"]).write_text('{"video_id": "scene_0002", "occurrences": [')
     query = bytearray((out / s2["query"]).read_bytes())
     query[-1] ^= 0xFF
     (out / s2["query"]).write_bytes(bytes(query))
-    write_ppm(out / s2["frames"][1], np.zeros((16, 24, 3), dtype=np.uint8))
-    (out / s3["query"]).write_bytes((out / s3["frames"][3]).read_bytes())
-    write_ppm(out / s3["frames"][2], np.zeros((16, 24, 3), dtype=np.uint8))
-    (out / s3["frames"][5]).write_bytes(b"GIF89a not a portable pixmap")
+    write_ppm(out / s2["frames"], f2[0], wrong_shape, *f2[2:])
+    write_ppm(out / s3["query"], f3[3])
+    write_ppm(out / s3["frames"], *f3[:2], wrong_shape, *f3[3:5])
+    with open(out / s3["frames"], "ab") as fh:
+        fh.write(b"GIF89a not a portable pixmap")
+    write_ppm(out / s4["frames"], *f4[:-1])
+    with open(out / s5["frames"], "ab") as fh:
+        fh.write(b"trailing")
     return out
 
 
-# validate's output on multi_defect_dataset, taken from the validate that read
-# each frame up to three times; the one-pass validate keeps its text and order.
-# The second lines of scenes 1 and 2 show that a gt defect does not end its
-# scene's other checks.
+# validate's output on multi_defect_dataset. Scenes 0 to 3 keep the text and
+# order of the validate that read one file per frame, with each frame named by
+# its index in the scene's frames file. The second lines of scenes 1 and 2 show
+# that a gt defect does not end its scene's other checks.
 _SCENE_CHECKS = [
     "scene_0000: occurrences must be sorted and temporally disjoint; [0, 1] overlaps or precedes frame 1",
     "scene_0001: runs sum to 1025, expected 1024",
-    "scene_0001: query frame identical to video frame scenes/scene_0001/frames/0000.ppm",
+    "scene_0001: query frame identical to video frame 0 of scenes/scene_0001/frames.ppm",
     "scene_0002: gt unreadable (Expecting value: line 1 column 44 (char 43))",
-    "scene_0002: frame scenes/scene_0002/frames/0001.ppm has shape (16, 24)",
-    "scene_0003: query frame identical to video frame scenes/scene_0003/frames/0003.ppm",
-    "scene_0003: frame scenes/scene_0003/frames/0002.ppm has shape (16, 24)",
-    "scene_0003: <data>/scenes/scene_0003/frames/0005.ppm: not a binary PPM",
+    "scene_0002: frame 1 of scenes/scene_0002/frames.ppm has shape (16, 24)",
+    "scene_0003: query frame identical to video frame 3 of scenes/scene_0003/frames.ppm",
+    "scene_0003: frame 2 of scenes/scene_0003/frames.ppm has shape (16, 24)",
+    "scene_0003: frame 5 of <data>/scenes/scene_0003/frames.ppm: not a binary PPM",
+    "scene_0004: <data>/scenes/scene_0004/frames.ppm: holds 10 PPM images, expected 11",
+    "scene_0005: <data>/scenes/scene_0005/frames.ppm: 8 bytes left over after 10 PPM images, expected 10",
 ]
 MULTI_DEFECT_VIOLATIONS = {
-    True: ["scene_0000: missing file scenes/scene_0000/frames/0001.ppm", *_SCENE_CHECKS],
+    True: ["scene_0000: missing file scenes/scene_0000/frames.ppm", *_SCENE_CHECKS],
     False: ["manifest: digest does not match dataset content", *_SCENE_CHECKS],
 }
 
@@ -401,13 +479,61 @@ class TestValidateReadsOnce:
         self.assert_clean_reading_once(small_dataset(tmp_path, n=4)[0])
 
     def test_repeated_file_read_once_hashed_twice(self, tmp_path):
+        # both scenes list the longer scene's frames file; the other one is gone
         out, manifest = small_dataset(tmp_path, n=2)
-        entry = manifest["scenes"][0]
-        entry["frames"].append(entry["frames"][0])
-        entry["num_frames"] += 1
+        short, long = sorted(manifest["scenes"], key=lambda entry: entry["num_frames"])
+        (out / short["frames"]).unlink()
+        short.update(frames=long["frames"], num_frames=long["num_frames"])
         manifest["digest"] = compute_digest(out, _dataset_files(manifest["scenes"]))
         (out / "manifest.json").write_text(json.dumps(manifest))
         self.assert_clean_reading_once(out)
+
+
+class TestBoundedReads:
+    """validate and gen's digest read a frames file one frame at a time."""
+
+    FRAME_BYTES = len(b"P6\n32 32\n255\n") + 32 * 32 * 3  # small_dataset's frames
+
+    @staticmethod
+    def recorded_reads(monkeypatch) -> list[tuple[str, int]]:
+        """(path, bytes asked for) of each read of a file that os.open opened."""
+        names, reads = {}, []
+        real_open, real_read, real_pread = os.open, os.read, os.pread
+
+        def opening(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            names[fd] = str(path)
+            return fd
+
+        def reading(fd, n, *pos):
+            if fd in names:
+                reads.append((names[fd], n))
+            return (real_pread if pos else real_read)(fd, n, *pos)
+
+        monkeypatch.setattr(os, "open", opening)
+        monkeypatch.setattr(os, "read", reading)
+        monkeypatch.setattr(os, "pread", reading)
+        return reads
+
+    def assert_one_frame_a_read(self, out, manifest, reads):
+        frames = {str(out / entry["frames"]) for entry in manifest["scenes"]}
+        sizes = [n for path, n in reads if path in frames]
+        assert {path for path, _ in reads} >= frames
+        assert max(sizes) <= self.FRAME_BYTES
+        assert min(os.path.getsize(path) for path in frames) > self.FRAME_BYTES
+
+    def test_validate(self, tmp_path, monkeypatch):
+        out, manifest = small_dataset(tmp_path, n=3)
+        reads = self.recorded_reads(monkeypatch)
+        assert validate_manifest(out) == []
+        monkeypatch.undo()
+        self.assert_one_frame_a_read(out, manifest, reads)
+
+    def test_gen_digest(self, tmp_path, monkeypatch):
+        reads = self.recorded_reads(monkeypatch)
+        out, manifest = small_dataset(tmp_path, n=3)  # gen reads nothing but through compute_digest
+        monkeypatch.undo()
+        self.assert_one_frame_a_read(out, manifest, reads)
 
 
 class TestValidatePinned:
