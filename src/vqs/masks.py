@@ -67,7 +67,7 @@ class RleMask:
         return sum(self.runs[1::2])
 
     def to_runs_csv(self) -> str:
-        return ",".join(str(r) for r in self.runs)
+        return ",".join(map(str, self.runs))
 
     @classmethod
     def from_runs_csv(cls, text: str, height: int, width: int) -> "RleMask":
@@ -105,6 +105,37 @@ def rle_encode(bitmap: np.ndarray | Sequence[Sequence[int]]) -> RleMask:
         runs.insert(0, 0)
     h, w = arr.shape
     return RleMask(int(h), int(w), tuple(runs))
+
+
+def rle_encode_pixels(frame: np.ndarray, index: np.ndarray, num_frames: int,
+                      height: int, width: int) -> list[RleMask]:
+    """The masks of frames 0..num_frames-1 from their foreground pixels, in one
+    pass: pixel k lies on frame `frame[k]` at row-major index `index[k]`, in
+    order of frame, then index. Each mask's runs are `rle_encode`'s."""
+    frame, index, size = np.asarray(frame, np.intp), np.asarray(index, np.intp), height * width
+    if not len(index):
+        return [RleMask.empty(height, width) for _ in range(num_frames)]
+    # a foreground interval ends between two pixels unless the second directly
+    # follows the first on its frame
+    breaks = np.diff(frame * (size + 1) + index) != 1
+    first = np.flatnonzero(np.concatenate(([True], breaks)))
+    last = np.flatnonzero(np.concatenate((breaks, [True])))
+    # every interval's start and stop, frame by frame; a frame's runs are its
+    # first start, each later edge less the one before, and the rest after its last stop
+    edges = np.stack((index[first], index[last] + 1), axis=1).ravel()
+    steps = np.diff(edges, prepend=0)
+    counts = np.bincount(frame[first], minlength=num_frames)
+    ends = 2 * np.cumsum(counts)
+    opening = (ends - 2 * counts)[counts > 0]
+    steps[opening] = edges[opening]
+    steps, edges, run_lists, begin = steps.tolist(), edges.tolist(), [], 0
+    for end in ends.tolist():
+        runs = steps[begin:end]
+        rest = size - edges[end - 1] if end > begin else size
+        run_lists.append((*runs, rest) if rest else tuple(runs))
+        begin = end
+    # positive runs after a first that may be zero, summing to size: built so
+    return RleMask._prechecked(height, width, run_lists)
 
 
 def rle_decode(mask: RleMask) -> np.ndarray:

@@ -39,6 +39,7 @@ from .masks import (
     intersection_areas,
     iou_from_areas,
     rle_encode,
+    rle_encode_pixels,
 )
 from .parallel import parallel_map
 
@@ -228,33 +229,79 @@ class ShapeState:
     color: tuple[int, int, int]
 
 
+# Most bytes that one float or index temporary of a chunk holds: a track is
+# rasterized, painted and encoded a chunk of frames at a time, so that its
+# temporaries stay bounded however long the track and large its shape.
+RASTER_CHUNK_BYTES = 1 << 18
+
+
+def _box_span(centre: np.ndarray, reach: np.ndarray, extent: int) -> tuple[np.ndarray, int]:
+    """Each box's first index along one axis, and the one span of all boxes:
+    the widest of the [centre - reach, centre + reach] intervals clipped to
+    [0, extent], each box starting at its interval's start or far enough
+    before it to end at the frame's edge."""
+    lo = np.clip(np.floor(centre - reach), 0, extent).astype(np.intp)
+    hi = np.clip(np.ceil(centre + reach), 0, extent).astype(np.intp)
+    span = int((hi - lo).max())
+    return np.minimum(lo, extent - span), span
+
+
+def _inside(shape: str, px, py, cx, cy, size, aspect, size_sq):
+    """The pixel-center-inside test of pixel centres (px, py)."""
+    if shape == "disk":
+        return (px - cx) ** 2 + (py - cy) ** 2 <= size_sq
+    if shape == "rectangle":
+        return (np.abs(px - cx) <= size) & (np.abs(py - cy) <= size * aspect)
+    # isoceles triangle pointing up, listed counter-clockwise in image coords
+    ax, ay = cx, cy - size
+    bx, by = cx - 0.9 * size, cy + 0.8 * size
+    cx_, cy_ = cx + 0.9 * size, cy + 0.8 * size
+
+    def half_plane(x0, y0, x1, y1):
+        return (px - x0) * (y1 - y0) - (py - y0) * (x1 - x0) >= 0
+
+    return half_plane(ax, ay, bx, by) & half_plane(bx, by, cx_, cy_) & half_plane(cx_, cy_, ax, ay)
+
+
+def rasterize_track(states: Sequence[ShapeState], height: int,
+                    width: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Boolean foreground of each of a track's states, all of one shape, via a
+    pixel-center-inside test, in chunks of frames `(first, grids, top, left)`:
+    `grids[k]` is the foreground of state `first + k` in the box whose top-left
+    pixel is `(top[k], left[k])`.
+
+    All boxes of a track share one size. Each holds a half extent of
+    size * max(1, aspect) + 1 about its state's centre, clipped to the frame,
+    and with it all of the shape. A pixel's centre is its integer index plus
+    0.5, and its test the very expression of a full coordinate grid. Chunks
+    hold as many frames as keep each float temporary within
+    RASTER_CHUNK_BYTES, or one frame when a single box needs more.
+    """
+    shapes = {s.shape for s in states}
+    if len(shapes) > 1 or not shapes <= set(SHAPES):
+        raise SceneConfigError(f"a track needs states of one known shape, got {sorted(shapes)}")
+    shape = shapes.pop()
+    cx, cy, size, aspect = np.array([(s.cx, s.cy, s.size, s.aspect) for s in states]).T
+    size_sq = np.array([s.size**2 for s in states])
+    reach = size * np.maximum(1.0, aspect) + 1.0
+    top, box_h = _box_span(cy, reach, height)
+    left, box_w = _box_span(cx, reach, width)
+    step = max(1, RASTER_CHUNK_BYTES // (8 * max(1, box_h * box_w)))
+    rows, cols = np.arange(box_h)[:, None], np.arange(box_w)[None, :]
+    for first in range(0, len(states), step):
+        at = np.s_[first:first + step, None, None]
+        px, py = (left[at] + cols) + 0.5, (top[at] + rows) + 0.5
+        grids = _inside(shape, px, py, cx[at], cy[at], size[at], aspect[at], size_sq[at])
+        yield first, grids, top[first:first + step], left[first:first + step]
+
+
 def rasterize_shape(state: ShapeState, height: int, width: int) -> np.ndarray:
-    """Boolean foreground grid via a pixel-center-inside test.
-
-    Pixel centres are a row and a column of coordinates that broadcast to the
-    grid, so each pixel's expression is that of a full coordinate grid."""
-    px = np.arange(width)[None, :] + 0.5
-    py = np.arange(height)[:, None] + 0.5
-    if state.shape == "disk":
-        return (px - state.cx) ** 2 + (py - state.cy) ** 2 <= state.size**2
-    if state.shape == "rectangle":
-        hx = state.size
-        hy = state.size * state.aspect
-        return (np.abs(px - state.cx) <= hx) & (np.abs(py - state.cy) <= hy)
-    if state.shape == "triangle":
-        # isoceles triangle pointing up, listed counter-clockwise in image coords
-        ax, ay = state.cx, state.cy - state.size
-        bx, by = state.cx - 0.9 * state.size, state.cy + 0.8 * state.size
-        cx_, cy_ = state.cx + 0.9 * state.size, state.cy + 0.8 * state.size
-
-        def half_plane(x0, y0, x1, y1):
-            return (px - x0) * (y1 - y0) - (py - y0) * (x1 - x0)
-
-        s1 = half_plane(ax, ay, bx, by)
-        s2 = half_plane(bx, by, cx_, cy_)
-        s3 = half_plane(cx_, cy_, ax, ay)
-        return (s1 >= 0) & (s2 >= 0) & (s3 >= 0)
-    raise SceneConfigError(f"unknown shape {state.shape!r}")
+    """Boolean foreground grid of one state: `rasterize_track` of it, placed
+    in the frame."""
+    ((_, (grid,), (top,), (left,)),) = rasterize_track([state], height, width)
+    frame = np.zeros((height, width), dtype=bool)
+    frame[top:top + grid.shape[0], left:left + grid.shape[1]] = grid
+    return frame
 
 
 def _hsv_color(hue: float, sat: float = 0.85, val: float = 0.95) -> tuple[int, int, int]:
@@ -421,7 +468,29 @@ def _background(rng: np.random.Generator, height: int, width: int) -> np.ndarray
     bl = grid[y0 + 1][:, x0]
     br = grid[y0 + 1][:, x0 + 1]
     mix = tl * (1 - fy) * (1 - fx) + tr * (1 - fy) * fx + bl * fy * (1 - fx) + br * fy * fx
-    return np.rint(mix).astype(np.uint8)
+    # row-major, as the frames it fills: `mix` comes out in another memory order
+    return np.rint(mix).astype(np.uint8, order="C")
+
+
+def _render_track(pixels: np.ndarray, start: int, states: Sequence[ShapeState], height: int, width: int,
+                  encode: bool = False) -> list[RleMask]:
+    """Paint state k's shape in its color on frame start + k of `pixels`, the
+    frames' pixels in row-major order as 3-byte items, a chunk of frames at a
+    time; with `encode`, return each state's foreground mask as well."""
+    size = height * width
+    colors = np.array([s.color for s in states], dtype=np.uint8).view("V3").ravel()
+    masks: list[RleMask] = []
+    for first, grids, top, left in rasterize_track(states, height, width):
+        n, box_h, box_w = grids.shape
+        # each box pixel's row-major index in its frame, then the foreground's
+        inside = ((top * width + left)[:, None, None] + np.arange(box_h)[:, None] * width
+                  + np.arange(box_w))[grids]
+        counts = np.count_nonzero(grids, axis=(1, 2))
+        frame = np.repeat(np.arange(n), counts)
+        pixels[(start + first + frame) * size + inside] = np.repeat(colors[first:first + n], counts)
+        if encode:
+            masks += rle_encode_pixels(frame, inside, n, height, width)
+    return masks
 
 
 def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
@@ -439,24 +508,19 @@ def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
         scale_factor = float(rng.uniform(0.6, 1.4))
         distractors.append(_sample_trajectory(rng, cfg, cfg.target_shape, hue, scale_factor))
 
-    background = _background(rng, h, w)
-
-    frames: list[np.ndarray] = []
-    occ_masks: list[list[RleMask]] = [[] for _ in spans]
-    occ_at = {t: k for k, (start, end) in enumerate(spans) for t in range(start, end + 1)}
-    for t in range(cfg.num_frames):
-        frame = background.copy()
-        for d in distractors:
-            st = d.state_at(t, h, w)
-            frame[rasterize_shape(st, h, w)] = st.color
-        if t in occ_at:
-            k = occ_at[t]
-            st = occurrence_trajectories[k].state_at(t - spans[k][0], h, w)
-            fg = rasterize_shape(st, h, w)
-            frame[fg] = st.color
-            occ_masks[k].append(rle_encode(fg))
-        frames.append(frame)
-    occ_masklets = [Masklet(start, end, tuple(masks)) for (start, end), masks in zip(spans, occ_masks)]
+    # one block holds every frame, each starting as the background; tracks
+    # paint in the order frames were painted one at a time: distractors in
+    # draw order, then the occurrence
+    frames = np.empty((cfg.num_frames, h, w, 3), dtype=np.uint8)
+    frames[...] = _background(rng, h, w)
+    pixels = frames.view("V3").reshape(-1)  # a view, as the block is contiguous
+    for d in distractors:
+        _render_track(pixels, 0, [d.state_at(t, h, w) for t in range(cfg.num_frames)], h, w)
+    occ_masklets = [
+        Masklet(start, end, tuple(_render_track(
+            pixels, start, [traj.state_at(t, h, w) for t in range(end - start + 1)], h, w, encode=True)))
+        for traj, (start, end) in zip(occurrence_trajectories, spans)
+    ]
 
     # the query lives outside the video: its own background stream and pose
     qrng = np.random.default_rng(np.random.PCG64(mix_seed(cfg.seed, _QUERY_SALT)))
@@ -467,7 +531,7 @@ def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
 
     return SceneRecord(
         config=cfg,
-        frames=frames,
+        frames=list(frames),
         query_frame=query,
         query_mask=rle_encode(qmask_grid),
         gt=ResponseSet(video_id, tuple(occ_masklets)),
@@ -477,8 +541,12 @@ def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
 
 # --- Dataset generation --------------------------------------------------------
 
-# Largest frame gen will draw: checked before any scene allocates its frames.
+# Largest frame gen will draw, largest block of frames (frame count x pixels
+# x 3 bytes) a scene may allocate, and most distractors a scene may draw:
+# each checked before any scene is drawn.
 MAX_FRAME_PIXELS = 4096 * 4096
+MAX_SCENE_BYTES = 1 << 30
+MAX_DISTRACTORS = 64
 
 
 @dataclass(frozen=True)
@@ -500,10 +568,28 @@ class DatasetConfig:
                 raise SceneConfigError(f"{flag} range must be finite, got {bounds[0]}:{bounds[1]}")
         if self.fps < 1:
             raise SceneConfigError(f"--fps must be >= 1, got {self.fps}")
+        if not self.frame_sizes:
+            raise SceneConfigError("--frame-sizes must name at least one size")
         for h, w in self.frame_sizes:
             if min(h, w) < 8 or h * w > MAX_FRAME_PIXELS:
                 raise SceneConfigError(f"--frame-sizes {h}x{w}: each side must be >= 8 and a frame "
                                        f"at most {MAX_FRAME_PIXELS} pixels")
+        ranges = (("--frames", self.num_frames, 1, None), ("--occurrences", self.num_occurrences, 1, None),
+                  ("--distractors", self.distractor_count, 0, MAX_DISTRACTORS),
+                  ("--drift", self.appearance_drift, 0.0, 1.0), ("--scale", self.target_scale, 0.02, 0.49))
+        for flag, (lo, hi), least, most in ranges:
+            if lo > hi:
+                raise SceneConfigError(f"{flag} range {lo}:{hi} is reversed: LO must not exceed HI")
+            if lo < least:
+                raise SceneConfigError(f"{flag} range must start at >= {least}, got {lo}:{hi}")
+            if most is not None and hi > most:
+                raise SceneConfigError(f"{flag} range must end at <= {most}, got {lo}:{hi}")
+        h, w = max(self.frame_sizes, key=lambda size: size[0] * size[1])
+        block = self.num_frames[1] * h * w * 3
+        if block > MAX_SCENE_BYTES:
+            raise SceneConfigError(f"--frames {self.num_frames[0]}:{self.num_frames[1]}: a scene of "
+                                   f"{self.num_frames[1]} {h}x{w} frames needs {block} bytes, "
+                                   f"more than the {MAX_SCENE_BYTES} allowed")
 
     def sample_scene(self, scene_seed: int) -> SceneConfig:
         rng = np.random.default_rng(np.random.PCG64(mix_seed(scene_seed, _SAMPLER_SALT)))

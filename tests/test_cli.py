@@ -117,6 +117,20 @@ class TestDispatch:
          "--frame-sizes 7x64: each side must be >= 8 and a frame at most 16777216 pixels"),
         (("gen", "--frame-sizes", "100000x100000"),
          "--frame-sizes 100000x100000: each side must be >= 8 and a frame at most 16777216 pixels"),
+        (("gen", "--frames", "5:3"), "--frames range 5:3 is reversed: LO must not exceed HI"),
+        (("gen", "--distractors", "2:1"), "--distractors range 2:1 is reversed: LO must not exceed HI"),
+        (("gen", "--scale", "0.3:0.1"), "--scale range 0.3:0.1 is reversed: LO must not exceed HI"),
+        (("gen", "--drift", "0.5:0.1"), "--drift range 0.5:0.1 is reversed: LO must not exceed HI"),
+        (("gen", "--occurrences", "3:1"), "--occurrences range 3:1 is reversed: LO must not exceed HI"),
+        (("gen", "--occurrences", "0:0"), "--occurrences range must start at >= 1, got 0:0"),
+        (("gen", "--frames", "0:3"), "--frames range must start at >= 1, got 0:3"),
+        (("gen", "--distractors=-1:2"), "--distractors range must start at >= 0, got -1:2"),
+        (("gen", "--scale", "0.01:0.2"), "--scale range must start at >= 0.02, got 0.01:0.2"),
+        (("gen", "--scale", "0.1:0.5"), "--scale range must end at <= 0.49, got 0.1:0.5"),
+        (("gen", "--drift", "0:2"), "--drift range must end at <= 1.0, got 0.0:2.0"),
+        (("gen", "--distractors", "0:100000000"), "--distractors range must end at <= 64, got 0:100000000"),
+        (("gen", "--frames", "1:100000000"), "--frames 1:100000000: a scene of 100000000 16x16 frames "
+                                             "needs 76800000000 bytes, more than the 1073741824 allowed"),
     ], ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_out_of_range_flag_rejected(self, dataset, tmp_path, capsys, monkeypatch, argv, names):
         def no_work(*args, **kwargs):

@@ -21,10 +21,25 @@ OVERFIT_CURVE_5_STEPS = "3c46e4ca54f388935eb40bd34912e41756486359604ca181c83f362
 OVERFIT_CHECKPOINT_5_STEPS = "650f4b6d65f2de6ce49beb5a4be9ae095b65b07d74c4c133121157a7b6fc7505"
 EVAL_REPORT_JSON = "310e45251320efc3612b7c0328603387951767895219c10102be8128cd1dd71d"
 EVAL_REPORT_CSV = "22feea1aa11b6f14f8c6a4533ae763a242e4a56c649fb31b807297d47b921d69"
+# manifest digests of two gens, pinned before shapes were rendered a track at a time
+GEN_SEED2_72_FRAMES = "d6a90a19c51ea65b622f153516483c199eb32564461b563c076dc6bcfedaf39b"
+GEN_SEED2_MIXED = "30379ddd7040c53489d2515c7bcd91fbf7a2ae8738189e1516f52e71eb6b14bf"
 
 
 def sha256_file(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (("--frames", "72:72"), GEN_SEED2_72_FRAMES),
+    (("--frame-sizes", "32x48,64x64,17x33", "--frames", "5:40", "--drift", "0:1", "--scale", "0.02:0.49"),
+     GEN_SEED2_MIXED),
+], ids=["72-frames", "mixed"])
+def test_gen_manifest_digest(tmp_path, capsys, flags, expected):
+    out = tmp_path / "ds"
+    assert dispatch(["gen", "--scenes", "20", "--seed", "2", "--out", str(out), *flags]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "manifest.json").read_text())["digest"] == expected
 
 
 @pytest.fixture(scope="module")

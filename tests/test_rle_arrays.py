@@ -21,6 +21,7 @@ from vqs.masks import (
     mask_intersection_area,
     mask_iou,
     rle_encode,
+    rle_encode_pixels,
 )
 from vqs.metrics import frame_overlaps
 
@@ -104,6 +105,25 @@ class TestOverlapKernel:
             pairs.append((RleMask(height, width, runs_a), RleMask(height, width, (0, *runs_b))))
         assert intersection_areas(pairs) == [interval_overlap(a, b) for a, b in pairs]
         assert [interval_overlap(a, b) for a, b in pairs] != [0] * count
+
+
+class TestEncodePixels:
+    def test_matches_rle_encode_frame_by_frame(self):
+        rng = np.random.default_rng(20261020)
+        joined = 0
+        for _ in range(400):
+            h, w = (1, 1) if rng.random() < 0.1 else (int(rng.integers(1, 13)), int(rng.integers(1, 13)))
+            stack = np.array([random_bitmap(rng, h, w) for _ in range(rng.integers(1, 7))], dtype=bool)
+            if rng.random() < 0.3:
+                # each frame's last pixel runs on into the next frame's first
+                stack[:, 0, 0] = stack[:, -1, -1] = True
+            joined += int(stack[:-1, -1, -1].any() and stack[1:, 0, 0].any())
+            frame, index = np.nonzero(stack.reshape(len(stack), -1))
+            assert rle_encode_pixels(frame, index, len(stack), h, w) == [rle_encode(grid) for grid in stack]
+        assert joined > 50
+
+    def test_no_foreground(self):
+        assert rle_encode_pixels([], [], 3, 2, 5) == [RleMask.empty(2, 5)] * 3
 
 
 class TestFrameOverlaps:

@@ -7,14 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqs.masks import rle_decode
+from vqs import synth
+from vqs.masks import rle_decode, rle_encode
 from vqs.synth import (
     _QUERY_SALT,
+    MAX_DISTRACTORS,
+    MAX_SCENE_BYTES,
     SHAPES,
     DatasetConfig,
     SceneConfig,
     SceneConfigError,
     ShapeState,
+    Trajectory,
+    _background,
     _dataset_files,
     _sample_timeline,
     _sample_trajectory,
@@ -26,6 +31,7 @@ from vqs.synth import (
     load_scene_gt,
     mix_seed,
     rasterize_shape,
+    rasterize_track,
     read_ppm,
     validate_manifest,
     write_ppm,
@@ -70,6 +76,42 @@ def scene_states(cfg):
     query = _sample_trajectory(qrng, cfg, cfg.target_shape, hue).state_at(0, h, w)
     return [[traj.state_at(t, h, w) for t in range(end - start + 1)]
             for traj, (start, end) in zip(trajectories, spans)], query
+
+
+def per_frame_scene(cfg):
+    """`generate_scene`'s frames, occurrence masks, query and query mask, drawn
+    as it draws them but rendered a frame at a time: each frame a copy of the
+    background, each shape rasterized over the whole frame by the mgrid
+    oracle and painted through that grid, each mask encoded by `rle_encode`."""
+    h, w = cfg.frame_size
+    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+    spans = _sample_timeline(rng, cfg)
+    hue = float(rng.uniform(0.0, 1.0))
+    occurrences = [_sample_trajectory(rng, cfg, cfg.target_shape, hue) for _ in spans]
+    distractors = []
+    for _ in range(cfg.distractor_count):
+        d_hue = hue + float(rng.choice((-1.0, 1.0))) * float(rng.uniform(0.12, 0.45))
+        distractors.append(_sample_trajectory(rng, cfg, cfg.target_shape, d_hue, float(rng.uniform(0.6, 1.4))))
+    background = _background(rng, h, w)
+    frames, masks = [], [[] for _ in spans]
+    for t in range(cfg.num_frames):
+        frame = background.copy()
+        for d in distractors:
+            state = d.state_at(t, h, w)
+            frame[mgrid_rasterize_shape(state, h, w)] = state.color
+        for k, (start, end) in enumerate(spans):
+            if start <= t <= end:
+                state = occurrences[k].state_at(t - start, h, w)
+                grid = mgrid_rasterize_shape(state, h, w)
+                frame[grid] = state.color
+                masks[k].append(rle_encode(grid))
+        frames.append(frame)
+    qrng = np.random.default_rng(np.random.PCG64(mix_seed(cfg.seed, _QUERY_SALT)))
+    qstate = _sample_trajectory(qrng, cfg, cfg.target_shape, hue).state_at(0, h, w)
+    query = _background(qrng, h, w)
+    qgrid = mgrid_rasterize_shape(qstate, h, w)
+    query[qgrid] = qstate.color
+    return frames, masks, query, rle_encode(qgrid)
 
 
 class TestSeedMixing:
@@ -145,6 +187,82 @@ class TestRasterizer:
             got = rasterize_shape(state, h, w)
             assert got.shape == (h, w) and got.dtype == bool
             assert np.array_equal(got, mgrid_rasterize_shape(state, h, w)), state
+
+
+def placed(chunks, height, width):
+    """Each frame's whole foreground grid from `rasterize_track`'s chunks,
+    checking that the chunks come in frame order and that each box lies in
+    the frame and holds at most RASTER_CHUNK_BYTES of float64 temporaries
+    (one frame a chunk when a single box holds more)."""
+    grids = []
+    for first, boxes, top, left in chunks:
+        assert first == len(grids) and len(boxes) == len(top) == len(left) >= 1
+        box_h, box_w = boxes.shape[1:]
+        assert len(boxes) == 1 or 8 * boxes.size <= synth.RASTER_CHUNK_BYTES
+        for box, y, x in zip(boxes, top.tolist(), left.tolist()):
+            assert 0 <= y <= height - box_h and 0 <= x <= width - box_w
+            grid = np.zeros((height, width), dtype=bool)
+            grid[y:y + box_h, x:x + box_w] = box
+            grids.append(grid)
+    return grids
+
+
+def seeded_tracks(rng, shape, h, w):
+    """Tracks of one shape in an h x w frame: trajectories that sweep past
+    every edge and are clamped there, one whose shape is wider than the frame
+    (its centre clamped to the middle), drawn states whose centres lie up to
+    a frame past each edge, and those states moved onto the half-pixel lattice."""
+    def trajectory(base_size):
+        return Trajectory(
+            x0=float(rng.uniform(0, w)), y0=float(rng.uniform(0, h)),
+            vx=float(rng.uniform(-0.2, 0.2)) * w, vy=float(rng.uniform(-0.2, 0.2)) * h,
+            amp_x=float(rng.uniform(0.5, 1.5)) * w, amp_y=float(rng.uniform(0.5, 1.5)) * h,
+            omega=float(rng.uniform(0.3, 0.9)), phase=float(rng.uniform(0, 2 * np.pi)),
+            base_size=base_size, scale_amp=0.35, scale_omega=float(rng.uniform(0.1, 0.5)),
+            scale_phase=float(rng.uniform(0, 2 * np.pi)), base_hue=0.3, hue_amp=0.06,
+            aspect=float(rng.uniform(0.6, 1.5)), shape=shape)
+
+    length = int(rng.integers(1, 40))
+    tracks = [[trajectory(float(rng.uniform(1.5, min(h, w) / 3))).state_at(t, h, w) for t in range(length)],
+              [trajectory(float(rng.uniform(max(h, w), 2 * max(h, w)))).state_at(t, h, w) for t in range(length)]]
+    drawn = []
+    for _ in range(length):
+        cx, cy = rng.uniform(-w, 2 * w), rng.uniform(-h, 2 * h)
+        size, aspect = rng.uniform(0.5, max(h, w)), rng.uniform(0.6, 1.5)
+        drawn.append(ShapeState(shape, float(cx), float(cy), float(size), float(aspect), (0, 0, 0)))
+    tracks.append(drawn)
+    tracks.append([ShapeState(shape, *(float(np.round(2 * v) / 2) for v in (s.cx, s.cy, s.size)), 0.75, s.color)
+                   for s in drawn])
+    return tracks
+
+
+class TestTrackRasterizer:
+    @pytest.mark.parametrize("chunk_bytes", [None, 1, 1 << 12], ids=["default-chunks", "frame-chunks", "4k-chunks"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_mgrid_oracle_frame_by_frame(self, monkeypatch, shape, chunk_bytes):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(synth, "RASTER_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng([2026, 10, SHAPES.index(shape)])
+        clamped = edges = lattice = split = 0
+        for _ in range(40):
+            h, w = (int(v) for v in rng.integers(8, 97, size=2))
+            for states in seeded_tracks(rng, shape, h, w):
+                chunks = list(rasterize_track(states, h, w))
+                split += len(chunks) > 1
+                got = placed(chunks, h, w)
+                assert len(got) == len(states)
+                for grid, state in zip(got, states):
+                    assert np.array_equal(grid, mgrid_rasterize_shape(state, h, w)), state
+                    clamped += (state.cx, state.cy) == (w / 2, h / 2)
+                    edges += min(state.cx, state.cy, w - state.cx, h - state.cy) < state.size
+                    lattice += state.cx % 0.5 == state.cy % 0.5 == 0
+        assert clamped > 100 and edges > 1000 and lattice > 100
+        assert split > (100 if chunk_bytes else 0)
+
+    def test_mixed_shapes_rejected(self):
+        states = [ShapeState(shape, 8.0, 8.0, 3.0, 1.0, (0, 0, 0)) for shape in ("disk", "triangle")]
+        with pytest.raises(SceneConfigError, match="one known shape"):
+            list(rasterize_track(states, 16, 16))
 
 
 class TestWriteRegularFile:
@@ -240,12 +358,65 @@ class TestGenerateScene:
         with pytest.raises(SceneConfigError, match=f"fps must be >= 1, got {fps}"):
             SceneConfig(fps=fps)
 
+    @pytest.mark.parametrize("chunk_bytes", [None, 1, 1 << 12], ids=["default-chunks", "frame-chunks", "4k-chunks"])
+    def test_matches_per_frame_rendering(self, monkeypatch, chunk_bytes):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(synth, "RASTER_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(20261020)
+        for i in range(24):
+            num_frames = int(rng.integers(1, 30))
+            cfg = SceneConfig(frame_size=(int(rng.integers(8, 80)), int(rng.integers(8, 80))),
+                              num_frames=num_frames,
+                              num_occurrences=int(rng.integers(1, (num_frames + 1) // 2 + 1)),
+                              distractor_count=int(rng.integers(0, 4)), target_shape=SHAPES[i % 3],
+                              appearance_drift=float(rng.uniform(0, 1)),
+                              target_scale=float(rng.uniform(0.02, 0.49)), seed=i)
+            record = generate_scene(cfg)
+            frames, masks, query, query_mask = per_frame_scene(cfg)
+            assert len(record.frames) == len(frames)
+            assert all(np.array_equal(got, want) for got, want in zip(record.frames, frames))
+            assert [list(occ.masks) for occ in record.gt.occurrences] == masks
+            assert np.array_equal(record.query_frame, query) and record.query_mask == query_mask
+            # the frames are views into one block
+            block = record.frames[0].base
+            assert block.shape == (num_frames, *cfg.frame_size, 3)
+            assert all(frame.base is block for frame in record.frames)
+
     def test_query_mask_matches_query_state(self):
         cfg = SceneConfig(num_frames=6, num_occurrences=1, seed=77)
         record = generate_scene(cfg)
         h, w = cfg.frame_size
         expected = oracle_rasterize(scene_states(cfg)[1], h, w)
         assert np.array_equal(rle_decode(record.query_mask).astype(bool), expected)
+
+
+class TestDatasetConfigBounds:
+    @pytest.mark.parametrize("field, bounds, message", [
+        ("num_frames", (5, 3), "--frames range 5:3 is reversed"),
+        ("num_frames", (0, 3), "--frames range must start at >= 1, got 0:3"),
+        ("num_occurrences", (3, 1), "--occurrences range 3:1 is reversed"),
+        ("num_occurrences", (0, 0), "--occurrences range must start at >= 1, got 0:0"),
+        ("distractor_count", (2, 1), "--distractors range 2:1 is reversed"),
+        ("distractor_count", (-1, 2), "--distractors range must start at >= 0, got -1:2"),
+        ("appearance_drift", (0.5, 0.1), "--drift range 0.5:0.1 is reversed"),
+        ("appearance_drift", (-0.1, 0.1), "--drift range must start at >= 0.0, got -0.1:0.1"),
+        ("target_scale", (0.3, 0.1), "--scale range 0.3:0.1 is reversed"),
+        ("target_scale", (0.2, 0.5), "--scale range must end at <= 0.49, got 0.2:0.5"),
+    ])
+    def test_bad_range_names_its_flag(self, field, bounds, message):
+        with pytest.raises(SceneConfigError, match=re.escape(message)):
+            DatasetConfig(**{field: bounds})
+
+    def test_caps_are_checked_on_the_config_alone(self):
+        # the largest frame sizes the block; nothing is drawn or allocated
+        sizes = ((8, 8), (64, 48), (16, 16))
+        most = MAX_SCENE_BYTES // (64 * 48 * 3)
+        DatasetConfig(frame_sizes=sizes, num_frames=(1, most))
+        with pytest.raises(SceneConfigError, match=f"--frames 1:{most + 1}: a scene of {most + 1} 64x48 frames"):
+            DatasetConfig(frame_sizes=sizes, num_frames=(1, most + 1))
+        DatasetConfig(distractor_count=(0, MAX_DISTRACTORS))
+        with pytest.raises(SceneConfigError, match=f"--distractors range must end at <= {MAX_DISTRACTORS}"):
+            DatasetConfig(distractor_count=(0, MAX_DISTRACTORS + 1))
 
 
 def small_dataset(tmp_path, n=3, seed=42, **overrides):
