@@ -9,7 +9,7 @@ so they can be shared freely across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import groupby
 from typing import Collection, Optional, Sequence
 
 import numpy as np
@@ -27,36 +27,43 @@ class CorruptMaskError(MaskError):
     """Raised when a run list does not describe a bitmap of the stated size."""
 
 
-@dataclass(frozen=True)
+def _int_dtype(*values: int):
+    """int64 when it holds every one of `values`, else object (Python ints)."""
+    return np.int64 if all(-2**63 <= v < 2**63 for v in values) else object
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class RleMask:
     """Binary mask as alternating background/foreground run lengths.
 
-    Invariants enforced at construction: runs are non-negative, only the
-    first run may be zero, and the run lengths sum to height * width.
+    `runs` is a read-only 1-D array, int64 unless H*W + 1 does not fit int64
+    (then Python ints). Every mask is built by `_checked_masks`, so it holds
+    the run-list invariants stated there.
     """
 
     height: int
     width: int
-    runs: tuple[int, ...]
+    runs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.height < 1 or self.width < 1:
-            raise MaskDimensionError(
-                f"mask dimensions must be positive, got {self.height}x{self.width}"
-            )
-        runs = tuple(map(int, self.runs))
-        object.__setattr__(self, "runs", runs)
-        if not runs:
-            raise CorruptMaskError("run list is empty")
-        if min(runs) < 0:
-            raise CorruptMaskError("negative run length")
-        if 0 in runs[1:]:
-            raise CorruptMaskError("zero-length run after the first")
-        total = sum(runs)
-        if total != self.height * self.width:
-            raise CorruptMaskError(
-                f"runs sum to {total}, expected {self.height * self.width}"
-            )
+    def __new__(cls, height: int, width: int, runs: Sequence[int] | np.ndarray) -> "RleMask":
+        try:
+            array = np.asarray(runs, dtype=np.int64)
+        except OverflowError:
+            array = np.array(runs, dtype=object)
+        if array.ndim != 1:
+            raise MaskError(f"runs must be a flat sequence of integers, got shape {array.shape}")
+        return _raising(_checked_masks(height, width, array, np.zeros(1, dtype=np.intp)))[0]
+
+    def __reduce__(self):
+        return RleMask, (self.height, self.width, self.runs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RleMask):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.runs, other.runs)
+
+    def __hash__(self) -> int:
+        return hash((self.height, self.width, *self.runs.tolist()))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -64,30 +71,96 @@ class RleMask:
 
     def area(self) -> int:
         """Foreground pixel count (sum of the odd-indexed runs)."""
-        return sum(self.runs[1::2])
+        return int(self.runs[1::2].sum())
 
     def to_runs_csv(self) -> str:
-        return ",".join(map(str, self.runs))
+        return ",".join(map(str, self.runs.tolist()))
 
     @classmethod
     def from_runs_csv(cls, text: str, height: int, width: int) -> "RleMask":
-        try:
-            runs = tuple(map(int, text.split(",")))
-        except ValueError as exc:
-            raise CorruptMaskError(f"bad run list {text!r}") from exc
-        return cls(height, width, runs)
-
-    @classmethod
-    def _prechecked(cls, height: int, width: int, run_lists: list[tuple[int, ...]]) -> list["RleMask"]:
-        """Masks of int run lists that already passed __post_init__'s checks, built without them."""
-        masks = [object.__new__(cls) for _ in run_lists]
-        for mask, runs in zip(masks, run_lists):
-            vars(mask).update(height=height, width=width, runs=runs)
-        return masks
+        return _raising(_parsed_masks([text], height, width))[0]
 
     @classmethod
     def empty(cls, height: int, width: int) -> "RleMask":
         return cls(height, width, (height * width,))
+
+
+def _checked_masks(height: int, width: int, runs: np.ndarray,
+                   starts: np.ndarray) -> tuple[list[RleMask], Optional[CorruptMaskError]]:
+    """The masks of the run lists `runs[starts[i]:starts[i + 1]]` (the last to
+    the end) before the first that breaks an invariant, and that list's error.
+
+    Each invariant is one numpy pass over all the lists before the first
+    empty one: no run is negative, only a list's first run may be zero, and
+    its runs, each clipped at H*W + 1, sum to H*W. The masks' runs are
+    read-only views into one copy of the lists that hold."""
+    if height < 1 or width < 1:
+        raise MaskDimensionError(f"mask dimensions must be positive, got {height}x{width}")
+    area = height * width
+    bounds = np.concatenate((starts, [runs.size]))
+    empty = bounds[1:] == bounds[:-1]
+    count = int(empty.argmax()) if empty.any() else len(starts)
+    firsts, head = starts[:count], runs[:bounds[count]]
+    # a list with a negative run may sum past int64; it breaks a rule anyway
+    if head.dtype != object and (head.size + 1) * (area + 1) >= 2**63:
+        head = head.astype(object)
+    rules = ((np.logical_or.reduceat(head < 0, firsts), "negative run length"),
+             (np.add.reduceat(head == 0, firsts) > (head[firsts] == 0), "zero-length run after the first"),
+             (np.add.reduceat(np.minimum(head, area + 1), firsts) != area, None))
+    broken = rules[0][0] | rules[1][0] | rules[2][0]
+    count = int(broken.argmax()) if broken.any() else count
+    error = None
+    if count < len(starts):
+        text = next((text for flags, text in rules if count < flags.size and flags[count]), "run list is empty")
+        total = sum(runs[bounds[count]:bounds[count + 1]].tolist())
+        error = CorruptMaskError(text or f"runs sum to {total}, expected {area}")
+    kept = runs[:bounds[count]].astype(_int_dtype(area + 1))
+    kept.flags.writeable = False
+    masks = [object.__new__(RleMask) for _ in range(count)]
+    for mask, i, j in zip(masks, bounds[:count].tolist(), bounds[1:count + 1].tolist()):
+        vars(mask).update(height=height, width=width, runs=kept[i:j])
+    return masks, error
+
+
+def _raising(checked: tuple[list[RleMask], Optional[CorruptMaskError]]) -> list[RleMask]:
+    """The masks of `_checked_masks` or `_parsed_masks`, raising the error of a list that failed."""
+    masks, error = checked
+    if error is not None:
+        raise error
+    return masks
+
+
+def _is_run_list(text: str) -> bool:
+    """Whether `text` is ASCII `-?[0-9]+` tokens joined by single commas."""
+    # no other character, no empty token, and every minus sign starts a token and has a digit after it
+    return (text.isascii() and not text.encode().translate(None, b"0123456789,-") and text[:1] not in ("", ",")
+            and text[-1] not in ",-" and ",," not in text
+            and ("-" not in text or "-," not in text and text.count("-") == text.count(",-") + text.startswith("-")))
+
+
+def _parsed_masks(texts: Sequence[str], height: int, width: int) -> tuple[list[RleMask], Optional[CorruptMaskError]]:
+    """`_checked_masks` of comma-separated run lists; a list that is not
+    `_is_run_list` fails as a bad run list. The lists before it are read in
+    one pass, into int64 unless a token has more than 18 characters (then
+    into Python ints)."""
+    good, valid = len(texts), ",".join(texts)
+    if not _is_run_list(valid):
+        good = next((j for j, text in enumerate(texts) if not _is_run_list(text)), good)
+        valid = ",".join(texts[:good])
+    # token k is valid[edges[k] + 1:edges[k + 1]]
+    edges = np.concatenate(([-1], np.flatnonzero(np.frombuffer(valid.encode(), dtype=np.uint8) == ord(",")),
+                            [len(valid)]))
+    if np.diff(edges).max() > 19:
+        values = np.array([int(token) for token in valid.split(",")], dtype=object)
+    else:
+        values = np.fromstring(valid, dtype=np.int64, sep=",")
+    # list j's first token follows the commas before list j's first character
+    lengths = np.fromiter(map(len, texts[:good]), dtype=np.intp, count=good)
+    firsts = np.searchsorted(edges[1:-1], np.cumsum(lengths + 1) - lengths - 1)
+    masks, error = _checked_masks(height, width, values, firsts)
+    if error is None and good < len(texts):
+        error = CorruptMaskError(f"bad run list {texts[good]!r}")
+    return masks, error
 
 
 def rle_encode(bitmap: np.ndarray | Sequence[Sequence[int]]) -> RleMask:
@@ -98,13 +171,9 @@ def rle_encode(bitmap: np.ndarray | Sequence[Sequence[int]]) -> RleMask:
     if arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
         raise MaskError("bitmap entries must be 0 or 1")
     flat = arr.astype(np.int8).ravel(order="C")
-    # Sentinels make every value change a run boundary, including the ends.
-    padded = np.concatenate(([-1], flat, [-1]))
-    runs = np.diff(np.flatnonzero(np.diff(padded))).tolist()
-    if flat[0] == 1:
-        runs.insert(0, 0)
-    h, w = arr.shape
-    return RleMask(int(h), int(w), tuple(runs))
+    # a background pixel before and a non-binary value after: every run ends at a change
+    runs = np.diff(np.flatnonzero(np.diff(np.concatenate(([0], flat, [-1])))), prepend=0)
+    return RleMask(*arr.shape, runs)
 
 
 def rle_encode_pixels(frame: np.ndarray, index: np.ndarray, num_frames: int,
@@ -114,7 +183,7 @@ def rle_encode_pixels(frame: np.ndarray, index: np.ndarray, num_frames: int,
     order of frame, then index. Each mask's runs are `rle_encode`'s."""
     frame, index, size = np.asarray(frame, np.intp), np.asarray(index, np.intp), height * width
     if not len(index):
-        return [RleMask.empty(height, width) for _ in range(num_frames)]
+        return [RleMask.empty(height, width)] * num_frames
     # a foreground interval ends between two pixels unless the second directly
     # follows the first on its frame
     breaks = np.diff(frame * (size + 1) + index) != 1
@@ -128,25 +197,16 @@ def rle_encode_pixels(frame: np.ndarray, index: np.ndarray, num_frames: int,
     ends = 2 * np.cumsum(counts)
     opening = (ends - 2 * counts)[counts > 0]
     steps[opening] = edges[opening]
-    steps, edges, run_lists, begin = steps.tolist(), edges.tolist(), [], 0
-    for end in ends.tolist():
-        runs = steps[begin:end]
-        rest = size - edges[end - 1] if end > begin else size
-        run_lists.append((*runs, rest) if rest else tuple(runs))
-        begin = end
-    # positive runs after a first that may be zero, summing to size: built so
-    return RleMask._prechecked(height, width, run_lists)
+    rest = size - np.where(counts > 0, edges[ends - 1], 0)
+    runs = np.insert(steps, ends[rest > 0], rest[rest > 0])
+    lengths = 2 * counts + (rest > 0)
+    return _raising(_checked_masks(height, width, runs, np.cumsum(lengths) - lengths))
 
 
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Decode to a row-major uint8 grid of shape (height, width)."""
     parity = (np.arange(len(mask.runs)) & 1).astype(np.uint8)
     return np.repeat(parity, mask.runs).reshape(mask.height, mask.width)
-
-
-def _check_same_shape(a: RleMask, b: RleMask) -> None:
-    if a.shape != b.shape:
-        raise MaskDimensionError(f"mask shape mismatch: {a.shape} vs {b.shape}")
 
 
 def framewise_overlaps(a_masks: Collection[RleMask], a_frames: Collection[int],
@@ -168,16 +228,15 @@ def framewise_overlaps(a_masks: Collection[RleMask], a_frames: Collection[int],
         return [], [], []
     first, last = min(frames), max(frames)
     end = (last + 1 - first) * size
-    dtype = np.int64 if end < 2**63 and -2**63 <= first <= last < 2**63 else object
-    # a run is foreground when its index within its own mask is odd; with
-    # every list padded to even length, when its index in all of them is
-    lists = [m.runs if len(m.runs) % 2 == 0 else (*m.runs, 0) for m in masks]
-    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    runs = np.fromiter(chain.from_iterable(lists), dtype=dtype, count=int(lengths.sum()))
+    dtype = _int_dtype(first, last, end)
+    runs = np.concatenate([m.runs for m in masks]).astype(dtype, copy=False)
+    lengths = np.fromiter((m.runs.size for m in masks), dtype=np.intp, count=len(masks))
     # laid end to end, mask i would end at (i + 1) * size; move it to its frame
     shift = (np.array(frames, dtype=dtype) - first - np.arange(len(masks), dtype=dtype)) * size
     stops = runs.cumsum() + np.repeat(shift, lengths)
-    start, stop, count = stops[0::2], stops[1::2], lengths // 2
+    # a run is foreground when its index within its own mask is odd
+    foreground = (np.arange(runs.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)) % 2 == 1
+    start, stop, count = (stops - runs)[foreground], stops[foreground], lengths // 2
     k = int(count[:n_a].sum())  # a's intervals come first
     b_start, b_stop = start[k:], stop[k:]
     b_before = np.concatenate(([0], np.cumsum(b_stop - b_start)))
@@ -193,23 +252,11 @@ def framewise_overlaps(a_masks: Collection[RleMask], a_frames: Collection[int],
     return sums[:n_a], sums[n_a:len(masks)], sums[len(masks):]
 
 
-def intersection_areas(pairs: Sequence[tuple[RleMask, RleMask]]) -> list[int]:
-    """Exact foreground overlap of every (a, b) pair: pair i on frame i of
-    `framewise_overlaps`."""
-    shapes = {m.shape for pair in pairs for m in pair}
-    if len(shapes) > 1:
-        raise MaskDimensionError(f"mask shapes differ: {sorted(shapes)}")
-    if not pairs:
-        return []
-    height, width = shapes.pop()
-    frames = range(len(pairs))
-    return framewise_overlaps([a for a, _ in pairs], frames, [b for _, b in pairs], frames, height * width)[2]
-
-
 def mask_intersection_area(a: RleMask, b: RleMask) -> int:
     """Foreground overlap in pixels."""
-    _check_same_shape(a, b)
-    return intersection_areas([(a, b)])[0]
+    if a.shape != b.shape:
+        raise MaskDimensionError(f"mask shape mismatch: {a.shape} vs {b.shape}")
+    return framewise_overlaps([a], [0], [b], [0], a.height * a.width)[2][0]
 
 
 def iou_from_areas(inter: int, area_a: int, area_b: int) -> float:
@@ -221,7 +268,6 @@ def iou_from_areas(inter: int, area_a: int, area_b: int) -> float:
 
 def mask_iou(a: RleMask, b: RleMask) -> float:
     """Intersection over union. Two empty masks agree perfectly -> 1.0."""
-    _check_same_shape(a, b)
     return iou_from_areas(mask_intersection_area(a, b), a.area(), b.area())
 
 
@@ -262,14 +308,12 @@ class ResponseSet:
     def __post_init__(self) -> None:
         occs = tuple(self.occurrences)
         object.__setattr__(self, "occurrences", occs)
-        prev_end = None
-        for occ in occs:
-            if prev_end is not None and occ.start_frame <= prev_end:
+        for prev, occ in zip(occs, occs[1:]):
+            if occ.start_frame <= prev.end_frame:
                 raise MaskError(
                     f"occurrences must be sorted and temporally disjoint; "
-                    f"[{occ.start_frame}, {occ.end_frame}] overlaps or precedes frame {prev_end}"
+                    f"[{occ.start_frame}, {occ.end_frame}] overlaps or precedes frame {prev.end_frame}"
                 )
-            prev_end = occ.end_frame
         shapes = {occ.shape for occ in occs}
         if len(shapes) > 1:
             raise MaskDimensionError(f"occurrences must share mask dimensions, got {sorted(shapes)}")
@@ -280,29 +324,21 @@ class ResponseSet:
 
     def frame_masks(self) -> dict[int, RleMask]:
         """Frame index -> mask for every annotated frame, in frame order."""
-        return dict(zip(chain.from_iterable(occ.frames() for occ in self.occurrences),
-                        chain.from_iterable(occ.masks for occ in self.occurrences)))
+        return {t: mask for occ in self.occurrences for t, mask in zip(occ.frames(), occ.masks)}
 
 
 def group_into_masklets(per_frame: Sequence[Optional[RleMask]]) -> tuple[Masklet, ...]:
     """Group maximal runs of consecutive non-empty frame masks into masklets.
 
-    A frame counts as empty when its entry is None or its mask has zero area.
+    A frame counts as empty when its entry is None or its mask has zero area,
+    which for a valid mask is exactly when it has one run.
     """
-    occs: list[Masklet] = []
-    run_start = None
-    run_masks: list[RleMask] = []
-    for idx, mask in enumerate(per_frame):
-        present = mask is not None and mask.area() > 0
+    occs, start = [], 0
+    for present, group in groupby(per_frame, key=lambda mask: mask is not None and mask.runs.size > 1):
+        masks = tuple(group)
         if present:
-            if run_start is None:
-                run_start = idx
-            run_masks.append(mask)  # type: ignore[arg-type]
-        elif run_start is not None:
-            occs.append(Masklet(run_start, idx - 1, tuple(run_masks)))
-            run_start, run_masks = None, []
-    if run_start is not None:
-        occs.append(Masklet(run_start, len(per_frame) - 1, tuple(run_masks)))
+            occs.append(Masklet(start, start + len(masks) - 1, masks))
+        start += len(masks)
     return tuple(occs)
 
 
@@ -331,74 +367,37 @@ def annotation_to_dict(response: ResponseSet, height: int, width: int) -> dict:
     }
 
 
-def _parsed_run_lists(obj: dict, height: int, width: int) -> Optional[tuple[list[RleMask], Optional[tuple[int, ...]]]]:
-    """An annotation's run lists, in order, converted and checked in numpy
-    passes: the masks of every list before the first that fails RleMask's
-    checks, and that list's runs (None when all pass).
-
-    None unless every token is 1 to 18 ASCII digits, which numpy's parser and
-    int() read alike and which cannot overflow int64, and no list's sum, with
-    each run clipped at H*W + 1, can pass int64; the caller then parses list
-    by list with int().
-    """
-    try:
-        texts = [text for raw in obj["occurrences"] for text in raw["masks"]]
-        data = ",".join(texts).encode("ascii")
-    except (KeyError, TypeError, UnicodeEncodeError):
-        return None
-    chars = np.frombuffer(data, dtype=np.uint8)
-    commas = np.flatnonzero(chars == ord(","))
-    digits = np.count_nonzero((chars >= ord("0")) & (chars <= ord("9")))
-    bounds = np.concatenate(([-1], commas, [chars.size]))
-    token_lengths = bounds[1:] - bounds[:-1] - 1
-    if digits + commas.size != chars.size or not 1 <= token_lengths.min() <= token_lengths.max() <= 18:
-        return None
-    area = height * width
-    if (area + 1) * (commas.size + 1) >= 2**63:
-        return None
-    values = np.fromstring(data, dtype=np.int64, sep=",")
-    # list j's tokens are [starts[j], stops[j]): its last token ends at the
-    # comma that joined it to the next list, or at the end of the data
-    stops = np.searchsorted(commas, np.cumsum(np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) + 1) - 1) + 1
-    starts = np.concatenate(([0], stops[:-1]))
-    zero = values == 0
-    zero[starts] = False
-    failing = np.flatnonzero((np.add.reduceat(np.minimum(values, area + 1), starts) != area)
-                             | np.logical_or.reduceat(zero, starts))
-    runs = values.tolist()
-    lists = [tuple(runs[i:j]) for i, j in zip(starts.tolist(), stops.tolist())]
-    if failing.size:
-        return RleMask._prechecked(height, width, lists[:failing[0]]), lists[failing[0]]
-    return RleMask._prechecked(height, width, lists), None
-
-
 def annotation_from_dict(obj: dict) -> tuple[ResponseSet, int, int]:
     """Parse one annotation or prediction object; MaskError if it is malformed,
     MaskDimensionError naming the field unless `height` and `width` are
     integers (not booleans) of at least 1.
 
-    Run lists that pass the batch check of `_parsed_run_lists` become masks
-    without RleMask's per-list check; the first that fails goes through it,
-    in its place among the occurrences, so every error keeps its order,
-    class and text."""
+    MaskError naming the occurrence and field unless `start` and `end` are
+    integers (not booleans) and `masks` a list of strings. All run lists go
+    through one `_parsed_masks`; the first that fails raises in its place."""
     try:
         video_id = str(obj["video_id"])
         for key in ("height", "width"):
             if isinstance(obj[key], bool) or not isinstance(obj[key], int) or obj[key] < 1:
                 raise MaskDimensionError(f"annotation {key!r} must be an integer >= 1, got {obj[key]!r}")
         height, width = obj["height"], obj["width"]
-        checked, failing = _parsed_run_lists(obj, height, width) or (None, None)
+        if not isinstance(obj["occurrences"], list):
+            raise TypeError(f"'occurrences' must be a list, got {obj['occurrences']!r}")
+        # a malformed occurrence raises below, in its place, before its lists are used
+        masks, failing = _parsed_masks([text for raw in obj["occurrences"] if isinstance(raw, dict)
+                                        and isinstance(raw.get("masks"), list)
+                                        for text in raw["masks"] if isinstance(text, str)], height, width)
         occs, done = [], 0
-        for raw in obj["occurrences"]:
-            start, end = int(raw["start"]), int(raw["end"])
-            if checked is None:
-                masks = tuple(RleMask.from_runs_csv(text, height, width) for text in raw["masks"])
-            else:
-                masks = tuple(checked[done:done + len(raw["masks"])])
-                done += len(masks)
-                if len(masks) < len(raw["masks"]):
-                    RleMask(height, width, failing)  # raises that list's error
-            occs.append(Masklet(start, end, masks))
+        for index, raw in enumerate(obj["occurrences"]):
+            for key in ("start", "end"):
+                if isinstance(raw[key], bool) or not isinstance(raw[key], int):
+                    raise TypeError(f"occurrence {index} {key!r} must be an integer, got {raw[key]!r}")
+            if not isinstance(raw["masks"], list) or not all(isinstance(text, str) for text in raw["masks"]):
+                raise TypeError(f"occurrence {index} 'masks' must be a list of strings, got {raw['masks']!r}")
+            if done + len(raw["masks"]) > len(masks):
+                raise failing
+            occs.append(Masklet(raw["start"], raw["end"], masks[done:done + len(raw["masks"])]))
+            done += len(raw["masks"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise MaskError(f"malformed annotation object: {exc}") from exc
     return ResponseSet(video_id, tuple(occs)), height, width

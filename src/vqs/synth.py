@@ -36,7 +36,7 @@ from .masks import (
     RleMask,
     annotation_from_dict,
     annotation_to_dict,
-    intersection_areas,
+    framewise_overlaps,
     iou_from_areas,
     rle_encode,
     rle_encode_pixels,
@@ -584,6 +584,9 @@ class DatasetConfig:
                 raise SceneConfigError(f"{flag} range must start at >= {least}, got {lo}:{hi}")
             if most is not None and hi > most:
                 raise SceneConfigError(f"{flag} range must end at <= {most}, got {lo}:{hi}")
+        if self.num_occurrences[0] > (fit := (self.num_frames[0] + 1) // 2):  # a free frame between each two
+            raise SceneConfigError(f"--occurrences range must start at <= {fit} to fit in {self.num_frames[0]} "
+                                   f"frames, got {self.num_occurrences[0]}:{self.num_occurrences[1]}")
         h, w = max(self.frame_sizes, key=lambda size: size[0] * size[1])
         block = self.num_frames[1] * h * w * 3
         if block > MAX_SCENE_BYTES:
@@ -596,12 +599,10 @@ class DatasetConfig:
         frame_size = self.frame_sizes[int(rng.integers(0, len(self.frame_sizes)))]
         num_frames = int(rng.integers(self.num_frames[0], self.num_frames[1] + 1))
         max_occ = min(self.num_occurrences[1], (num_frames + 1) // 2)
-        num_occ = int(rng.integers(self.num_occurrences[0], max(self.num_occurrences[0], max_occ) + 1))
-        num_occ = max(1, min(num_occ, (num_frames + 1) // 2))
         return SceneConfig(
             frame_size=tuple(frame_size),
             num_frames=num_frames,
-            num_occurrences=num_occ,
+            num_occurrences=int(rng.integers(self.num_occurrences[0], max_occ + 1)),
             distractor_count=int(rng.integers(self.distractor_count[0], self.distractor_count[1] + 1)),
             target_shape=self.shapes[int(rng.integers(0, len(self.shapes)))],
             appearance_drift=float(rng.uniform(*self.appearance_drift)),
@@ -787,16 +788,15 @@ def compute_stats(dataset_dir: str | Path, bins: int = 10) -> dict:
         first_area = None
         for occ in response.occurrences:
             response_lengths.append(len(occ.masks) / fps)
-            for mask in occ.masks:
-                area = mask.area()
-                mask_areas.append(float(area))
-                if first_area is None:
-                    first_area = float(area) if area else None
+            # each mask's area, and its overlap with the next mask: that mask laid on its frame
+            n, (h, w) = len(occ.masks), occ.shape
+            areas, _, inters = framewise_overlaps(occ.masks, range(n), occ.masks[1:], range(n - 1), h * w)
+            mask_areas += map(float, areas)
+            for area in areas:
+                first_area = first_area or float(area) or None  # the video's first non-zero area
                 if first_area:
                     relative_areas.append(area / first_area)
-            pairs = list(zip(occ.masks, occ.masks[1:]))
-            for (a, b), inter in zip(pairs, intersection_areas(pairs)):
-                adjacent_ious.append(iou_from_areas(inter, a.area(), b.area()))
+            adjacent_ious += map(iou_from_areas, inters, areas, areas[1:])
     return {
         "scenes": len(manifest["scenes"]),
         "video_length_sec": _histogram(video_lengths, bins),

@@ -14,8 +14,10 @@ The rasterizer reference is the full coordinate grid `synth.rasterize_shape`
 built with `np.mgrid` before it broadcast a row and a column of pixel centres;
 the two must agree pixel for pixel.
 
-The annotation reference parses and checks every run list on its own, as the
-library did before it checked a whole annotation's lists in numpy passes.
+The annotation reference parses and checks every run list on its own, token
+by token with a regular expression and int(), and builds each occurrence in
+turn, where the library reads and checks a whole annotation's lists in numpy
+passes.
 
 The attention references build each head from autodiff primitives, one node
 per narrow, transpose, matmul, scale, softmax or exp, as the library did
@@ -28,30 +30,48 @@ library's node constructor, exactly as it defined them.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 from vqs import autodiff as ad
-from vqs.masks import MaskDimensionError, MaskError, Masklet, ResponseSet, RleMask, mask_iou, rle_decode
+from vqs.masks import CorruptMaskError, MaskDimensionError, MaskError, Masklet, ResponseSet, RleMask, mask_iou, rle_decode
 from vqs.pipeline import binarize_candidate
 
 
+def run_list_mask(text, height, width):
+    """One run list's mask: every token matched to ASCII `-?[0-9]+` and read
+    with int(), then RleMask's checks."""
+    tokens = text.split(",")
+    if not all(re.fullmatch("-?[0-9]+", token) for token in tokens):
+        raise CorruptMaskError(f"bad run list {text!r}")
+    return RleMask(height, width, [int(token) for token in tokens])
+
+
 def per_list_annotation(obj):
-    """`annotation_from_dict` list by list: every mask through
-    `RleMask.from_runs_csv`, then the Masklets and the ResponseSet, with
-    malformed objects reported as one MaskError, and a height or width that is
-    no JSON integer of at least 1 as a MaskDimensionError naming it."""
+    """`annotation_from_dict` occurrence by occurrence and list by list: every
+    mask through `run_list_mask`, then each Masklet and the ResponseSet. A
+    malformed object is one MaskError; so is an occurrence whose `start` or
+    `end` is no JSON integer or whose `masks` is no list of strings, naming
+    the occurrence and field. A height or width that is no JSON integer of at
+    least 1 is a MaskDimensionError naming it."""
     try:
         video_id = str(obj["video_id"])
         for key in ("height", "width"):
             if type(obj[key]) is not int or obj[key] < 1:
                 raise MaskDimensionError(f"annotation {key!r} must be an integer >= 1, got {obj[key]!r}")
         height, width = obj["height"], obj["width"]
-        occs = [
-            Masklet(int(raw["start"]), int(raw["end"]),
-                    tuple(RleMask.from_runs_csv(text, height, width) for text in raw["masks"]))
-            for raw in obj["occurrences"]
-        ]
+        if type(obj["occurrences"]) is not list:
+            raise TypeError(f"'occurrences' must be a list, got {obj['occurrences']!r}")
+        occs = []
+        for index, raw in enumerate(obj["occurrences"]):
+            for key in ("start", "end"):
+                if type(raw[key]) is not int:
+                    raise TypeError(f"occurrence {index} {key!r} must be an integer, got {raw[key]!r}")
+            if type(raw["masks"]) is not list or any(type(text) is not str for text in raw["masks"]):
+                raise TypeError(f"occurrence {index} 'masks' must be a list of strings, got {raw['masks']!r}")
+            occs.append(Masklet(raw["start"], raw["end"],
+                                tuple(run_list_mask(text, height, width) for text in raw["masks"])))
     except (KeyError, TypeError, AttributeError) as exc:
         raise MaskError(f"malformed annotation object: {exc}") from exc
     return ResponseSet(video_id, tuple(occs)), height, width

@@ -123,6 +123,7 @@ class TestDispatch:
         (("gen", "--drift", "0.5:0.1"), "--drift range 0.5:0.1 is reversed: LO must not exceed HI"),
         (("gen", "--occurrences", "3:1"), "--occurrences range 3:1 is reversed: LO must not exceed HI"),
         (("gen", "--occurrences", "0:0"), "--occurrences range must start at >= 1, got 0:0"),
+        (("gen", "--occurrences", "3:5"), "--occurrences range must start at <= 2 to fit in 4 frames, got 3:5"),
         (("gen", "--frames", "0:3"), "--frames range must start at >= 1, got 0:3"),
         (("gen", "--distractors=-1:2"), "--distractors range must start at >= 0, got -1:2"),
         (("gen", "--scale", "0.01:0.2"), "--scale range must start at >= 0.02, got 0.01:0.2"),
@@ -294,6 +295,23 @@ class TestEval:
         (tmp_path / "gt.json").write_text(json.dumps([gt]))
         assert run_cli("eval", "--gt", tmp_path / "gt.json", "--pred", tmp_path / "pred.json") == 1
         assert one_json_error_line(capsys.readouterr().err) == message.format(field=field)
+
+    @pytest.mark.parametrize("occurrence, message", [
+        ({"start": 0.9, "end": 0.9, "masks": "8"}, "'start' must be an integer, got 0.9"),
+        ({"start": float("nan"), "end": 0, "masks": ["8"]}, "'start' must be an integer, got nan"),
+        ({"start": 0, "end": float("inf"), "masks": ["8"]}, "'end' must be an integer, got inf"),
+        ({"start": "0", "end": 0, "masks": ["8"]}, "'start' must be an integer, got '0'"),
+        ({"start": False, "end": 0, "masks": ["8"]}, "'start' must be an integer, got False"),
+        ({"start": 0, "end": 0, "masks": "8"}, "'masks' must be a list of strings, got '8'"),
+    ], ids=["float-and-string", "nan", "infinity", "string", "false", "masks-string"])
+    def test_malformed_occurrence_field_rejected(self, tmp_path, capsys, occurrence, message):
+        # the first case used to score frame 0 with the string's characters as its masks, and exit 0
+        gt = {"video_id": "v", "height": 2, "width": 4, "num_frames": 1,
+              "occurrences": [{"start": 0, "end": 0, "masks": ["8"]}]}
+        (tmp_path / "gt.json").write_text(json.dumps([gt]))
+        (tmp_path / "pred.json").write_text(json.dumps([{**gt, "occurrences": [occurrence]}]))
+        assert run_cli("eval", "--gt", tmp_path / "gt.json", "--pred", tmp_path / "pred.json") == 1
+        assert one_json_error_line(capsys.readouterr().err) == f"malformed annotation object: occurrence 0 {message}"
 
     def test_perfect_prediction_scores_100(self, dataset, tmp_path, capsys):
         manifest = load_manifest(dataset)

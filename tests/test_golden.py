@@ -24,22 +24,38 @@ EVAL_REPORT_CSV = "22feea1aa11b6f14f8c6a4533ae763a242e4a56c649fb31b807297d47b921
 # manifest digests of two gens, pinned before shapes were rendered a track at a time
 GEN_SEED2_72_FRAMES = "d6a90a19c51ea65b622f153516483c199eb32564461b563c076dc6bcfedaf39b"
 GEN_SEED2_MIXED = "30379ddd7040c53489d2515c7bcd91fbf7a2ae8738189e1516f52e71eb6b14bf"
+# `stats --out` of the same two datasets, pinned before masks held their runs as arrays
+STATS_SEED2_72_FRAMES = "2e1cef133a68751f6400120dc1e640dbdcfe4138d3a971d8d54d2db038d25343"
+STATS_SEED2_MIXED = "c5f3d94f6e3d4c4add6e782a84250496c121a6daa2919fd7611c5874d8037a63"
+GENS = {
+    "72-frames": (("--frames", "72:72"), GEN_SEED2_72_FRAMES, STATS_SEED2_72_FRAMES),
+    "mixed": (("--frame-sizes", "32x48,64x64,17x33", "--frames", "5:40", "--drift", "0:1", "--scale", "0.02:0.49"),
+              GEN_SEED2_MIXED, STATS_SEED2_MIXED),
+}
 
 
 def sha256_file(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("flags, expected", [
-    (("--frames", "72:72"), GEN_SEED2_72_FRAMES),
-    (("--frame-sizes", "32x48,64x64,17x33", "--frames", "5:40", "--drift", "0:1", "--scale", "0.02:0.49"),
-     GEN_SEED2_MIXED),
-], ids=["72-frames", "mixed"])
-def test_gen_manifest_digest(tmp_path, capsys, flags, expected):
-    out = tmp_path / "ds"
+@pytest.fixture(scope="module", params=sorted(GENS))
+def generated(request, tmp_path_factory):
+    flags, manifest_digest, stats_digest = GENS[request.param]
+    out = tmp_path_factory.mktemp(request.param) / "ds"
     assert dispatch(["gen", "--scenes", "20", "--seed", "2", "--out", str(out), *flags]) == 0
-    capsys.readouterr()
+    return out, manifest_digest, stats_digest
+
+
+def test_gen_manifest_digest(generated):
+    out, expected, _ = generated
     assert json.loads((out / "manifest.json").read_text())["digest"] == expected
+
+
+def test_stats_digest(generated, tmp_path, capsys):
+    out, _, expected = generated
+    assert dispatch(["stats", "--data", str(out), "--out", str(tmp_path / "stats.json")]) == 0
+    capsys.readouterr()
+    assert sha256_file(tmp_path / "stats.json") == expected
 
 
 @pytest.fixture(scope="module")

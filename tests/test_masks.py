@@ -34,15 +34,15 @@ def block_mask(h, w, r0, c0, bh, bw):
 
 class TestCodec:
     def test_all_zero(self):
-        assert rle_encode(np.zeros((2, 2), dtype=int)).runs == (4,)
+        assert rle_encode(np.zeros((2, 2), dtype=int)).runs.tolist() == [4]
 
     def test_all_one(self):
-        assert rle_encode(np.ones((2, 2), dtype=int)).runs == (0, 4)
+        assert rle_encode(np.ones((2, 2), dtype=int)).runs.tolist() == [0, 4]
 
     def test_hand_flattened(self):
         # rows (0,1,1)/(1,0,0) flatten to 011100 -> runs 1,3,2
         m = rle_encode(grid([[0, 1, 1], [1, 0, 0]]))
-        assert m.runs == (1, 3, 2)
+        assert m.runs.tolist() == [1, 3, 2]
         assert m.shape == (2, 3)
 
     def test_decode_all_zero(self):
@@ -70,7 +70,7 @@ class TestCodec:
         bitmap = (np.random.default_rng(7).random((9, 11)) < 0.4)
         mask = rle_encode(bitmap.astype(dtype))
         assert mask == rle_encode(bitmap.tolist())
-        assert all(type(r) is int for r in mask.runs)
+        assert mask.runs.dtype == np.int64 and not mask.runs.flags.writeable
         assert (rle_decode(mask) == bitmap).all()
 
     @pytest.mark.parametrize("value", [2, -1, 0.5, float("nan"), None, "1"],
@@ -224,6 +224,43 @@ class TestOccurrences:
         obj = {"video_id": "v", "height": 4, "width": 4, "occurrences": occurrences}
         with pytest.raises(MaskError, match="malformed annotation object"):
             annotation_from_dict(obj)
+
+    @pytest.mark.parametrize("field, value", [
+        ("start", 0.9), ("end", 0.9), ("start", float("nan")), ("end", float("inf")), ("start", "0"),
+        ("start", False), ("end", True), ("start", None), ("masks", "8"), ("masks", ["8", 5]), ("masks", None),
+    ])
+    def test_occurrence_fields_must_be_well_typed(self, field, value):
+        # each used to pass through int() or iteration: 0.9 as frame 0, "8" as the list ["8"]
+        obj = {"video_id": "v", "height": 2, "width": 4,
+               "occurrences": [{"start": 0, "end": 0, "masks": ["8"]}, {"start": 2, "end": 2, "masks": ["8"]}]}
+        obj["occurrences"][1][field] = value
+        rule = "a list of strings" if field == "masks" else "an integer"
+        message = f"malformed annotation object: occurrence 1 {field!r} must be {rule}, got {value!r}"
+        with pytest.raises(MaskError, match=f"^{re.escape(message)}$"):
+            annotation_from_dict(obj)
+        # an earlier occurrence's error still comes first
+        obj["occurrences"][0]["masks"] = ["7"]
+        with pytest.raises(MaskError, match="^runs sum to 7, expected 8$"):
+            annotation_from_dict(obj)
+
+    def test_occurrences_must_be_a_list(self):
+        obj = {"video_id": "v", "height": 2, "width": 4, "occurrences": {"start": 0}}
+        with pytest.raises(MaskError, match=re.escape("malformed annotation object: 'occurrences' must be a list")):
+            annotation_from_dict(obj)
+
+    def test_runs_are_read_only(self):
+        mask = RleMask(2, 2, [1, 3])
+        with pytest.raises(ValueError, match="read-only"):
+            mask.runs[0] = 2
+        assert mask.runs.dtype == np.int64 and mask.area() == 3 and type(mask.area()) is int
+        assert RleMask(2, 2, np.array([1, 3], dtype=np.uint8)) == mask and hash(mask) == hash(RleMask(2, 2, (1, 3)))
+        assert mask != RleMask(4, 1, (1, 3)) and mask != (1, 3)
+
+    @pytest.mark.parametrize("text", [" 5,3", "+3,5", "1_0", "\uff15,3"], ids=["space", "plus", "underscore", "fullwidth"])
+    def test_int_only_forms_are_bad_run_lists(self, text):
+        # int() accepts each of these tokens; the run-list grammar is ASCII -?[0-9]+
+        with pytest.raises(CorruptMaskError, match=f"^{re.escape(f'bad run list {text!r}')}$"):
+            RleMask.from_runs_csv(text, 1, 8)
 
     @pytest.mark.parametrize("field", ["height", "width"])
     @pytest.mark.parametrize("value", [2.5, "2", True, 0, -1, None],

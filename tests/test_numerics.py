@@ -365,13 +365,13 @@ class TestCheckpoint:
 
     def test_corruption_detected(self, tmp_path):
         store = seeded_init({"w": (4, 4)}, seed=1)
-        path = str(tmp_path / "params.bin")
-        save_params(store, path)
-        blob = bytearray(open(path, "rb").read())
+        path = tmp_path / "params.bin"
+        save_params(store, str(path))
+        blob = bytearray(path.read_bytes())
         blob[20] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
-            load_params(path)
+            load_params(str(path))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, bad):
@@ -383,7 +383,7 @@ class TestCheckpoint:
             load_params(path)
 
     def test_truncation_detected(self, tmp_path):
-        path = str(tmp_path / "p.bin")
-        open(path, "wb").write(b"xx")
+        path = tmp_path / "p.bin"
+        path.write_bytes(b"xx")
         with pytest.raises(CheckpointError):
-            load_params(path)
+            load_params(str(path))

@@ -447,7 +447,7 @@ def test_iou_tie_picks_first_candidate(consumer):
     frames = [frame_of(cands)]
     if consumer == "finalize_predictions":
         emitted = finalize_predictions(frames, (1, 10))
-        assert [m.runs for m in emitted] == [binarize_candidate(cands[1], (1, 10)).runs]
+        assert emitted == [binarize_candidate(cands[1], (1, 10))]
         return
     cfg = selection_cfg()
     select = tfg_select if consumer == "tfg_select" else dfg_select

@@ -2,6 +2,7 @@
 one-pass annotation parser, each against a per-pixel or per-token reference."""
 
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -9,15 +10,16 @@ import numpy as np
 import pytest
 
 from vqs.cli import dispatch
+import vqs.masks
 from vqs.masks import (
     MaskDimensionError,
     MaskError,
     Masklet,
     ResponseSet,
     RleMask,
-    _parsed_run_lists,
+    _parsed_masks,
     annotation_from_dict,
-    intersection_areas,
+    framewise_overlaps,
     mask_intersection_area,
     mask_iou,
     rle_encode,
@@ -58,6 +60,13 @@ def interval_overlap(a: RleMask, b: RleMask) -> int:
                for s1, e1 in intervals(a) for s2, e2 in intervals(b))
 
 
+def pair_overlaps(pairs: list) -> list:
+    """`framewise_overlaps` of same-shape (a, b) pairs, pair i on frame i."""
+    frames = range(len(pairs))
+    return framewise_overlaps([a for a, _ in pairs], frames, [b for _, b in pairs], frames,
+                              pairs[0][0].height * pairs[0][0].width)[2]
+
+
 class TestOverlapKernel:
     def test_matches_pixel_counts_on_seeded_pairs(self):
         rng = np.random.default_rng(20261018)
@@ -67,7 +76,7 @@ class TestOverlapKernel:
             h, w = (1, 1) if rng.random() < 0.1 else (int(rng.integers(1, 13)), int(rng.integers(1, 13)))
             grids = [(random_bitmap(rng, h, w), random_bitmap(rng, h, w)) for _ in range(rng.integers(1, 7))]
             pairs = [(rle_encode(ga), rle_encode(gb)) for ga, gb in grids]
-            got = intersection_areas(pairs)
+            got = pair_overlaps(pairs)
             want = [int(np.logical_and(decode_runs(a.runs, h, w), decode_runs(b.runs, h, w)).sum())
                     for a, b in pairs]
             assert got == want
@@ -81,11 +90,9 @@ class TestOverlapKernel:
         assert first_runs_zero > 100
 
     def test_no_pairs(self):
-        assert intersection_areas([]) == []
+        assert framewise_overlaps([], [], [], [], 1) == ([], [], [])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(MaskDimensionError):
-            intersection_areas([(RleMask(2, 2, (0, 4)), RleMask(2, 2, (0, 4))), (RleMask(2, 3, (0, 6)), RleMask(2, 3, (0, 6)))])
         with pytest.raises(MaskDimensionError, match="mask shape mismatch"):
             mask_intersection_area(RleMask.empty(2, 2), RleMask.empty(2, 3))
 
@@ -103,7 +110,7 @@ class TestOverlapKernel:
             runs_a = tuple(np.diff([0, *cuts[:3], n]).tolist())
             runs_b = tuple(np.diff([0, *cuts[3:], n]).tolist())
             pairs.append((RleMask(height, width, runs_a), RleMask(height, width, (0, *runs_b))))
-        assert intersection_areas(pairs) == [interval_overlap(a, b) for a, b in pairs]
+        assert pair_overlaps(pairs) == [interval_overlap(a, b) for a, b in pairs]
         assert [interval_overlap(a, b) for a, b in pairs] != [0] * count
 
 
@@ -144,15 +151,14 @@ class TestFrameOverlaps:
 
 
 def per_token_outcome(texts: list, height: int, width: int):
-    """Each list's tokens through int(), then RleMask's checks: ("ok", runs) or (error class, text)."""
+    """Each list's tokens matched to ASCII `-?[0-9]+` and read with int(), then
+    RleMask's checks: ("ok", runs) or (error class, text)."""
     out = []
     for text in texts:
-        try:
-            runs = [int(tok) for tok in text.split(",")]
-        except ValueError:
+        if not all(re.fullmatch("-?[0-9]+", tok) for tok in text.split(",")):
             return ("CorruptMaskError", f"bad run list {text!r}")
         try:
-            out.append(RleMask(height, width, runs).runs)
+            out.append(RleMask(height, width, [int(tok) for tok in text.split(",")]).runs.tolist())
         except MaskError as exc:
             return (type(exc).__name__, str(exc))
     return ("ok", out)
@@ -167,7 +173,7 @@ def annotation_outcome(texts: list, height: int, width: int):
             response, _, _ = annotation_from_dict(obj)
         except MaskError as exc:
             return (type(exc).__name__, str(exc))
-    return ("ok", [m.runs for m in response.occurrences[0].masks])
+    return ("ok", [m.runs.tolist() for m in response.occurrences[0].masks])
 
 
 HUGE = 10**29  # a 30-digit run: 10**15 x 10**14 pixels
@@ -177,7 +183,9 @@ TRICKY = {
     "decimal": ("1.0,7", 1, 8), "hex": ("0x1,7", 1, 8), "negative": ("-1,9", 1, 8),
     "trailing-comma": ("1,7,", 1, 8), "30-digit-run": (f"0,{HUGE}", 10**15, 10**14),
     "30-digit-bad-sum": (f"1,{HUGE}", 10**15, 10**14), "19-digits": ("0" * 18 + "1,7", 1, 8),
-    "leading-zeros": ("001,007", 1, 8), "plain": ("1,7", 1, 8),
+    "leading-zeros": ("001,007", 1, 8), "plain": ("1,7", 1, 8), "inner-minus": ("3-1,6", 1, 8),
+    "minus-comma": ("-,8", 1, 8), "double-minus": ("--8", 1, 8), "trailing-minus": ("8,-", 1, 8),
+    "minus-zero": ("-0,8", 1, 8),
 }
 
 
@@ -192,16 +200,24 @@ class TestOnePassParser:
     def test_tricky_lists_cover_both_outcomes(self):
         outcomes = {name: per_token_outcome([text], h, w)[0] for name, (text, h, w) in TRICKY.items()}
         accepted = {name for name, kind in outcomes.items() if kind == "ok"}
-        assert accepted == {"space", "plus", "underscore", "fullwidth-digit", "30-digit-run",
-                            "19-digits", "leading-zeros", "plain"}
+        # " 5,3", "+3,5", "1_0" and "５,3" passed int() but are no ASCII `-?[0-9]+` tokens
+        assert accepted == {"30-digit-run", "19-digits", "leading-zeros", "plain", "minus-zero"}
         assert outcomes["negative"] == "CorruptMaskError"
 
     def test_plain_lists_take_the_one_pass(self):
-        obj = {"occurrences": [{"masks": ["1,7", "0,8"]}, {"masks": ["8"]}]}
-        masks, failing = _parsed_run_lists(obj, 1, 8)
-        assert [m.runs for m in masks] == [(1, 7), (0, 8), (8,)] and failing is None
-        for name in ("space", "30-digit-run", "empty", "trailing-comma", "19-digits", "fullwidth-digit"):
-            assert _parsed_run_lists({"occurrences": [{"masks": ["1,7", TRICKY[name][0]]}]}, 1, 8) is None
+        masks, failing = _parsed_masks(["1,7", "0,8", "8"], 1, 8)
+        assert [m.runs.tolist() for m in masks] == [[1, 7], [0, 8], [8]] and failing is None
+        # views into one read-only int64 array, also where a token was read as a Python int
+        for texts in (["1,7", "0,8", "8"], ["1,7", "0" * 18 + "1,7"]):
+            masks, _ = _parsed_masks(texts, 1, 8)
+            assert len({id(m.runs.base) for m in masks}) == 1
+            assert all(m.runs.dtype == np.int64 and not m.runs.flags.writeable for m in masks)
+        for name in ("space", "empty", "trailing-comma", "fullwidth-digit", "decimal"):
+            masks, failing = _parsed_masks(["1,7", TRICKY[name][0], "2,6"], 1, 8)
+            assert [m.runs.tolist() for m in masks] == [[1, 7]]
+            assert str(failing) == f"bad run list {TRICKY[name][0]!r}"
+        masks, failing = _parsed_masks(["1,7", f"1,{HUGE}", "x"], 1, 8)
+        assert len(masks) == 1 and str(failing) == f"runs sum to {HUGE + 1}, expected 8"
 
     def test_30_digit_run_is_exact(self):
         _, (runs,) = annotation_outcome([f"0,{HUGE}"], 10**15, 10**14)
@@ -220,8 +236,11 @@ class TestBatchCheck:
     """annotation_from_dict against the list-by-list oracle, and which lists
     still run RleMask's own check."""
 
-    DEFECTS = ("bad-sum", "zero-run", "mask-count", "unsorted", "overlapping", "other-shape", "token", "dims")
-    TOKENS = (" 5", "+3", "x", "", "1.0", "-1", "0" * 19, "５", "1_0", f"{HUGE}")
+    DEFECTS = ("bad-sum", "zero-run", "mask-count", "unsorted", "overlapping", "other-shape", "token", "dims",
+               "field")
+    TOKENS = (" 5", "+3", "x", "", "1.0", "-1", "0" * 19, "５", "1_0", f"{HUGE}", "-", "--2", "2-1", "-0")
+    # occurrence fields vqs never writes: only JSON integers frame numbers, only lists of strings masks
+    FIELDS = (0.9, "0", False, True, None, float("nan"), float("inf"), 10**30, "8", [5], ["8", 5], 3, [], {})
 
     def annotation(self, rng, defects):
         h, w = (int(v) for v in rng.integers(1, 6, size=2))
@@ -232,10 +251,20 @@ class TestBatchCheck:
             occurrences.append({"start": frame, "end": frame + length - 1, "masks": masks})
             frame += length + int(rng.integers(1, 3))
         obj = {"video_id": "v", "height": h, "width": w, "occurrences": occurrences}
-        for defect in defects:
+        # field defects come last: the others edit frame numbers and run lists
+        for defect in sorted(defects, key=lambda d: d == "field"):
             if defect == "dims":
                 obj[str(rng.choice(["height", "width"]))] = rng.choice([0, -2, "3", 2.5, True, None, 10**20])
-            if defect == "dims" or not occurrences:
+            if defect == "dims" or not isinstance(obj["occurrences"], list):
+                continue
+            if defect == "field":
+                value = self.FIELDS[rng.integers(len(self.FIELDS))]
+                if not occurrences or rng.random() < 0.1:
+                    obj["occurrences"] = value
+                else:
+                    occurrences[rng.integers(len(occurrences))][str(rng.choice(["start", "end", "masks"]))] = value
+                continue
+            if not occurrences:
                 continue
             occ = occurrences[rng.integers(len(occurrences))]
             if not occ["masks"]:
@@ -285,21 +314,28 @@ class TestBatchCheck:
             got = self.outcome(annotation_from_dict, obj)
             assert got == want, (defects, obj)
             if isinstance(got[0], ResponseSet):
-                assert all(type(r) is int for occ in got[0].occurrences for m in occ.masks for r in m.runs)
+                assert all(m.runs.dtype == np.int64 and not m.runs.flags.writeable
+                           for occ in got[0].occurrences for m in occ.masks)
             kinds.setdefault(got[0] if isinstance(got[0], str) else "ok", set()).add(got[1] if isinstance(got[0], str) else 0)
         # every outcome class is reached, with many distinct messages
         assert set(kinds) == {"ok", "CorruptMaskError", "MaskError", "MaskDimensionError"}
         assert sum(map(len, kinds.values())) > 200
+        for rule in ("'start' must be an integer", "'end' must be an integer", "'masks' must be a list of strings",
+                     "'occurrences' must be a list"):
+            assert sum(rule in text for text in kinds["MaskError"]) > 5, rule
 
     def test_valid_lists_skip_the_per_list_check(self, monkeypatch):
+        """Every list of an annotation goes through one call of the invariant check."""
         obj = scene_gt_dict(generate_scene(SceneConfig(num_frames=72, seed=2)))
         calls = []
-        check = RleMask.__post_init__
-        monkeypatch.setattr(RleMask, "__post_init__", lambda mask: calls.append(mask) or check(mask))
+        check = vqs.masks._checked_masks
+        monkeypatch.setattr(vqs.masks, "_checked_masks", lambda *args: calls.append(args) or check(*args))
         response, _, _ = annotation_from_dict(obj)
-        assert len(calls) == 0
+        assert len(calls) == 1 and len(calls[0][3]) == sum(len(occ["masks"]) for occ in obj["occurrences"]) > 10
+        assert len({id(m.runs.base) for occ in response.occurrences for m in occ.masks}) == 1
+        calls.clear()
         assert response == per_list_annotation(obj)[0]
-        assert len(calls) == sum(len(occ["masks"]) for occ in obj["occurrences"]) > 10
+        assert len(calls) == sum(len(occ["masks"]) for occ in obj["occurrences"])
         calls.clear()
         obj["occurrences"][0]["masks"][-1] += ",1"
         obj["occurrences"][-1]["masks"][-1] += ",0"  # a later bad list is never built

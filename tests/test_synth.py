@@ -407,6 +407,16 @@ class TestDatasetConfigBounds:
         with pytest.raises(SceneConfigError, match=re.escape(message)):
             DatasetConfig(**{field: bounds})
 
+    def test_occurrences_must_fit_the_shortest_video(self):
+        # LO occurrences need 2 * LO - 1 frames; the sampler used to draw fewer without a word
+        for frames in range(1, 12):
+            most = (frames + 1) // 2
+            DatasetConfig(num_frames=(frames, frames + 5), num_occurrences=(most, most + 3))
+            with pytest.raises(SceneConfigError, match=re.escape(
+                    f"--occurrences range must start at <= {most} to fit in {frames} frames, "
+                    f"got {most + 1}:{most + 3}")):
+                DatasetConfig(num_frames=(frames, frames + 5), num_occurrences=(most + 1, most + 3))
+
     def test_caps_are_checked_on_the_config_alone(self):
         # the largest frame sizes the block; nothing is drawn or allocated
         sizes = ((8, 8), (64, 48), (16, 16))
