@@ -104,8 +104,10 @@ def _checked_masks(height: int, width: int, runs: np.ndarray,
     # a list with a negative run may sum past int64; it breaks a rule anyway
     if head.dtype != object and (head.size + 1) * (area + 1) >= 2**63:
         head = head.astype(object)
+    zero = head == 0
+    zero[firsts] = False  # a list's first run may be zero
     rules = ((np.logical_or.reduceat(head < 0, firsts), "negative run length"),
-             (np.add.reduceat(head == 0, firsts) > (head[firsts] == 0), "zero-length run after the first"),
+             (np.logical_or.reduceat(zero, firsts), "zero-length run after the first"),
              (np.add.reduceat(np.minimum(head, area + 1), firsts) != area, None))
     broken = rules[0][0] | rules[1][0] | rules[2][0]
     count = int(broken.argmax()) if broken.any() else count
@@ -198,9 +200,12 @@ def rle_encode_pixels(frame: np.ndarray, index: np.ndarray, num_frames: int,
     opening = (ends - 2 * counts)[counts > 0]
     steps[opening] = edges[opening]
     rest = size - np.where(counts > 0, edges[ends - 1], 0)
-    runs = np.insert(steps, ends[rest > 0], rest[rest > 0])
     lengths = 2 * counts + (rest > 0)
-    return _raising(_checked_masks(height, width, runs, np.cumsum(lengths) - lengths))
+    bounds = np.cumsum(lengths)
+    runs = np.full(bounds[-1], -1, dtype=steps.dtype)
+    runs[bounds[rest > 0] - 1] = rest[rest > 0]  # a frame's rest run, if any, closes its list
+    runs[runs < 0] = steps
+    return _raising(_checked_masks(height, width, runs, bounds - lengths))
 
 
 def rle_decode(mask: RleMask) -> np.ndarray:

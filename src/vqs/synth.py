@@ -15,6 +15,7 @@ Per-scene seeds derive from the master seed with a splitmix64-style mixer
 from __future__ import annotations
 
 import colorsys
+import contextlib
 import errno
 import hashlib
 import itertools
@@ -153,28 +154,32 @@ def _ppm_pieces(read, size: int, name, num_frames: Optional[int] = None) -> Iter
     """A file's `size` bytes in order, `read(pos, n)` giving n of them from pos:
     a PPM image (header and payload) a piece with its (height, width), then
     what does not parse in one piece with a ValueError naming why, as does an
-    image count other than `num_frames`. A read takes a header's 64 bytes,
-    one image or, at most once, what does not parse."""
-    pos = t = 0
+    image count other than `num_frames`. A read takes the last image's size,
+    kept when whole and led by its header bytes (`_PPM_HEADER` reads no byte
+    past them), else a header's 64 bytes, one image or once what does not parse."""
+    pos = t = n = 0  # n: the last image's size, whose `header` and `shape` are set with it
     while pos < size:
-        head = read(pos, _PPM_HEADER_MAX)
-        try:
-            h, w, start = parse_ppm(head, f"frame {t} of {name}", size - pos)
-        except ValueError as exc:
-            if num_frames is not None and t >= num_frames:
-                exc = ValueError(f"{name}: {size - pos} bytes left over after {t} PPM images, "
-                                 f"expected {num_frames}")
-            yield read(pos, size - pos), exc
-            return
-        yield read(pos, start + h * w * 3), (h, w)
-        pos, t = pos + start + h * w * 3, t + 1
+        if not n or len(piece := read(pos, n)) != n or piece[:len(header)] != header:
+            head = read(pos, _PPM_HEADER_MAX)
+            try:
+                h, w, start = parse_ppm(head, f"frame {t} of {name}", size - pos)
+            except ValueError as exc:
+                if num_frames is not None and t >= num_frames:
+                    exc = ValueError(f"{name}: {size - pos} bytes left over after {t} PPM images, "
+                                     f"expected {num_frames}")
+                yield read(pos, size - pos), exc
+                return
+            header, shape, n = head[:start], (h, w), start + h * w * 3
+            piece = read(pos, n)
+        yield piece, shape
+        pos, t = pos + n, t + 1
     if num_frames is not None and t != num_frames:
         yield b"", ValueError(f"{name}: holds {t} PPM images, expected {num_frames}")
 
 
 def _file_pieces(path: str | Path, num_frames: Optional[int] = None) -> Iterator[_Piece]:
-    """`_ppm_pieces` of a regular file, read by `os.pread`, so that no more than
-    one frame is held at a time; OSError as `_open_regular` or when a read fails."""
+    """`_ppm_pieces` of a regular file, read by `os.pread` at most a frame a read,
+    so that one frame is held at a time; OSError as `_open_regular` or when a read fails."""
     fd, size = _open_regular(path)
     try:
         yield from _ppm_pieces(lambda pos, n: os.pread(fd, n, pos), size, path, num_frames)
@@ -463,11 +468,9 @@ def _background(rng: np.random.Generator, height: int, width: int) -> np.ndarray
     x0 = np.floor(gx).astype(int).clip(0, 2)
     fy = (gy - y0)[:, None, None]
     fx = (gx - x0)[None, :, None]
-    tl = grid[y0][:, x0]
-    tr = grid[y0][:, x0 + 1]
-    bl = grid[y0 + 1][:, x0]
-    br = grid[y0 + 1][:, x0 + 1]
-    mix = tl * (1 - fy) * (1 - fx) + tr * (1 - fy) * fx + bl * fy * (1 - fx) + br * fy * fx
+    # each row pair weighted before the column gather: every element meets the same products
+    top, bottom = grid[y0] * (1 - fy), grid[y0 + 1] * fy
+    mix = top[:, x0] * (1 - fx) + top[:, x0 + 1] * fx + bottom[:, x0] * (1 - fx) + bottom[:, x0 + 1] * fx
     # row-major, as the frames it fills: `mix` comes out in another memory order
     return np.rint(mix).astype(np.uint8, order="C")
 
@@ -636,9 +639,7 @@ def _write_scene(out_dir: Path, scene_id: str, record: SceneRecord) -> dict:
 
 def _dataset_files(scenes: list[dict]) -> list[str]:
     """Every file the manifest's scenes name, in digest order, repeats included."""
-    return sorted(rel for scene in scenes
-                  for rel in (scene.get("frames"), scene.get("query"), scene.get("gt"))
-                  if rel is not None)
+    return sorted(scene[key] for scene in scenes for key in ("frames", "query", "gt"))
 
 
 def compute_digest(root: str | Path, files: Iterable[str]) -> str:
@@ -705,7 +706,7 @@ def load_manifest(dataset_dir: str | Path) -> dict:
         for key in ("id", "frames", "query", "gt"):
             if key in entry and not isinstance(entry[key], str):
                 raise SceneConfigError(f"manifest: scenes[{i}]: {key!r} must be a string")
-        for key in ("num_frames", "fps"):
+        for key in ("id", "frames", "query", "gt", "num_frames", "fps"):
             if key not in entry:
                 raise SceneConfigError(f"manifest: scenes[{i}]: missing {key!r}")
         for key in ("height", "width", "num_frames", "fps"):
@@ -713,10 +714,9 @@ def load_manifest(dataset_dir: str | Path) -> dict:
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise SceneConfigError(
                     f"manifest: scenes[{i}]: {key!r} must be a positive integer, got {value!r}")
-        if "id" in entry:
-            if entry["id"] in ids:
-                raise SceneConfigError(f"manifest: scenes[{i}]: repeated id {entry['id']!r}")
-            ids.add(entry["id"])
+        if entry["id"] in ids:
+            raise SceneConfigError(f"manifest: scenes[{i}]: repeated id {entry['id']!r}")
+        ids.add(entry["id"])
     return manifest
 
 
@@ -838,12 +838,12 @@ def _gt_violations(sid: str, entry: dict, blob: bytes) -> list[str]:
 def validate_manifest(dataset_dir: str | Path) -> list[str]:
     """All invariant violations in a dataset directory; empty list when clean.
 
-    One pass in digest order reads each file once, in `_file_pieces`, so that
-    a frames file is held one frame at a time. Its pieces feed the digest, the
-    gt checks and a sha256 and shape per frame; a query equal to a frame is
-    found by comparing the query file's sha256 with each frame's. A file that
-    cannot be opened or read, or is not a regular file, is reported missing;
-    nothing is raised.
+    One pass in digest order reads each file once, in `_file_pieces`, a frames
+    file one frame at a time, for the digest, the gt checks and each frame's
+    shape. A query file that is one image is held from the first turn that
+    needs it, its own or a frames file's, to the last, and compared byte for
+    byte with those frames. A file that cannot be opened or read, or is not a
+    regular file, is reported missing; nothing is raised.
     """
     root = Path(dataset_dir)
     try:
@@ -853,44 +853,64 @@ def validate_manifest(dataset_dir: str | Path) -> list[str]:
     except SceneConfigError as exc:
         return [str(exc)]
     scenes = manifest.get("scenes", [])
+    lengths = {entry["frames"]: entry["num_frames"] for entry in scenes}
     gt_users: dict[str, list[int]] = {}
+    frames_users: dict[str, list[int]] = {}
+    last_turn: dict[str, str] = {}  # a query is held until this file's turn: its own or a frames file's
     for i, entry in enumerate(scenes):
-        gt_users.setdefault(entry.get("gt"), []).append(i)
+        gt_users.setdefault(entry["gt"], []).append(i)
+        frames_users.setdefault(entry["frames"], []).append(i)
+        last_turn[entry["query"]] = max(last_turn.get(entry["query"], entry["query"]), entry["frames"])
+    held: dict[str, Optional[list[_Piece]]] = {}  # a query file's pieces when they are all of it
+
+    def hold(rel: str) -> Optional[list[_Piece]]:
+        # None, so that its turn reads it, when the file holds more pieces or a read fails
+        with contextlib.suppress(OSError), contextlib.closing(_file_pieces(root / rel, lengths.get(rel))) as stream:
+            first = list(itertools.islice(stream, 2))
+            return first if len(first) < 2 else None
 
     digest = hashlib.sha256()
-    lengths = {entry.get("frames"): entry["num_frames"] for entry in scenes}
-    scans: dict[str, list[_Piece]] = {}  # each piece's sha256 in place of its bytes
+    scans: dict[str, list[tuple[int, int] | ValueError]] = {}  # each read file's piece shapes
     gt_checks: dict[int, list[str]] = {}
+    same: dict[int, list[int]] = {}  # each scene's first frame equal to its query, if one is
     for rel, listings in itertools.groupby(_dataset_files(scenes)):
         copies = len(list(listings))  # a file listed twice is read once and hashed twice
-        scan, kept = [], [rel.encode("utf-8") + b"\0"]
+        users = frames_users.get(rel, [])
+        needed = dict.fromkeys([scenes[i]["query"] for i in users] + [rel] * (rel in last_turn))
+        held.update((query, hold(query)) for query in needed if query not in held)
+        targets = [(i, pieces[0][0]) for i in users if (pieces := held[scenes[i]["query"]])
+                   and not isinstance(pieces[0][1], ValueError)]
+        stream = held.get(rel) or _file_pieces(root / rel, lengths.get(rel))
+        for query in [query for query in needed if last_turn[query] == rel]:
+            del held[query]
+        scan, found, kept = [], {}, [rel.encode("utf-8") + b"\0"]
         digest.update(kept[0])
         try:
-            for piece, shape in _file_pieces(root / rel, lengths.get(rel)):
+            for piece, shape in stream:
                 digest.update(piece)
-                scan.append((hashlib.sha256(piece).digest(), shape))
                 if copies > 1 or rel in gt_users:
                     kept.append(piece)
+                for i in [i for i, image in targets if piece == image]:  # an error piece never equals an image
+                    found.setdefault(i, [len(scan)])
+                scan.append(shape)
         except OSError:
             continue
         scans[rel] = scan
+        same.update(found)
         for piece in kept * (copies - 1):
             digest.update(piece)
         for i in gt_users.get(rel, ()):
-            gt_checks[i] = _gt_violations(scenes[i].get("id", "<missing id>"), scenes[i], b"".join(kept[1:]))
+            gt_checks[i] = _gt_violations(scenes[i]["id"], scenes[i], b"".join(kept[1:]))
 
-    violations = [f"{entry.get('id', '<missing id>')}: missing file {rel}" for entry in scenes
-                  for rel in (entry.get("frames"), entry.get("query"), entry.get("gt")) if rel not in scans]
+    violations = [f"{entry['id']}: missing file {entry[key]}" for entry in scenes
+                  for key in ("frames", "query", "gt") if entry[key] not in scans]
     if not violations and "digest" in manifest and digest.hexdigest() != manifest["digest"]:
         violations.append("manifest: digest does not match dataset content")
     for i, entry in enumerate(scenes):
-        sid, rel = entry.get("id", "<missing id>"), entry.get("frames")
+        sid, rel = entry["id"], entry["frames"]
         violations.extend(gt_checks.get(i, []))
-        images = [(sha, shape) for sha, shape in scans.get(rel, []) if not isinstance(shape, ValueError)]
-        query = scans.get(entry.get("query"), [])
-        same = [t for t, (sha, _) in enumerate(images) if len(query) == 1 and sha == query[0][0]]
-        violations += [f"{sid}: query frame identical to video frame {t} of {rel}" for t in same[:1]]
-        violations += [f"{sid}: frame {t} of {rel} has shape {shape}" for t, (_, shape) in enumerate(images)
-                       if shape != (entry.get("height"), entry.get("width"))]
-        violations += [f"{sid}: {shape}" for _, shape in scans.get(rel, []) if isinstance(shape, ValueError)]
+        violations += [f"{sid}: query frame identical to video frame {t} of {rel}" for t in same.get(i, [])]
+        violations += [f"{sid}: frame {t} of {rel} has shape {shape}" for t, shape in enumerate(scans.get(rel, []))
+                       if not isinstance(shape, ValueError) and shape != (entry.get("height"), entry.get("width"))]
+        violations += [f"{sid}: {shape}" for shape in scans.get(rel, []) if isinstance(shape, ValueError)]
     return violations

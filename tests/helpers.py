@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,28 @@ def bytes_read() -> int:
     except FileNotFoundError:
         pass
     pytest.skip("no rchar in /proc/self/io")
+
+
+def recorded_reads(monkeypatch) -> list[tuple[str, int]]:
+    """(path, bytes asked for) of each `os.read` or `os.pread` of a file that
+    `os.open` opened, from now until `monkeypatch.undo()`."""
+    names, reads = {}, []
+    real_open, real_read, real_pread = os.open, os.read, os.pread
+
+    def opening(path, *args, **kwargs):
+        fd = real_open(path, *args, **kwargs)
+        names[fd] = str(path)
+        return fd
+
+    def reading(fd, n, *pos):
+        if fd in names:
+            reads.append((names[fd], n))
+        return (real_pread if pos else real_read)(fd, n, *pos)
+
+    monkeypatch.setattr(os, "open", opening)
+    monkeypatch.setattr(os, "read", reading)
+    monkeypatch.setattr(os, "pread", reading)
+    return reads
 
 
 def block_mask(h, w, r0, c0, bh, bw) -> RleMask:

@@ -14,6 +14,15 @@ The rasterizer reference is the full coordinate grid `synth.rasterize_shape`
 built with `np.mgrid` before it broadcast a row and a column of pixel centres;
 the two must agree pixel for pixel.
 
+The background reference is `synth._background`'s bilinear mix as it was
+written before it weighted the grid's rows ahead of the column gather: each
+of the four corners gathered at full size, then weighted. The two must agree
+bit for bit.
+
+The PPM reference splits a file into pieces as `synth._ppm_pieces` did
+before it reused a repeated header: a 64-byte probe and `parse_ppm` at every
+image. The two must give the same pieces, shapes and error texts.
+
 The annotation reference parses and checks every run list on its own, token
 by token with a regular expression and int(), and builds each occurrence in
 turn, where the library reads and checks a whole annotation's lists in numpy
@@ -35,6 +44,7 @@ import re
 import numpy as np
 
 from vqs import autodiff as ad
+from vqs import synth
 from vqs.masks import CorruptMaskError, MaskDimensionError, MaskError, Masklet, ResponseSet, RleMask, mask_iou, rle_decode
 from vqs.pipeline import binarize_candidate
 
@@ -99,6 +109,42 @@ def mgrid_rasterize_shape(state, height, width):
     s2 = half_plane(bx, by, cx_, cy_)
     s3 = half_plane(cx_, cy_, ax, ay)
     return (s1 >= 0) & (s2 >= 0) & (s3 >= 0)
+
+
+def probe_each_pieces(read, size, name, num_frames=None):
+    """`synth._ppm_pieces` with a header probe and parse before every image."""
+    pos = t = 0
+    while pos < size:
+        head = read(pos, synth._PPM_HEADER_MAX)
+        try:
+            h, w, start = synth.parse_ppm(head, f"frame {t} of {name}", size - pos)
+        except ValueError as exc:
+            if num_frames is not None and t >= num_frames:
+                exc = ValueError(f"{name}: {size - pos} bytes left over after {t} PPM images, "
+                                 f"expected {num_frames}")
+            yield read(pos, size - pos), exc
+            return
+        yield read(pos, start + h * w * 3), (h, w)
+        pos, t = pos + start + h * w * 3, t + 1
+    if num_frames is not None and t != num_frames:
+        yield b"", ValueError(f"{name}: holds {t} PPM images, expected {num_frames}")
+
+
+def corner_gather_background(rng, height, width):
+    """`synth._background` with each corner gathered to (height, width, 3) before it is weighted."""
+    grid = rng.uniform(30, 110, size=(4, 4, 3))
+    gy = np.linspace(0, 3, height)
+    gx = np.linspace(0, 3, width)
+    y0 = np.floor(gy).astype(int).clip(0, 2)
+    x0 = np.floor(gx).astype(int).clip(0, 2)
+    fy = (gy - y0)[:, None, None]
+    fx = (gx - x0)[None, :, None]
+    tl = grid[y0][:, x0]
+    tr = grid[y0][:, x0 + 1]
+    bl = grid[y0 + 1][:, x0]
+    br = grid[y0 + 1][:, x0 + 1]
+    mix = tl * (1 - fy) * (1 - fx) + tr * (1 - fy) * fx + bl * fy * (1 - fx) + br * fy * fx
+    return np.rint(mix).astype(np.uint8, order="C")
 
 
 def decode_runs(runs, height, width):

@@ -655,6 +655,14 @@ MANIFEST_DEFECTS = {
                            "manifest: scenes[0]: missing 'num_frames'"),
     "fps-missing": (lambda m: {**m, "scenes": [m["scenes"][0], {k: v for k, v in m["scenes"][1].items() if k != "fps"}]},
                     "manifest: scenes[1]: missing 'fps'"),
+    "id-missing": (lambda m: {**m, "scenes": [{k: v for k, v in m["scenes"][0].items() if k != "id"}]},
+                   "manifest: scenes[0]: missing 'id'"),
+    "frames-missing": (lambda m: {**m, "scenes": [{k: v for k, v in m["scenes"][0].items() if k != "frames"}]},
+                       "manifest: scenes[0]: missing 'frames'"),
+    "query-missing": (lambda m: {**m, "scenes": [m["scenes"][0], {k: v for k, v in m["scenes"][1].items() if k != "query"}]},
+                      "manifest: scenes[1]: missing 'query'"),
+    "gt-missing": (lambda m: {**m, "scenes": [{k: v for k, v in m["scenes"][0].items() if k != "gt"}]},
+                   "manifest: scenes[0]: missing 'gt'"),
     "num-frames-null": (lambda m: {**m, "scenes": [{**m["scenes"][0], "num_frames": None}]},
                         "manifest: scenes[0]: 'num_frames' must be a positive integer, got None"),
     "num-frames-string": (lambda m: {**m, "scenes": [{**m["scenes"][0], "num_frames": "8"}]},

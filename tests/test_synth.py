@@ -38,8 +38,8 @@ from vqs.synth import (
     write_regular_file,
 )
 
-from .helpers import bytes_read
-from .oracles import decode_runs, mgrid_rasterize_shape
+from .helpers import bytes_read, recorded_reads
+from .oracles import corner_gather_background, decode_runs, mgrid_rasterize_shape, probe_each_pieces
 
 
 def oracle_rasterize(state, height, width):
@@ -168,6 +168,76 @@ class TestPpm:
         path.write_bytes(b"P5\n2 2\n255\nxxxx")
         with pytest.raises(ValueError):
             read_ppm(path)
+
+
+def piece_outcomes(pieces):
+    """Each piece's bytes with its shape, or its error's class and text."""
+    return [(bytes(piece), (type(shape), str(shape)) if isinstance(shape, ValueError) else shape)
+            for piece, shape in pieces]
+
+
+class TestRepeatedHeaders:
+    """A header equal to the last image's is taken without a parse: the pieces,
+    shapes and errors are those of a probe and parse at every image."""
+
+    HEADER = b"P6\n32 32\n255\n"
+    SPELLINGS = (HEADER, b"P6 32 32 255\n")
+
+    @staticmethod
+    def images(n):
+        rng = np.random.default_rng(n)
+        return [rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8) for _ in range(n)]
+
+    @staticmethod
+    def assert_pieces_as_probing(path, num_frames):
+        """`_file_pieces` and `read_ppm` of `path` agree with probing every header."""
+        blob = path.read_bytes()
+        expected = list(probe_each_pieces(lambda pos, n: blob[pos:pos + n], len(blob), path, num_frames))
+        assert piece_outcomes(synth._file_pieces(path, num_frames)) == piece_outcomes(expected)
+        errors = [shape for _, shape in expected if isinstance(shape, ValueError)]
+        if errors:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(errors[0]))}$"):
+                read_ppm(path, num_frames)
+        else:
+            assert [image.tobytes() for image in read_ppm(path, num_frames)] == [
+                piece[len(piece) - h * w * 3:] for piece, (h, w) in expected]
+
+    def test_spelling_changes_mid_file(self, tmp_path):
+        imgs = self.images(6)
+        headers = [self.SPELLINGS[k] for k in (0, 0, 1, 1, 0, 0)]
+        path = tmp_path / "frames.ppm"
+        path.write_bytes(b"".join(header + img.tobytes() for header, img in zip(headers, imgs)))
+        self.assert_pieces_as_probing(path, 6)
+        assert all(np.array_equal(a, b) for a, b in zip(read_ppm(path, 6), imgs, strict=True))
+
+    @pytest.mark.parametrize("tail, num_frames", [
+        (HEADER + bytes(32 * 32 * 3 - 5), 4),
+        (HEADER + bytes(32 * 32 * 3 - 5), 3),
+        (HEADER, 3),
+        (HEADER, 4),
+        (b"junk", 3),
+        (b"junk", 4),
+        (b"P6\n32 32\n254\n" + bytes(32 * 32 * 3), 4),
+        (b"P6\n8 4\n255\n" + bytes(8 * 4 * 3) + HEADER + bytes(32 * 32 * 3), 5),
+        (b"", 2),
+        (b"", 5),
+    ], ids=["short-payload-expected", "short-payload-left-over", "header-alone-expected", "header-alone-left-over",
+            "junk-left-over", "junk-expected", "changed-maxval", "smaller-image-between", "too-many", "too-few"])
+    def test_errors_after_repeated_headers(self, tmp_path, tail, num_frames):
+        path = tmp_path / "frames.ppm"
+        write_ppm(path, *self.images(3))
+        with open(path, "ab") as fh:
+            fh.write(tail)
+        self.assert_pieces_as_probing(path, num_frames)
+
+
+class TestBackground:
+    def test_matches_corner_gather_oracle(self):
+        sizes = np.random.default_rng(2026).integers(8, 200, size=(300, 2))
+        for k, (h, w) in enumerate(sizes.tolist()):
+            got = _background(np.random.default_rng(k), h, w)
+            expected = corner_gather_background(np.random.default_rng(k), h, w)
+            assert got.flags.c_contiguous and got.tobytes() == expected.tobytes(), (h, w)
 
 
 class TestRasterizer:
@@ -675,27 +745,6 @@ class TestBoundedReads:
 
     FRAME_BYTES = len(b"P6\n32 32\n255\n") + 32 * 32 * 3  # small_dataset's frames
 
-    @staticmethod
-    def recorded_reads(monkeypatch) -> list[tuple[str, int]]:
-        """(path, bytes asked for) of each read of a file that os.open opened."""
-        names, reads = {}, []
-        real_open, real_read, real_pread = os.open, os.read, os.pread
-
-        def opening(path, *args, **kwargs):
-            fd = real_open(path, *args, **kwargs)
-            names[fd] = str(path)
-            return fd
-
-        def reading(fd, n, *pos):
-            if fd in names:
-                reads.append((names[fd], n))
-            return (real_pread if pos else real_read)(fd, n, *pos)
-
-        monkeypatch.setattr(os, "open", opening)
-        monkeypatch.setattr(os, "read", reading)
-        monkeypatch.setattr(os, "pread", reading)
-        return reads
-
     def assert_one_frame_a_read(self, out, manifest, reads):
         frames = {str(out / entry["frames"]) for entry in manifest["scenes"]}
         sizes = [n for path, n in reads if path in frames]
@@ -705,16 +754,113 @@ class TestBoundedReads:
 
     def test_validate(self, tmp_path, monkeypatch):
         out, manifest = small_dataset(tmp_path, n=3)
-        reads = self.recorded_reads(monkeypatch)
+        reads = recorded_reads(monkeypatch)
         assert validate_manifest(out) == []
         monkeypatch.undo()
         self.assert_one_frame_a_read(out, manifest, reads)
 
     def test_gen_digest(self, tmp_path, monkeypatch):
-        reads = self.recorded_reads(monkeypatch)
+        reads = recorded_reads(monkeypatch)
         out, manifest = small_dataset(tmp_path, n=3)  # gen reads nothing but through compute_digest
         monkeypatch.undo()
         self.assert_one_frame_a_read(out, manifest, reads)
+
+
+class TestOneReadAFrame:
+    @pytest.mark.parametrize("reader", ["validate", "digest"])
+    def test_frames_file_in_frames_plus_one_reads(self, tmp_path, monkeypatch, reader):
+        out, manifest = small_dataset(tmp_path, n=3)
+        reads = recorded_reads(monkeypatch)
+        if reader == "validate":
+            assert validate_manifest(out) == []
+        else:
+            assert compute_digest(out, _dataset_files(manifest["scenes"])) == manifest["digest"]
+        monkeypatch.undo()
+        for entry in manifest["scenes"]:
+            sizes = [n for path, n in reads if path == str(out / entry["frames"])]
+            assert sizes == [synth._PPM_HEADER_MAX] + [TestBoundedReads.FRAME_BYTES] * entry["num_frames"]
+
+
+def restamp(out, manifest):
+    """Write `manifest` with the digest of the files it now names."""
+    manifest["digest"] = compute_digest(out, _dataset_files(manifest["scenes"]))
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def first_equal(frames, image):
+    return next(t for t, frame in enumerate(frames) if np.array_equal(frame, image))
+
+
+class TestQueryComparison:
+    """A query is compared byte for byte with the frames of each scene that
+    names it, wherever its file sorts; the lists are those of the validate
+    that compared a sha256 of the query with one of each frame."""
+
+    @staticmethod
+    def two_scenes(tmp_path):
+        out, manifest = small_dataset(tmp_path, n=2)
+        frames = [read_ppm(out / entry["frames"], entry["num_frames"]) for entry in manifest["scenes"]]
+        return out, manifest, manifest["scenes"], frames
+
+    def test_payload_under_another_header_not_reported(self, tmp_path):
+        out, manifest, (s0, _), (f0, _) = self.two_scenes(tmp_path)
+        (out / s0["query"]).write_bytes(b"P6 32 32 255\n" + f0[2].tobytes())
+        restamp(out, manifest)
+        assert validate_manifest(out) == []
+
+    def test_query_is_another_scenes_frames_file(self, tmp_path):
+        out, manifest, (s0, s1), _ = self.two_scenes(tmp_path)
+        s1["query"] = s0["frames"]
+        restamp(out, manifest)
+        assert validate_manifest(out) == []
+
+    def test_query_that_is_its_own_broken_frames_file(self, tmp_path):
+        # one piece that does not parse, as query and as frames: nothing to compare
+        out, manifest, (s0, _), _ = self.two_scenes(tmp_path)
+        s0["query"] = s0["frames"]
+        (out / s0["frames"]).write_bytes((out / s0["frames"]).read_bytes()[:TestBoundedReads.FRAME_BYTES - 100])
+        restamp(out, manifest)
+        assert validate_manifest(out) == [f"scene_0000: frame 0 of {out / s0['frames']}: pixel payload holds "
+                                          f"{32 * 32 * 3 - 100} bytes, a 32x32 image needs {32 * 32 * 3}"]
+
+    def test_query_listed_by_two_scenes(self, tmp_path, monkeypatch):
+        # the query's turn comes before the second scene's frames file: it is held, not read again
+        out, manifest, (s0, s1), (f0, f1) = self.two_scenes(tmp_path)
+        write_ppm(out / s0["query"], f1[2])
+        s1["query"] = s0["query"]
+        restamp(out, manifest)
+        reads = recorded_reads(monkeypatch)
+        assert validate_manifest(out) == [
+            f"scene_0001: query frame identical to video frame {first_equal(f1, f1[2])} of {s1['frames']}"]
+        monkeypatch.undo()
+        assert [n for path, n in reads if path == str(out / s0["query"])] == [
+            synth._PPM_HEADER_MAX, TestBoundedReads.FRAME_BYTES]
+
+    def test_missing_query_leaves_frames_checked(self, tmp_path):
+        out, manifest, (s0, _), (f0, _) = self.two_scenes(tmp_path)
+        (out / s0["query"]).unlink()
+        write_ppm(out / s0["frames"], f0[0], np.zeros((16, 24, 3), dtype=np.uint8), *f0[2:])
+        assert validate_manifest(out) == [f"scene_0000: missing file {s0['query']}",
+                                          f"scene_0000: frame 1 of {s0['frames']} has shape (16, 24)"]
+
+    def test_query_sorting_before_its_frames(self, tmp_path):
+        out, manifest, (s0, _), (f0, _) = self.two_scenes(tmp_path)
+        write_ppm(out / s0["frames"], *f0[:5], f0[3], *f0[6:])  # frame 3 again at 5: the first is named
+        s0["query"] = "scenes/scene_0000/a_query.ppm"
+        write_ppm(out / s0["query"], f0[3])
+        restamp(out, manifest)
+        assert validate_manifest(out) == [
+            f"scene_0000: query frame identical to video frame {first_equal(f0, f0[3])} of {s0['frames']}"]
+
+    def test_shared_frames_file_meets_each_scenes_query(self, tmp_path):
+        out, manifest, (s0, s1), (_, f1) = self.two_scenes(tmp_path)
+        s0.update(frames=s1["frames"], num_frames=s1["num_frames"])
+        write_ppm(out / s0["query"], f1[4])
+        write_ppm(out / s1["query"], f1[1])
+        restamp(out, manifest)
+        assert validate_manifest(out) == [
+            f"scene_0000: query frame identical to video frame {first_equal(f1, f1[4])} of {s1['frames']}",
+            f"scene_0001: query frame identical to video frame {first_equal(f1, f1[1])} of {s1['frames']}"]
 
 
 class TestValidatePinned:
