@@ -5,8 +5,9 @@ Runs that produce an output file or directory also write a config-digest
 sidecar (<out>.config.json, or run_config.json inside output directories)
 recording the resolved options, so any artifact can be regenerated
 byte-exactly. Failures print one machine-readable JSON line to stderr and
-exit 1; usage errors exit 2. `eval`'s exit code reflects input validity
-only, never how good the scores are.
+exit 1; usage errors exit 2. A run whose stdout reader has gone, as in
+`vqs eval ... | head`, ends with exit 1 and no message. `eval`'s exit code
+reflects input validity only, never how good the scores are.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -112,9 +114,14 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _parse_range(text: str, kind=int) -> tuple:
+def _parse_range(flag: str, text: str, kind=int) -> tuple:
+    """(LO, HI) of a gen range flag's `LO:HI` or `N` text; CliError naming the flag otherwise."""
     lo, _, hi = text.partition(":")
-    return (kind(lo), kind(hi or lo))
+    try:
+        return (kind(lo), kind(hi or lo))
+    except ValueError:
+        raise CliError(f"{flag} range must be LO:HI of {'integers' if kind is int else 'numbers'}, "
+                       f"got {text}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,19 +201,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     sizes = []
     for token in args.frame_sizes.split(","):
         h, _, w = token.lower().partition("x")
-        sizes.append((int(h), int(w)))
+        try:
+            sizes.append((int(h), int(w)))
+        except ValueError:
+            raise CliError(f"--frame-sizes {token}: each size must be HxW of integers") from None
     shapes = tuple(s.strip() for s in args.shapes.split(","))
     for s in shapes:
         if s not in SHAPES:
             raise CliError(f"unknown shape {s!r}; choose from {', '.join(SHAPES)}")
     dist = DatasetConfig(
         frame_sizes=tuple(sizes),
-        num_frames=_parse_range(args.frames),
-        num_occurrences=_parse_range(args.occurrences),
-        distractor_count=_parse_range(args.distractors),
+        num_frames=_parse_range("--frames", args.frames),
+        num_occurrences=_parse_range("--occurrences", args.occurrences),
+        distractor_count=_parse_range("--distractors", args.distractors),
         shapes=shapes,
-        appearance_drift=_parse_range(args.drift, float),
-        target_scale=_parse_range(args.scale, float),
+        appearance_drift=_parse_range("--drift", args.drift, float),
+        target_scale=_parse_range("--scale", args.scale, float),
         fps=args.fps,
     )
     manifest = generate_dataset(args.scenes, dist, args.seed, args.out, jobs=args.jobs)
@@ -459,7 +469,15 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+    except BrokenPipeError:
+        # stdout's reader has gone, as `head` does in `vqs eval ... | head`: end
+        # with no traceback, and with none when Python flushes stdout at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

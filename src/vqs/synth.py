@@ -15,10 +15,8 @@ Per-scene seeds derive from the master seed with a splitmix64-style mixer
 from __future__ import annotations
 
 import colorsys
-import contextlib
 import errno
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -26,7 +24,7 @@ import re
 import stat
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,13 +37,13 @@ from .masks import (
     annotation_to_dict,
     framewise_overlaps,
     iou_from_areas,
-    rle_encode,
     rle_encode_pixels,
 )
 from .parallel import parallel_map
 
-MANIFEST_FORMAT = "vqs-dataset-v2"
+MANIFEST_FORMAT = "vqs-dataset-v3"
 MANIFEST_NAME = "manifest.json"
+SCENE_FILES = ("frames", "query", "gt")  # the files of one scene, each under its own key
 
 SHAPES = ("disk", "rectangle", "triangle")
 
@@ -80,14 +78,15 @@ def mix_seed(master_seed: int, index: int) -> int:
 # with its own header: the Netpbm format allows a sequence of images in a file.
 
 
-def write_ppm(path: str | Path, *images: np.ndarray) -> None:
-    """Write `images` in turn as binary P6 images, in one `write_regular_file` call."""
+def write_ppm(path: str | Path, *images: np.ndarray) -> str:
+    """Write `images` in turn as binary P6 images, in one `write_regular_file`
+    call; returns the sha256 of the file's bytes."""
     chunks = []
     for image in images:
         if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
             raise ValueError(f"expected uint8 HxWx3 image, got {image.dtype} {image.shape}")
         chunks += (b"P6\n%d %d\n255\n" % image.shape[1::-1], np.ascontiguousarray(image))
-    write_regular_file(path, *chunks)
+    return write_regular_file(path, *chunks)
 
 
 _PPM_HEADER = re.compile(rb"P6\s*(\S+)\s+(\S+)\s+(\S+)\s")
@@ -187,11 +186,11 @@ def _file_pieces(path: str | Path, num_frames: Optional[int] = None) -> Iterator
         os.close(fd)
 
 
-def write_regular_file(path: str | Path, *chunks) -> None:
+def write_regular_file(path: str | Path, *chunks) -> str:
     """Write the bytes-like `chunks` in turn to `path`, created or truncated as
-    by open(path, "wb"); FileNotFoundError unless it is a regular file, so that
-    a FIFO or a device in its place never blocks. Any other failure to open
-    names its reason."""
+    by open(path, "wb"), and return the sha256 of what was written;
+    FileNotFoundError unless it is a regular file, so that a FIFO or a device
+    in its place never blocks. Any other failure to open names its reason."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
     except OSError as exc:
@@ -201,8 +200,11 @@ def write_regular_file(path: str | Path, *chunks) -> None:
     with open(fd, "wb") as fh:
         if not stat.S_ISREG(os.fstat(fd).st_mode):
             raise FileNotFoundError(f"{path}: no writable regular file")
+        digest = hashlib.sha256()
         for chunk in chunks:
             fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_ppm(path: str | Path, num_frames: int = 1) -> list[np.ndarray]:
@@ -298,15 +300,6 @@ def rasterize_track(states: Sequence[ShapeState], height: int,
         px, py = (left[at] + cols) + 0.5, (top[at] + rows) + 0.5
         grids = _inside(shape, px, py, cx[at], cy[at], size[at], aspect[at], size_sq[at])
         yield first, grids, top[first:first + step], left[first:first + step]
-
-
-def rasterize_shape(state: ShapeState, height: int, width: int) -> np.ndarray:
-    """Boolean foreground grid of one state: `rasterize_track` of it, placed
-    in the frame."""
-    ((_, (grid,), (top,), (left,)),) = rasterize_track([state], height, width)
-    frame = np.zeros((height, width), dtype=bool)
-    frame[top:top + grid.shape[0], left:left + grid.shape[1]] = grid
-    return frame
 
 
 def _hsv_color(hue: float, sat: float = 0.85, val: float = 0.95) -> tuple[int, int, int]:
@@ -529,14 +522,13 @@ def generate_scene(cfg: SceneConfig, video_id: str = "scene") -> SceneRecord:
     qrng = np.random.default_rng(np.random.PCG64(mix_seed(cfg.seed, _QUERY_SALT)))
     qstate = _sample_trajectory(qrng, cfg, cfg.target_shape, target_hue).state_at(0, h, w)
     query = _background(qrng, h, w)
-    qmask_grid = rasterize_shape(qstate, h, w)
-    query[qmask_grid] = qstate.color
+    (query_mask,) = _render_track(query.view("V3").reshape(-1), 0, [qstate], h, w, encode=True)
 
     return SceneRecord(
         config=cfg,
         frames=list(frames),
         query_frame=query,
-        query_mask=rle_encode(qmask_grid),
+        query_mask=query_mask,
         gt=ResponseSet(video_id, tuple(occ_masklets)),
         video_id=video_id,
     )
@@ -630,27 +622,18 @@ def _write_scene(out_dir: Path, scene_id: str, record: SceneRecord) -> dict:
     entry = {"id": scene_id, "seed": cfg.seed, "height": cfg.frame_size[0], "width": cfg.frame_size[1],
              "num_frames": cfg.num_frames, "fps": cfg.fps,
              "frames": f"{scene}/frames.ppm", "query": f"{scene}/query.ppm", "gt": f"{scene}/gt.json"}
-    write_ppm(out_dir / entry["frames"], *record.frames)
-    write_ppm(out_dir / entry["query"], record.query_frame)
     gt_text = json.dumps(scene_gt_dict(record), sort_keys=True, separators=(",", ":")) + "\n"
-    write_regular_file(out_dir / entry["gt"], gt_text.encode())
+    entry["sha256"] = {"frames": write_ppm(out_dir / entry["frames"], *record.frames),
+                       "query": write_ppm(out_dir / entry["query"], record.query_frame),
+                       "gt": write_regular_file(out_dir / entry["gt"], gt_text.encode())}
     return entry
 
 
-def _dataset_files(scenes: list[dict]) -> list[str]:
-    """Every file the manifest's scenes name, in digest order, repeats included."""
-    return sorted(scene[key] for scene in scenes for key in ("frames", "query", "gt"))
-
-
-def compute_digest(root: str | Path, files: Iterable[str]) -> str:
-    """sha256 over sorted relative paths, each followed by a NUL and the file's
-    bytes, read in `_file_pieces`, so that no read takes more than one frame."""
-    digest = hashlib.sha256()
-    for rel in sorted(files):
-        digest.update(rel.encode("utf-8") + b"\0")
-        for piece, _ in _file_pieces(Path(root) / rel):
-            digest.update(piece)
-    return digest.hexdigest()
+def compute_digest(scenes: Sequence[dict]) -> str:
+    """sha256 over the sorted lines `path NUL sha256 LF` of every file the
+    scenes name, from their manifest entries: no file is read."""
+    lines = sorted(f"{scene[key]}\0{scene['sha256'][key]}\n" for scene in scenes for key in SCENE_FILES)
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
 def _build_scene(args: tuple[int, int, DatasetConfig, str]) -> dict:
@@ -669,7 +652,8 @@ def generate_dataset(
     out_dir: str | Path,
     jobs: int = 1,
 ) -> dict:
-    """Generate n_scenes scenes plus a digest-carrying manifest; returns it."""
+    """Generate n_scenes scenes plus a manifest carrying each file's sha256
+    and their digest; returns it."""
     if n_scenes < 1:
         raise SceneConfigError("n_scenes must be >= 1")
     out = Path(out_dir)
@@ -681,16 +665,17 @@ def generate_dataset(
         "seed": seed,
         "config": asdict(dist_cfg),
         "scenes": entries,
+        "digest": compute_digest(entries),
     }
-    manifest["digest"] = compute_digest(out, _dataset_files(entries))
     write_regular_file(out / MANIFEST_NAME, json.dumps(manifest, sort_keys=True, indent=1).encode(), b"\n")
     return manifest
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
     """The parsed manifest; SceneConfigError when its format is not
-    MANIFEST_FORMAT or its shape is not a manifest's, FileNotFoundError, as
-    `regular_file_bytes`, unless it is a readable regular file."""
+    MANIFEST_FORMAT, its shape is not a manifest's or it names a file twice,
+    comparing paths as written, FileNotFoundError, as `regular_file_bytes`,
+    unless it is a readable regular file."""
     manifest = json.loads(regular_file_bytes(Path(dataset_dir) / MANIFEST_NAME))
     if not isinstance(manifest, dict):
         raise SceneConfigError("manifest: top level must be an object")
@@ -699,24 +684,32 @@ def load_manifest(dataset_dir: str | Path) -> dict:
                                f"regenerate the dataset with vqs gen")
     if not isinstance(manifest.get("scenes", []), list):
         raise SceneConfigError("manifest: 'scenes' must be a list")
-    ids = set()
+    ids, places = set(), {}
     for i, entry in enumerate(manifest.get("scenes", [])):
         if not isinstance(entry, dict):
             raise SceneConfigError(f"manifest: scenes[{i}] must be an object")
-        for key in ("id", "frames", "query", "gt"):
+        for key in ("id", *SCENE_FILES):
             if key in entry and not isinstance(entry[key], str):
                 raise SceneConfigError(f"manifest: scenes[{i}]: {key!r} must be a string")
-        for key in ("id", "frames", "query", "gt", "num_frames", "fps"):
+        for key in ("id", *SCENE_FILES, "num_frames", "fps", "height", "width", "sha256"):
             if key not in entry:
                 raise SceneConfigError(f"manifest: scenes[{i}]: missing {key!r}")
         for key in ("height", "width", "num_frames", "fps"):
-            value = entry.get(key, 1)  # an absent height or width passes
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if isinstance(entry[key], bool) or not isinstance(entry[key], int) or entry[key] < 1:
                 raise SceneConfigError(
-                    f"manifest: scenes[{i}]: {key!r} must be a positive integer, got {value!r}")
+                    f"manifest: scenes[{i}]: {key!r} must be a positive integer, got {entry[key]!r}")
+        sha = entry["sha256"]
+        if not (isinstance(sha, dict) and sorted(sha) == sorted(SCENE_FILES)
+                and all(isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) for v in sha.values())):
+            raise SceneConfigError(f"manifest: scenes[{i}]: 'sha256' must map 'frames', 'query' and 'gt' "
+                                   f"to hex sha256 digests, got {sha!r}")
         if entry["id"] in ids:
             raise SceneConfigError(f"manifest: scenes[{i}]: repeated id {entry['id']!r}")
         ids.add(entry["id"])
+        for key in SCENE_FILES:
+            j, other = places.setdefault(entry[key], (i, key))
+            if (j, other) != (i, key):
+                raise SceneConfigError(f"manifest: scenes[{i}]: {key!r} {entry[key]!r} is also scenes[{j}] {other!r}")
     return manifest
 
 
@@ -822,7 +815,7 @@ def _gt_violations(sid: str, entry: dict, blob: bytes) -> list[str]:
     except MaskError as exc:
         return [f"{sid}: {exc}"]
     violations = []
-    if (h, w) != (entry.get("height"), entry.get("width")):
+    if (h, w) != (entry["height"], entry["width"]):
         violations.append(f"{sid}: gt dimensions {h}x{w} do not match manifest entry")
     if response.occurrences and response.occurrences[-1].end_frame >= entry["num_frames"]:
         violations.append(f"{sid}: occurrence ends at frame "
@@ -838,12 +831,12 @@ def _gt_violations(sid: str, entry: dict, blob: bytes) -> list[str]:
 def validate_manifest(dataset_dir: str | Path) -> list[str]:
     """All invariant violations in a dataset directory; empty list when clean.
 
-    One pass in digest order reads each file once, in `_file_pieces`, a frames
-    file one frame at a time, for the digest, the gt checks and each frame's
-    shape. A query file that is one image is held from the first turn that
-    needs it, its own or a frames file's, to the last, and compared byte for
-    byte with those frames. A file that cannot be opened or read, or is not a
-    regular file, is reported missing; nothing is raised.
+    Scene by scene, its query, frames and gt files are each read once, in
+    `_file_pieces`, a frames file one frame at a time, and each is checked
+    against its sha256 in the manifest. A query file that is one image is
+    compared byte for byte with each frame; the gt and each frame's shape are
+    checked. A file that cannot be opened or read, or is not a regular file,
+    is reported missing; nothing is raised.
     """
     root = Path(dataset_dir)
     try:
@@ -853,64 +846,30 @@ def validate_manifest(dataset_dir: str | Path) -> list[str]:
     except SceneConfigError as exc:
         return [str(exc)]
     scenes = manifest.get("scenes", [])
-    lengths = {entry["frames"]: entry["num_frames"] for entry in scenes}
-    gt_users: dict[str, list[int]] = {}
-    frames_users: dict[str, list[int]] = {}
-    last_turn: dict[str, str] = {}  # a query is held until this file's turn: its own or a frames file's
-    for i, entry in enumerate(scenes):
-        gt_users.setdefault(entry["gt"], []).append(i)
-        frames_users.setdefault(entry["frames"], []).append(i)
-        last_turn[entry["query"]] = max(last_turn.get(entry["query"], entry["query"]), entry["frames"])
-    held: dict[str, Optional[list[_Piece]]] = {}  # a query file's pieces when they are all of it
-
-    def hold(rel: str) -> Optional[list[_Piece]]:
-        # None, so that its turn reads it, when the file holds more pieces or a read fails
-        with contextlib.suppress(OSError), contextlib.closing(_file_pieces(root / rel, lengths.get(rel))) as stream:
-            first = list(itertools.islice(stream, 2))
-            return first if len(first) < 2 else None
-
-    digest = hashlib.sha256()
-    scans: dict[str, list[tuple[int, int] | ValueError]] = {}  # each read file's piece shapes
-    gt_checks: dict[int, list[str]] = {}
-    same: dict[int, list[int]] = {}  # each scene's first frame equal to its query, if one is
-    for rel, listings in itertools.groupby(_dataset_files(scenes)):
-        copies = len(list(listings))  # a file listed twice is read once and hashed twice
-        users = frames_users.get(rel, [])
-        needed = dict.fromkeys([scenes[i]["query"] for i in users] + [rel] * (rel in last_turn))
-        held.update((query, hold(query)) for query in needed if query not in held)
-        targets = [(i, pieces[0][0]) for i in users if (pieces := held[scenes[i]["query"]])
-                   and not isinstance(pieces[0][1], ValueError)]
-        stream = held.get(rel) or _file_pieces(root / rel, lengths.get(rel))
-        for query in [query for query in needed if last_turn[query] == rel]:
-            del held[query]
-        scan, found, kept = [], {}, [rel.encode("utf-8") + b"\0"]
-        digest.update(kept[0])
-        try:
-            for piece, shape in stream:
-                digest.update(piece)
-                if copies > 1 or rel in gt_users:
-                    kept.append(piece)
-                for i in [i for i, image in targets if piece == image]:  # an error piece never equals an image
-                    found.setdefault(i, [len(scan)])
-                scan.append(shape)
-        except OSError:
-            continue
-        scans[rel] = scan
-        same.update(found)
-        for piece in kept * (copies - 1):
-            digest.update(piece)
-        for i in gt_users.get(rel, ()):
-            gt_checks[i] = _gt_violations(scenes[i]["id"], scenes[i], b"".join(kept[1:]))
-
-    violations = [f"{entry['id']}: missing file {entry[key]}" for entry in scenes
-                  for key in ("frames", "query", "gt") if entry[key] not in scans]
-    if not violations and "digest" in manifest and digest.hexdigest() != manifest["digest"]:
-        violations.append("manifest: digest does not match dataset content")
-    for i, entry in enumerate(scenes):
-        sid, rel = entry["id"], entry["frames"]
-        violations.extend(gt_checks.get(i, []))
-        violations += [f"{sid}: query frame identical to video frame {t} of {rel}" for t in same.get(i, [])]
-        violations += [f"{sid}: frame {t} of {rel} has shape {shape}" for t, shape in enumerate(scans.get(rel, []))
-                       if not isinstance(shape, ValueError) and shape != (entry.get("height"), entry.get("width"))]
-        violations += [f"{sid}: {shape}" for shape in scans.get(rel, []) if isinstance(shape, ValueError)]
+    violations = [] if manifest.get("digest") == compute_digest(scenes) else [
+        "manifest: digest does not match its scenes' sha256"]
+    for entry in scenes:
+        sid, rel, image, read = entry["id"], entry["frames"], None, {}
+        for key, count in (("query", 1), ("frames", entry["num_frames"]), ("gt", None)):
+            digest, kept = hashlib.sha256(), []  # each piece with its shape; a frame's as whether it is the query
+            try:
+                for piece, shape in _file_pieces(root / entry[key], count):
+                    digest.update(piece)
+                    kept.append((piece == image if key == "frames" else piece, shape))
+            except OSError:
+                violations.append(f"{sid}: missing file {entry[key]}")
+                continue
+            if digest.hexdigest() != entry["sha256"][key]:
+                violations.append(f"{sid}: {entry[key]} does not match its sha256 in the manifest")
+            if key == "query" and not any(isinstance(shape, ValueError) for _, shape in kept):
+                image = kept[0][0]  # the query file is one image
+            read[key] = kept
+        if "gt" in read:
+            violations += _gt_violations(sid, entry, b"".join(piece for piece, _ in read["gt"]))
+        frames = read.get("frames", [])
+        violations += [f"{sid}: query frame identical to video frame {t} of {rel}"
+                       for t, (same, _) in enumerate(frames) if same][:1]
+        violations += [f"{sid}: frame {t} of {rel} has shape {shape}" for t, (_, shape) in enumerate(frames)
+                       if not isinstance(shape, ValueError) and shape != (entry["height"], entry["width"])]
+        violations += [f"{sid}: {shape}" for _, shape in frames if isinstance(shape, ValueError)]
     return violations

@@ -10,9 +10,10 @@ resolution, run-length encoded and compared with `mask_iou`, and patch
 fractions are float means of decoded pixels. The grid forms must match them
 bit for bit.
 
-The rasterizer reference is the full coordinate grid `synth.rasterize_shape`
-built with `np.mgrid` before it broadcast a row and a column of pixel centres;
-the two must agree pixel for pixel.
+The rasterizer reference tests one shape state on the frame's full coordinate
+grid from `np.mgrid`, as synth did before it broadcast a row and a column of
+pixel centres over each state's box; `synth.rasterize_track`'s boxes, placed
+in the frame, must agree with it pixel for pixel.
 
 The background reference is `synth._background`'s bilinear mix as it was
 written before it weighted the grid's rows ahead of the column gather: each
@@ -88,7 +89,8 @@ def per_list_annotation(obj):
 
 
 def mgrid_rasterize_shape(state, height, width):
-    """`synth.rasterize_shape` on full (height, width) coordinate grids from `np.mgrid`."""
+    """One state's boolean foreground by the pixel-center-inside test on full
+    (height, width) coordinate grids from `np.mgrid`."""
     ys, xs = np.mgrid[0:height, 0:width]
     px = xs + 0.5
     py = ys + 0.5

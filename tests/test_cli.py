@@ -29,14 +29,18 @@ def run_cli(*argv):
     return dispatch([str(a) for a in argv])
 
 
+def child_env() -> dict:
+    """This process's environment, with this checkout's vqs first on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(*argv, timeout=None):
     """`python ...` in a child process that imports this checkout's vqs; with
     `timeout`, a child still running after that many seconds is killed and the
     call raises subprocess.TimeoutExpired."""
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=child_env(), timeout=timeout)
 
 
 def run_module(*argv, timeout=None):
@@ -132,6 +136,8 @@ class TestDispatch:
         (("gen", "--distractors", "0:100000000"), "--distractors range must end at <= 64, got 0:100000000"),
         (("gen", "--frames", "1:100000000"), "--frames 1:100000000: a scene of 100000000 16x16 frames "
                                              "needs 76800000000 bytes, more than the 1073741824 allowed"),
+        (("gen", "--frames", "nan:nan"), "--frames range must be LO:HI of integers, got nan:nan"),
+        (("gen", "--frame-sizes", "64xq"), "--frame-sizes 64xq: each size must be HxW of integers"),
     ], ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_out_of_range_flag_rejected(self, dataset, tmp_path, capsys, monkeypatch, argv, names):
         def no_work(*args, **kwargs):
@@ -284,6 +290,17 @@ DIMENSION_DEFECTS = {
 
 
 class TestEval:
+    def test_closed_stdout_is_no_traceback(self, dataset, tmp_path):
+        """`vqs eval ... | head -c 1`: the report's reader goes before it is written."""
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps([json.loads((dataset / e["gt"]).read_text())
+                                    for e in load_manifest(dataset)["scenes"]]))
+        proc = subprocess.Popen([sys.executable, "-m", "vqs.cli", "eval", "--gt", dataset, "--pred", pred],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (1, b"")
+
     @pytest.mark.parametrize("field", ["height", "width"])
     @pytest.mark.parametrize("defect", sorted(DIMENSION_DEFECTS))
     def test_gt_array_dimension_rejected(self, tmp_path, capsys, field, defect):
@@ -671,6 +688,17 @@ MANIFEST_DEFECTS = {
                     "manifest: scenes[0]: 'height' must be a positive integer, got True"),
     "width-negative": (lambda m: {**m, "scenes": [{**m["scenes"][0], "width": -32}]},
                        "manifest: scenes[0]: 'width' must be a positive integer, got -32"),
+    "height-missing": (lambda m: {**m, "scenes": [{k: v for k, v in m["scenes"][0].items() if k != "height"}]},
+                       "manifest: scenes[0]: missing 'height'"),
+    "width-missing": (lambda m: {**m, "scenes": [m["scenes"][0], {k: v for k, v in m["scenes"][1].items() if k != "width"}]},
+                      "manifest: scenes[1]: missing 'width'"),
+    "frames-shared": (lambda m: {**m, "scenes": [m["scenes"][0], {**m["scenes"][1], "frames": m["scenes"][0]["frames"]}]},
+                      "manifest: scenes[1]: 'frames' 'scenes/scene_0000/frames.ppm' is also scenes[0] 'frames'"),
+    "query-is-own-frames": (lambda m: {**m, "scenes": [{**m["scenes"][0], "query": m["scenes"][0]["frames"]}]},
+                            "manifest: scenes[0]: 'query' 'scenes/scene_0000/frames.ppm' is also scenes[0] 'frames'"),
+    "sha256-malformed": (lambda m: {**m, "scenes": [{**m["scenes"][0], "sha256": {"frames": "xyz"}}]},
+                         "manifest: scenes[0]: 'sha256' must map 'frames', 'query' and 'gt' to hex sha256 "
+                         "digests, got {'frames': 'xyz'}"),
 }
 
 
@@ -705,7 +733,7 @@ class TestOldDataset:
     frame of vqs-dataset-v1, is one error naming the format, with no second loader."""
 
     @pytest.mark.parametrize("command", ["validate", "infer", "stats", "train", "eval"])
-    @pytest.mark.parametrize("found", ["vqs-dataset-v1", "vqs-dataset-v3", None, "missing"])
+    @pytest.mark.parametrize("found", ["vqs-dataset-v1", "vqs-dataset-v2", None, "missing"])
     def test_other_format_is_one_error(self, tmp_path, capsys, command, found):
         data = tmp_path / "ds"
         (data / "scenes/s/frames").mkdir(parents=True)
@@ -732,7 +760,7 @@ class TestOldDataset:
             "eval": ["eval", "--gt", data, "--pred", pred_path],
         }[command]
         assert run_cli(*argv) == 1
-        message = (f"manifest: format {None if found == 'missing' else found!r} is not 'vqs-dataset-v2'; "
+        message = (f"manifest: format {None if found == 'missing' else found!r} is not 'vqs-dataset-v3'; "
                    f"regenerate the dataset with vqs gen")
         out = capsys.readouterr()
         if command == "validate":
@@ -915,7 +943,7 @@ class TestPpmHeader:
         elif via == "validate":
             assert run_cli("validate", "--data", data) == 1
             assert capsys.readouterr().out.splitlines() == [
-                "violation: manifest: digest does not match dataset content",
+                f"violation: scene_0000: {entry['frames']} does not match its sha256 in the manifest",
                 f"violation: scene_0000: {error}",
                 f"2 violation(s) in {data}",
             ]
@@ -954,7 +982,7 @@ class TestQueryMaskField:
         out = capsys.readouterr()
         if command == "validate":
             assert out.out.splitlines() == [
-                "violation: manifest: digest does not match dataset content",
+                f"violation: {entry['id']}: {entry['gt']} does not match its sha256 in the manifest",
                 f"violation: {entry['id']}: bad query mask ({message})",
                 f"2 violation(s) in {data}",
             ]

@@ -21,9 +21,11 @@ OVERFIT_CURVE_5_STEPS = "3c46e4ca54f388935eb40bd34912e41756486359604ca181c83f362
 OVERFIT_CHECKPOINT_5_STEPS = "650f4b6d65f2de6ce49beb5a4be9ae095b65b07d74c4c133121157a7b6fc7505"
 EVAL_REPORT_JSON = "310e45251320efc3612b7c0328603387951767895219c10102be8128cd1dd71d"
 EVAL_REPORT_CSV = "22feea1aa11b6f14f8c6a4533ae763a242e4a56c649fb31b807297d47b921d69"
-# manifest digests of two gens, pinned before shapes were rendered a track at a time
-GEN_SEED2_72_FRAMES = "d6a90a19c51ea65b622f153516483c199eb32564461b563c076dc6bcfedaf39b"
-GEN_SEED2_MIXED = "30379ddd7040c53489d2515c7bcd91fbf7a2ae8738189e1516f52e71eb6b14bf"
+# manifest digests of two gens: each is `compute_digest` over the sha256 of
+# the files gen wrote before the manifest carried them, whose bytes were
+# pinned before shapes were rendered a track at a time
+GEN_SEED2_72_FRAMES = "9ebcd4a32326794091c7893b966cd30d2f55c30eb2795b1a6ad2930d439e3dd9"
+GEN_SEED2_MIXED = "58dd5ddc480c92da42f8f5f9bea8ee00693de267747bf3c1335fe447581ca659"
 # `stats --out` of the same two datasets, pinned before masks held their runs as arrays
 STATS_SEED2_72_FRAMES = "2e1cef133a68751f6400120dc1e640dbdcfe4138d3a971d8d54d2db038d25343"
 STATS_SEED2_MIXED = "c5f3d94f6e3d4c4add6e782a84250496c121a6daa2919fd7611c5874d8037a63"

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from vqs.synth import (
     _QUERY_SALT,
     MAX_DISTRACTORS,
     MAX_SCENE_BYTES,
+    SCENE_FILES,
     SHAPES,
     DatasetConfig,
     SceneConfig,
@@ -20,7 +22,6 @@ from vqs.synth import (
     ShapeState,
     Trajectory,
     _background,
-    _dataset_files,
     _sample_timeline,
     _sample_trajectory,
     compute_digest,
@@ -30,7 +31,6 @@ from vqs.synth import (
     load_manifest,
     load_scene_gt,
     mix_seed,
-    rasterize_shape,
     rasterize_track,
     read_ppm,
     validate_manifest,
@@ -254,7 +254,7 @@ class TestRasterizer:
                 cx, cy, size = (np.round(2 * v) / 2 for v in (cx, cy, size))
                 aspect = 0.75
             state = ShapeState(shape, float(cx), float(cy), float(size), float(aspect), (0, 0, 0))
-            got = rasterize_shape(state, h, w)
+            (got,) = placed(rasterize_track([state], h, w), h, w)
             assert got.shape == (h, w) and got.dtype == bool
             assert np.array_equal(got, mgrid_rasterize_shape(state, h, w)), state
 
@@ -633,8 +633,36 @@ class TestValidateManifest:
         blob = bytearray(query.read_bytes())
         blob[-1] ^= 0xFF
         query.write_bytes(bytes(blob))
+        assert validate_manifest(out) == [
+            "scene_0000: scenes/scene_0000/query.ppm does not match its sha256 in the manifest"]
+
+    @pytest.mark.parametrize("key", SCENE_FILES)
+    def test_one_flipped_byte_names_that_file_and_no_other(self, tmp_path, key):
+        out, manifest = small_dataset(tmp_path, n=3)
+        path = out / manifest["scenes"][1][key]
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2 if key == "gt" else -1] ^= 0x01  # a gt's middle byte keeps it one JSON object
+        path.write_bytes(bytes(blob))
         violations = validate_manifest(out)
-        assert any("digest" in v for v in violations)
+        assert violations[0] == f"scene_0001: {manifest['scenes'][1][key]} does not match its sha256 in the manifest"
+        assert not [v for v in violations[1:] if "sha256" in v]
+
+    @pytest.mark.parametrize("digest", [None, "0" * 64])
+    def test_missing_or_wrong_digest_reported(self, tmp_path, digest):
+        out, manifest = small_dataset(tmp_path, n=2)
+        manifest["digest"] = digest
+        if digest is None:
+            del manifest["digest"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert validate_manifest(out) == ["manifest: digest does not match its scenes' sha256"]
+
+    def test_wrong_sha256_names_its_file_and_the_digest(self, tmp_path):
+        out, manifest = small_dataset(tmp_path, n=2)
+        manifest["scenes"][0]["sha256"]["gt"] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert validate_manifest(out) == [
+            "manifest: digest does not match its scenes' sha256",
+            "scene_0000: scenes/scene_0000/gt.json does not match its sha256 in the manifest"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_reported_missing(self, tmp_path):
@@ -658,7 +686,7 @@ def multi_defect_dataset(tmp_path, missing_frames=True):
     """A six-scene dataset with one of each defect validate reports.
 
     Scene 0 has overlapping masklets and, when `missing_frames`, no frames
-    file, which turns the digest check off. Scene 1 has a bad run sum and a
+    file. Every file changed here no longer matches its sha256. Scene 1 has a bad run sum and a
     query equal to its frame 0, and scene 2 gt that is not JSON, a query with
     a flipped byte and a frame 1 of the wrong shape; a gt defect does not end
     its scene's other checks. Scene 3 has a query equal to its frame 3, a frame
@@ -695,25 +723,38 @@ def multi_defect_dataset(tmp_path, missing_frames=True):
     return out
 
 
-# validate's output on multi_defect_dataset. Scenes 0 to 3 keep the text and
-# order of the validate that read one file per frame, with each frame named by
-# its index in the scene's frames file. The second lines of scenes 1 and 2 show
-# that a gt defect does not end its scene's other checks.
+def _unlike(sid, *names):
+    return [f"{sid}: scenes/{sid}/{name} does not match its sha256 in the manifest" for name in names]
+
+
+# validate's output on multi_defect_dataset, scene by scene: each file that is
+# missing or unlike its sha256, in the order query, frames, gt, then the
+# scene's gt checks, its query's equal frame and its frames' shapes and
+# errors. The checks keep the text of the validate that read one file per
+# frame, with each frame named by its index in the scene's frames file. The
+# gt lines of scenes 1 and 2 show that a gt defect does not end its scene's
+# other checks.
 _SCENE_CHECKS = [
+    *_unlike("scene_0000", "gt.json"),
     "scene_0000: occurrences must be sorted and temporally disjoint; [0, 1] overlaps or precedes frame 1",
+    *_unlike("scene_0001", "query.ppm", "gt.json"),
     "scene_0001: runs sum to 1025, expected 1024",
     "scene_0001: query frame identical to video frame 0 of scenes/scene_0001/frames.ppm",
+    *_unlike("scene_0002", "query.ppm", "frames.ppm", "gt.json"),
     "scene_0002: gt unreadable (Expecting value: line 1 column 44 (char 43))",
     "scene_0002: frame 1 of scenes/scene_0002/frames.ppm has shape (16, 24)",
+    *_unlike("scene_0003", "query.ppm", "frames.ppm"),
     "scene_0003: query frame identical to video frame 3 of scenes/scene_0003/frames.ppm",
     "scene_0003: frame 2 of scenes/scene_0003/frames.ppm has shape (16, 24)",
     "scene_0003: frame 5 of <data>/scenes/scene_0003/frames.ppm: not a binary PPM",
+    *_unlike("scene_0004", "frames.ppm"),
     "scene_0004: <data>/scenes/scene_0004/frames.ppm: holds 10 PPM images, expected 11",
+    *_unlike("scene_0005", "frames.ppm"),
     "scene_0005: <data>/scenes/scene_0005/frames.ppm: 8 bytes left over after 10 PPM images, expected 10",
 ]
 MULTI_DEFECT_VIOLATIONS = {
     True: ["scene_0000: missing file scenes/scene_0000/frames.ppm", *_SCENE_CHECKS],
-    False: ["manifest: digest does not match dataset content", *_SCENE_CHECKS],
+    False: _SCENE_CHECKS,
 }
 
 
@@ -730,18 +771,29 @@ class TestValidateReadsOnce:
         self.assert_clean_reading_once(small_dataset(tmp_path, n=4)[0])
 
     def test_repeated_file_read_once_hashed_twice(self, tmp_path):
-        # both scenes list the longer scene's frames file; the other one is gone
+        # a file listed by two scenes is refused before any scene file is read
         out, manifest = small_dataset(tmp_path, n=2)
-        short, long = sorted(manifest["scenes"], key=lambda entry: entry["num_frames"])
-        (out / short["frames"]).unlink()
-        short.update(frames=long["frames"], num_frames=long["num_frames"])
-        manifest["digest"] = compute_digest(out, _dataset_files(manifest["scenes"]))
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        self.assert_clean_reading_once(out)
+        assert_named_twice_refused(out, manifest, 1, "gt", 0, "gt")
+
+
+class TestGenReadsNothing:
+    def test_no_dataset_byte_read_back(self, tmp_path, monkeypatch):
+        """gen takes each file's sha256 from the bytes it writes and the
+        digest from those, so it reads no file of the dataset."""
+        reads = recorded_reads(monkeypatch)
+        out, manifest = small_dataset(tmp_path, n=3)
+        monkeypatch.undo()
+        assert reads == []
+        for scene in manifest["scenes"]:
+            for key in SCENE_FILES:
+                assert scene["sha256"][key] == hashlib.sha256((out / scene[key]).read_bytes()).hexdigest()
+        lines = sorted(f"{scene[key]}\0{scene['sha256'][key]}\n" for scene in manifest["scenes"] for key in SCENE_FILES)
+        assert manifest["digest"] == hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert manifest["digest"] == compute_digest(manifest["scenes"])
 
 
 class TestBoundedReads:
-    """validate and gen's digest read a frames file one frame at a time."""
+    """validate reads a frames file one frame at a time."""
 
     FRAME_BYTES = len(b"P6\n32 32\n255\n") + 32 * 32 * 3  # small_dataset's frames
 
@@ -759,22 +811,12 @@ class TestBoundedReads:
         monkeypatch.undo()
         self.assert_one_frame_a_read(out, manifest, reads)
 
-    def test_gen_digest(self, tmp_path, monkeypatch):
-        reads = recorded_reads(monkeypatch)
-        out, manifest = small_dataset(tmp_path, n=3)  # gen reads nothing but through compute_digest
-        monkeypatch.undo()
-        self.assert_one_frame_a_read(out, manifest, reads)
-
 
 class TestOneReadAFrame:
-    @pytest.mark.parametrize("reader", ["validate", "digest"])
-    def test_frames_file_in_frames_plus_one_reads(self, tmp_path, monkeypatch, reader):
+    def test_frames_file_in_frames_plus_one_reads(self, tmp_path, monkeypatch):
         out, manifest = small_dataset(tmp_path, n=3)
         reads = recorded_reads(monkeypatch)
-        if reader == "validate":
-            assert validate_manifest(out) == []
-        else:
-            assert compute_digest(out, _dataset_files(manifest["scenes"])) == manifest["digest"]
+        assert validate_manifest(out) == []
         monkeypatch.undo()
         for entry in manifest["scenes"]:
             sizes = [n for path, n in reads if path == str(out / entry["frames"])]
@@ -782,9 +824,23 @@ class TestOneReadAFrame:
 
 
 def restamp(out, manifest):
-    """Write `manifest` with the digest of the files it now names."""
-    manifest["digest"] = compute_digest(out, _dataset_files(manifest["scenes"]))
+    """Write `manifest` with the sha256 of each file it now names, and their digest."""
+    for scene in manifest["scenes"]:
+        scene["sha256"] = {key: hashlib.sha256((out / scene[key]).read_bytes()).hexdigest() for key in SCENE_FILES}
+    manifest["digest"] = compute_digest(manifest["scenes"])
     (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def assert_named_twice_refused(out, manifest, i, key, j, other):
+    """Name scene j's `other` file as scene i's `key` file too: load_manifest
+    refuses it with one line naming both places, which is validate's one violation."""
+    path = manifest["scenes"][i][key] = manifest["scenes"][j][other]
+    restamp(out, manifest)
+    message = f"manifest: scenes[{i}]: {key!r} {path!r} is also scenes[{j}] {other!r}"
+    with pytest.raises(SceneConfigError) as exc:
+        load_manifest(out)
+    assert str(exc.value) == message
+    assert validate_manifest(out) == [message]
 
 
 def first_equal(frames, image):
@@ -792,9 +848,10 @@ def first_equal(frames, image):
 
 
 class TestQueryComparison:
-    """A query is compared byte for byte with the frames of each scene that
-    names it, wherever its file sorts; the lists are those of the validate
-    that compared a sha256 of the query with one of each frame."""
+    """A query is compared byte for byte with its own scene's frames; the
+    lists are those of the validate that compared a sha256 of the query with
+    one of each frame. A file is one scene's only: a query or frames file
+    named twice is refused."""
 
     @staticmethod
     def two_scenes(tmp_path):
@@ -809,38 +866,28 @@ class TestQueryComparison:
         assert validate_manifest(out) == []
 
     def test_query_is_another_scenes_frames_file(self, tmp_path):
-        out, manifest, (s0, s1), _ = self.two_scenes(tmp_path)
-        s1["query"] = s0["frames"]
-        restamp(out, manifest)
-        assert validate_manifest(out) == []
+        out, manifest, _, _ = self.two_scenes(tmp_path)
+        assert_named_twice_refused(out, manifest, 1, "query", 0, "frames")
 
     def test_query_that_is_its_own_broken_frames_file(self, tmp_path):
-        # one piece that does not parse, as query and as frames: nothing to compare
         out, manifest, (s0, _), _ = self.two_scenes(tmp_path)
-        s0["query"] = s0["frames"]
         (out / s0["frames"]).write_bytes((out / s0["frames"]).read_bytes()[:TestBoundedReads.FRAME_BYTES - 100])
-        restamp(out, manifest)
-        assert validate_manifest(out) == [f"scene_0000: frame 0 of {out / s0['frames']}: pixel payload holds "
-                                          f"{32 * 32 * 3 - 100} bytes, a 32x32 image needs {32 * 32 * 3}"]
+        assert_named_twice_refused(out, manifest, 0, "query", 0, "frames")
 
-    def test_query_listed_by_two_scenes(self, tmp_path, monkeypatch):
-        # the query's turn comes before the second scene's frames file: it is held, not read again
-        out, manifest, (s0, s1), (f0, f1) = self.two_scenes(tmp_path)
-        write_ppm(out / s0["query"], f1[2])
-        s1["query"] = s0["query"]
-        restamp(out, manifest)
-        reads = recorded_reads(monkeypatch)
-        assert validate_manifest(out) == [
-            f"scene_0001: query frame identical to video frame {first_equal(f1, f1[2])} of {s1['frames']}"]
-        monkeypatch.undo()
-        assert [n for path, n in reads if path == str(out / s0["query"])] == [
-            synth._PPM_HEADER_MAX, TestBoundedReads.FRAME_BYTES]
+    def test_query_listed_by_two_scenes(self, tmp_path):
+        out, manifest, _, _ = self.two_scenes(tmp_path)
+        assert_named_twice_refused(out, manifest, 1, "query", 0, "query")
+
+    def test_shared_frames_file_meets_each_scenes_query(self, tmp_path):
+        out, manifest, _, _ = self.two_scenes(tmp_path)
+        assert_named_twice_refused(out, manifest, 1, "frames", 0, "frames")
 
     def test_missing_query_leaves_frames_checked(self, tmp_path):
         out, manifest, (s0, _), (f0, _) = self.two_scenes(tmp_path)
         (out / s0["query"]).unlink()
         write_ppm(out / s0["frames"], f0[0], np.zeros((16, 24, 3), dtype=np.uint8), *f0[2:])
         assert validate_manifest(out) == [f"scene_0000: missing file {s0['query']}",
+                                          f"scene_0000: {s0['frames']} does not match its sha256 in the manifest",
                                           f"scene_0000: frame 1 of {s0['frames']} has shape (16, 24)"]
 
     def test_query_sorting_before_its_frames(self, tmp_path):
@@ -852,15 +899,11 @@ class TestQueryComparison:
         assert validate_manifest(out) == [
             f"scene_0000: query frame identical to video frame {first_equal(f0, f0[3])} of {s0['frames']}"]
 
-    def test_shared_frames_file_meets_each_scenes_query(self, tmp_path):
-        out, manifest, (s0, s1), (_, f1) = self.two_scenes(tmp_path)
-        s0.update(frames=s1["frames"], num_frames=s1["num_frames"])
-        write_ppm(out / s0["query"], f1[4])
-        write_ppm(out / s1["query"], f1[1])
+    def test_another_scenes_frame_not_reported(self, tmp_path):
+        out, manifest, (s0, _), (_, f1) = self.two_scenes(tmp_path)
+        write_ppm(out / s0["query"], f1[2])
         restamp(out, manifest)
-        assert validate_manifest(out) == [
-            f"scene_0000: query frame identical to video frame {first_equal(f1, f1[4])} of {s1['frames']}",
-            f"scene_0001: query frame identical to video frame {first_equal(f1, f1[1])} of {s1['frames']}"]
+        assert validate_manifest(out) == []
 
 
 class TestValidatePinned:
