@@ -776,24 +776,8 @@ class TestValidateReadsOnce:
         assert_named_twice_refused(out, manifest, 1, "gt", 0, "gt")
 
 
-class TestGenReadsNothing:
-    def test_no_dataset_byte_read_back(self, tmp_path, monkeypatch):
-        """gen takes each file's sha256 from the bytes it writes and the
-        digest from those, so it reads no file of the dataset."""
-        reads = recorded_reads(monkeypatch)
-        out, manifest = small_dataset(tmp_path, n=3)
-        monkeypatch.undo()
-        assert reads == []
-        for scene in manifest["scenes"]:
-            for key in SCENE_FILES:
-                assert scene["sha256"][key] == hashlib.sha256((out / scene[key]).read_bytes()).hexdigest()
-        lines = sorted(f"{scene[key]}\0{scene['sha256'][key]}\n" for scene in manifest["scenes"] for key in SCENE_FILES)
-        assert manifest["digest"] == hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert manifest["digest"] == compute_digest(manifest["scenes"])
-
-
 class TestBoundedReads:
-    """validate reads a frames file one frame at a time."""
+    """validate reads a frames file one frame at a time; gen reads none back."""
 
     FRAME_BYTES = len(b"P6\n32 32\n255\n") + 32 * 32 * 3  # small_dataset's frames
 
@@ -811,11 +795,33 @@ class TestBoundedReads:
         monkeypatch.undo()
         self.assert_one_frame_a_read(out, manifest, reads)
 
+    def test_gen_digest(self, tmp_path, monkeypatch):
+        """gen takes each file's sha256 from the bytes it writes and the
+        digest from those, so it reads no file of the dataset."""
+        reads = recorded_reads(monkeypatch)
+        out, manifest = small_dataset(tmp_path, n=3)
+        monkeypatch.undo()
+        assert reads == []
+        for scene in manifest["scenes"]:
+            for key in SCENE_FILES:
+                assert scene["sha256"][key] == hashlib.sha256((out / scene[key]).read_bytes()).hexdigest()
+        lines = sorted(f"{scene[key]}\0{scene['sha256'][key]}\n" for scene in manifest["scenes"] for key in SCENE_FILES)
+        assert manifest["digest"] == hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert manifest["digest"] == compute_digest(manifest["scenes"])
+
 
 class TestOneReadAFrame:
-    def test_frames_file_in_frames_plus_one_reads(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("reader", ["validate", "digest"])
+    def test_frames_file_in_frames_plus_one_reads(self, tmp_path, monkeypatch, reader):
+        """validate reads a frames file as its header, then one read a frame;
+        the digest is taken from the manifest's sha256 and reads no file."""
         out, manifest = small_dataset(tmp_path, n=3)
         reads = recorded_reads(monkeypatch)
+        if reader == "digest":
+            assert compute_digest(manifest["scenes"]) == manifest["digest"]
+            monkeypatch.undo()
+            assert reads == []
+            return
         assert validate_manifest(out) == []
         monkeypatch.undo()
         for entry in manifest["scenes"]:
