@@ -27,18 +27,23 @@ class CorruptMaskError(MaskError):
     """Raised when a run list does not describe a bitmap of the stated size."""
 
 
-def _int_dtype(*values: int):
-    """int64 when it holds every one of `values`, else object (Python ints)."""
-    return np.int64 if all(-2**63 <= v < 2**63 for v in values) else object
+MAX_MASK_PIXELS = 2**31  # 3840x2160 is 8.3 M; int64 holds every run sum and offset of masks this size
+
+
+def _checked_area(height: int, width: int) -> int:
+    """H*W; MaskDimensionError unless both are at least 1 and H*W at most MAX_MASK_PIXELS."""
+    if height < 1 or width < 1 or height * width > MAX_MASK_PIXELS:
+        raise MaskDimensionError(f"mask dimensions must be positive with at most {MAX_MASK_PIXELS} pixels, "
+                                 f"got {height}x{width}")
+    return height * width
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class RleMask:
     """Binary mask as alternating background/foreground run lengths.
 
-    `runs` is a read-only 1-D array, int64 unless H*W + 1 does not fit int64
-    (then Python ints). Every mask is built by `_checked_masks`, so it holds
-    the run-list invariants stated there.
+    `runs` is a read-only 1-D int64 array. Every mask is built by
+    `_checked_masks`, so it holds the invariants stated there.
     """
 
     height: int
@@ -46,10 +51,7 @@ class RleMask:
     runs: np.ndarray
 
     def __new__(cls, height: int, width: int, runs: Sequence[int] | np.ndarray) -> "RleMask":
-        try:
-            array = np.asarray(runs, dtype=np.int64)
-        except OverflowError:
-            array = np.array(runs, dtype=object)
+        array = np.asarray(runs, dtype=np.int64)
         if array.ndim != 1:
             raise MaskError(f"runs must be a flat sequence of integers, got shape {array.shape}")
         return _raising(_checked_masks(height, width, array, np.zeros(1, dtype=np.intp)))[0]
@@ -57,7 +59,7 @@ class RleMask:
     def __reduce__(self):
         return RleMask, (self.height, self.width, self.runs)
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other) -> bool:
         if not isinstance(other, RleMask):
             return NotImplemented
         return self.shape == other.shape and np.array_equal(self.runs, other.runs)
@@ -92,18 +94,15 @@ def _checked_masks(height: int, width: int, runs: np.ndarray,
 
     Each invariant is one numpy pass over all the lists before the first
     empty one: no run is negative, only a list's first run may be zero, and
-    its runs, each clipped at H*W + 1, sum to H*W. The masks' runs are
-    read-only views into one copy of the lists that hold."""
-    if height < 1 or width < 1:
-        raise MaskDimensionError(f"mask dimensions must be positive, got {height}x{width}")
-    area = height * width
+    its runs, each clipped at H*W + 1, sum to H*W; H and W pass `_checked_area`
+    first. The masks' runs are read-only int64 views into one copy of the lists that hold."""
+    area = _checked_area(height, width)
     bounds = np.concatenate((starts, [runs.size]))
     empty = bounds[1:] == bounds[:-1]
     count = int(empty.argmax()) if empty.any() else len(starts)
     firsts, head = starts[:count], runs[:bounds[count]]
+    # a list without a negative run sums, clipped, to at most tokens * (2**31 + 1) < 2**63 (tokens < 2**32 - 1);
     # a list with a negative run may sum past int64; it breaks a rule anyway
-    if head.dtype != object and (head.size + 1) * (area + 1) >= 2**63:
-        head = head.astype(object)
     zero = head == 0
     zero[firsts] = False  # a list's first run may be zero
     rules = ((np.logical_or.reduceat(head < 0, firsts), "negative run length"),
@@ -116,7 +115,7 @@ def _checked_masks(height: int, width: int, runs: np.ndarray,
         text = next((text for flags, text in rules if count < flags.size and flags[count]), "run list is empty")
         total = sum(runs[bounds[count]:bounds[count + 1]].tolist())
         error = CorruptMaskError(text or f"runs sum to {total}, expected {area}")
-    kept = runs[:bounds[count]].astype(_int_dtype(area + 1))
+    kept = runs[:bounds[count]].astype(np.int64)
     kept.flags.writeable = False
     masks = [object.__new__(RleMask) for _ in range(count)]
     for mask, i, j in zip(masks, bounds[:count].tolist(), bounds[1:count + 1].tolist()):
@@ -142,27 +141,22 @@ def _is_run_list(text: str) -> bool:
 
 def _parsed_masks(texts: Sequence[str], height: int, width: int) -> tuple[list[RleMask], Optional[CorruptMaskError]]:
     """`_checked_masks` of comma-separated run lists; a list that is not
-    `_is_run_list` fails as a bad run list. The lists before it are read in
-    one pass, into int64 unless a token has more than 18 characters (then
-    into Python ints)."""
-    good, valid = len(texts), ",".join(texts)
-    if not _is_run_list(valid):
-        good = next((j for j, text in enumerate(texts) if not _is_run_list(text)), good)
-        valid = ",".join(texts[:good])
+    `_is_run_list`, or has a token of more than 18 characters, fails as a bad
+    run list. The lists before it are read into int64 in one pass: every
+    token of at most 18 characters fits."""
+    valid = ",".join(texts)
     # token k is valid[edges[k] + 1:edges[k + 1]]
     edges = np.concatenate(([-1], np.flatnonzero(np.frombuffer(valid.encode(), dtype=np.uint8) == ord(",")),
                             [len(valid)]))
-    if np.diff(edges).max() > 19:
-        values = np.array([int(token) for token in valid.split(",")], dtype=object)
-    else:
-        values = np.fromstring(valid, dtype=np.int64, sep=",")
+    if texts and (not _is_run_list(valid) or np.diff(edges).max() > 19):
+        good = next(j for j, text in enumerate(texts) if not _is_run_list(text) or max(map(len, text.split(","))) > 18)
+        masks, error = _parsed_masks(texts[:good], height, width)
+        return masks, error or CorruptMaskError(f"bad run list {texts[good]!r}")
+    values = np.fromstring(valid, dtype=np.int64, sep=",")
     # list j's first token follows the commas before list j's first character
-    lengths = np.fromiter(map(len, texts[:good]), dtype=np.intp, count=good)
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
     firsts = np.searchsorted(edges[1:-1], np.cumsum(lengths + 1) - lengths - 1)
-    masks, error = _checked_masks(height, width, values, firsts)
-    if error is None and good < len(texts):
-        error = CorruptMaskError(f"bad run list {texts[good]!r}")
-    return masks, error
+    return _checked_masks(height, width, values, firsts)
 
 
 def rle_encode(bitmap: np.ndarray | Sequence[Sequence[int]]) -> RleMask:
@@ -220,24 +214,23 @@ def framewise_overlaps(a_masks: Collection[RleMask], a_frames: Collection[int],
     """Each a mask's area, each b mask's area, and each a mask's overlap with
     the b mask on its frame (0 where b has none), in one O(runs) pass.
 
-    Every mask's foreground intervals are laid at offset frame * size, where
-    `size` is every mask's H*W; b's frames must increase. Prefix sums of b's
-    interval lengths, with `np.searchsorted` to find the interval an offset
-    falls in, count b's foreground before any offset, and each of a's
-    intervals covers the difference of two such counts. No bitmap is
-    decoded; offsets that int64 cannot hold are counted in Python ints.
+    Every mask's foreground intervals are laid at offset rank * size, where
+    rank is its frame's rank among the distinct frames and `size` every mask's
+    H*W, so no offset passes masks * MAX_MASK_PIXELS; b's frames must increase.
+    Prefix sums of b's interval lengths, with `np.searchsorted` to find the
+    interval an offset falls in, count b's foreground before any offset, and
+    each of a's intervals covers the difference of two such counts. No bitmap
+    is decoded.
     """
     masks, n_a = [*a_masks, *b_masks], len(a_masks)
     frames = [*a_frames, *b_frames]
     if not masks:
         return [], [], []
-    first, last = min(frames), max(frames)
-    end = (last + 1 - first) * size
-    dtype = _int_dtype(first, last, end)
-    runs = np.concatenate([m.runs for m in masks]).astype(dtype, copy=False)
+    rank = {frame: r for r, frame in enumerate(sorted(set(frames)))}
+    runs = np.concatenate([m.runs for m in masks])
     lengths = np.fromiter((m.runs.size for m in masks), dtype=np.intp, count=len(masks))
-    # laid end to end, mask i would end at (i + 1) * size; move it to its frame
-    shift = (np.array(frames, dtype=dtype) - first - np.arange(len(masks), dtype=dtype)) * size
+    # laid end to end, mask i would end at (i + 1) * size; move it to its frame's rank
+    shift = (np.array([rank[frame] for frame in frames]) - np.arange(len(masks))) * size
     stops = runs.cumsum() + np.repeat(shift, lengths)
     # a run is foreground when its index within its own mask is odd
     foreground = (np.arange(runs.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)) % 2 == 1
@@ -245,8 +238,8 @@ def framewise_overlaps(a_masks: Collection[RleMask], a_frames: Collection[int],
     k = int(count[:n_a].sum())  # a's intervals come first
     b_start, b_stop = start[k:], stop[k:]
     b_before = np.concatenate(([0], np.cumsum(b_stop - b_start)))
-    # past b's last interval an offset lies inside none: its start is `end`
-    b_start = np.append(b_start, end)
+    # past b's last interval an offset lies inside none: its start is the last frame's end
+    b_start = np.append(b_start, len(rank) * size)
     offsets = np.concatenate((start[:k], stop[:k]))
     j = np.searchsorted(b_stop, offsets, side="right")  # b intervals ended by then
     covered = b_before[j] + np.maximum(offsets - b_start[j], 0)
@@ -375,7 +368,7 @@ def annotation_to_dict(response: ResponseSet, height: int, width: int) -> dict:
 def annotation_from_dict(obj: dict) -> tuple[ResponseSet, int, int]:
     """Parse one annotation or prediction object; MaskError if it is malformed,
     MaskDimensionError naming the field unless `height` and `width` are
-    integers (not booleans) of at least 1.
+    integers (not booleans) of at least 1, and as `_checked_area` past the cap.
 
     MaskError naming the occurrence and field unless `start` and `end` are
     integers (not booleans) and `masks` a list of strings. All run lists go
@@ -386,6 +379,7 @@ def annotation_from_dict(obj: dict) -> tuple[ResponseSet, int, int]:
             if isinstance(obj[key], bool) or not isinstance(obj[key], int) or obj[key] < 1:
                 raise MaskDimensionError(f"annotation {key!r} must be an integer >= 1, got {obj[key]!r}")
         height, width = obj["height"], obj["width"]
+        _checked_area(height, width)  # also where there are no masks
         if not isinstance(obj["occurrences"], list):
             raise TypeError(f"'occurrences' must be a list, got {obj['occurrences']!r}")
         # a malformed occurrence raises below, in its place, before its lists are used

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -103,6 +104,9 @@ class PipelineConfig:
             raise PipelineConfigError("model_dim must be divisible by num_heads")
         if self.model_dim % 2 != 0:
             raise PipelineConfigError("model_dim must be even")
+        if (size := 8 * sum(math.prod(shape) for shape in param_shapes(self).values())) > MAX_PARAM_BYTES:
+            raise PipelineConfigError(f"patch_size {self.patch_size} and model_dim {self.model_dim} need {size} "
+                                      f"bytes of parameters, more than the {MAX_PARAM_BYTES} allowed")
 
     @property
     def reduce_dim(self) -> int:
@@ -675,6 +679,7 @@ def finalize_predictions(
 # of 7 frames at the default flags (822 MB in STT, 470 MB in memory
 # attention); a 512x512 one would need 13 GB.
 MAX_SCORE_BYTES = 1 << 30
+MAX_PARAM_BYTES = 1 << 30  # float64 parameters; 1 GiB admits model_dim up to 2,686 at patch_size 8
 
 
 def clip_spans(num_frames: int, clip_len: int) -> list[tuple[int, int]]:

@@ -834,9 +834,9 @@ def validate_manifest(dataset_dir: str | Path) -> list[str]:
     Scene by scene, its query, frames and gt files are each read once, in
     `_file_pieces`, a frames file one frame at a time, and each is checked
     against its sha256 in the manifest. A query file that is one image is
-    compared byte for byte with each frame; the gt and each frame's shape are
-    checked. A file that cannot be opened or read, or is not a regular file,
-    is reported missing; nothing is raised.
+    compared byte for byte with each frame; the gt and the shapes of the
+    query and each frame are checked. A file that cannot be opened or read,
+    or is not a regular file, is reported missing; nothing is raised.
     """
     root = Path(dataset_dir)
     try:
@@ -866,10 +866,10 @@ def validate_manifest(dataset_dir: str | Path) -> list[str]:
             read[key] = kept
         if "gt" in read:
             violations += _gt_violations(sid, entry, b"".join(piece for piece, _ in read["gt"]))
-        frames = read.get("frames", [])
         violations += [f"{sid}: query frame identical to video frame {t} of {rel}"
-                       for t, (same, _) in enumerate(frames) if same][:1]
-        violations += [f"{sid}: frame {t} of {rel} has shape {shape}" for t, (_, shape) in enumerate(frames)
-                       if not isinstance(shape, ValueError) and shape != (entry["height"], entry["width"])]
-        violations += [f"{sid}: {shape}" for _, shape in frames if isinstance(shape, ValueError)]
+                       for t, (same, _) in enumerate(read.get("frames", [])) if same][:1]
+        # the query is frame 0 of its own file; a piece that does not parse comes last
+        violations += [f"{sid}: {shape}" if isinstance(shape, ValueError) else
+                       f"{sid}: frame {t} of {entry[key]} has shape {shape}" for key in ("query", "frames")
+                       for t, (_, shape) in enumerate(read.get(key, [])) if shape != (entry["height"], entry["width"])]
     return violations

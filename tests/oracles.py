@@ -25,9 +25,9 @@ before it reused a repeated header: a 64-byte probe and `parse_ppm` at every
 image. The two must give the same pieces, shapes and error texts.
 
 The annotation reference parses and checks every run list on its own, token
-by token with a regular expression and int(), and builds each occurrence in
-turn, where the library reads and checks a whole annotation's lists in numpy
-passes.
+by token with a regular expression, a length test and int(), and builds each
+occurrence in turn, where the library reads and checks a whole annotation's
+lists in numpy passes. Both refuse more than 2**31 pixels a mask.
 
 The attention references build each head from autodiff primitives, one node
 per narrow, transpose, matmul, scale, softmax or exp, as the library did
@@ -50,13 +50,28 @@ from vqs.masks import CorruptMaskError, MaskDimensionError, MaskError, Masklet, 
 from vqs.pipeline import binarize_candidate
 
 
-def run_list_mask(text, height, width):
-    """One run list's mask: every token matched to ASCII `-?[0-9]+` and read
-    with int(), then RleMask's checks."""
+def capped_dimensions(height, width):
+    """MaskDimensionError, with the library's text, past 2**31 pixels a mask."""
+    if height * width > 2**31:
+        raise MaskDimensionError(f"mask dimensions must be positive with at most {2**31} pixels, "
+                                 f"got {height}x{width}")
+
+
+def run_list_tokens(text):
+    """A run list's tokens read with int() when each is ASCII `-?[0-9]+` of at
+    most 18 characters, which int64 holds; None otherwise."""
     tokens = text.split(",")
-    if not all(re.fullmatch("-?[0-9]+", token) for token in tokens):
+    if all(re.fullmatch("-?[0-9]+", token) and len(token) <= 18 for token in tokens):
+        return [int(token) for token in tokens]
+
+
+def run_list_mask(text, height, width):
+    """One run list's mask: the dimension cap, then `run_list_tokens`, then RleMask's checks."""
+    capped_dimensions(height, width)
+    tokens = run_list_tokens(text)
+    if tokens is None:
         raise CorruptMaskError(f"bad run list {text!r}")
-    return RleMask(height, width, [int(token) for token in tokens])
+    return RleMask(height, width, tokens)
 
 
 def per_list_annotation(obj):
@@ -65,13 +80,15 @@ def per_list_annotation(obj):
     malformed object is one MaskError; so is an occurrence whose `start` or
     `end` is no JSON integer or whose `masks` is no list of strings, naming
     the occurrence and field. A height or width that is no JSON integer of at
-    least 1 is a MaskDimensionError naming it."""
+    least 1 is a MaskDimensionError naming it; then so are more than 2**31
+    pixels, with or without masks."""
     try:
         video_id = str(obj["video_id"])
         for key in ("height", "width"):
             if type(obj[key]) is not int or obj[key] < 1:
                 raise MaskDimensionError(f"annotation {key!r} must be an integer >= 1, got {obj[key]!r}")
         height, width = obj["height"], obj["width"]
+        capped_dimensions(height, width)
         if type(obj["occurrences"]) is not list:
             raise TypeError(f"'occurrences' must be a list, got {obj['occurrences']!r}")
         occs = []

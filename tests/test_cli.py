@@ -99,6 +99,12 @@ class TestDispatch:
         (("infer", "--heads", -2), "num_heads must be >= 1"),
         (("train", "--heads", 0), "num_heads must be >= 1"),
         (("infer", "--model-dim", 0), "model_dim must be >= 2"),
+        (("infer", "--patch-size", 10**12), "patch_size 1000000000000 and model_dim 32 need "
+                                            "768000000000000000000158064 bytes of parameters, more than the "
+                                            "1073741824 allowed"),
+        (("infer", "--model-dim", 10**12), "patch_size 8 and model_dim 1000000000000 need "
+                                           "148000000001736000000000112 bytes of parameters, more than the "
+                                           "1073741824 allowed"),
         (("train", "--lr", -1), "invalid input: --lr must be finite and >= 0, got -1.0"),
         (("train", "--lr", "inf"), "invalid input: --lr must be finite and >= 0, got inf"),
         (("train", "--weight-decay", "nan"), "invalid input: --weight-decay must be finite and >= 0, got nan"),

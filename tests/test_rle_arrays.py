@@ -12,6 +12,7 @@ import pytest
 from vqs.cli import dispatch
 import vqs.masks
 from vqs.masks import (
+    MAX_MASK_PIXELS,
     MaskDimensionError,
     MaskError,
     Masklet,
@@ -30,7 +31,7 @@ from vqs.metrics import frame_overlaps
 from .helpers import random_response
 from vqs.synth import SceneConfig, generate_scene, scene_gt_dict
 
-from .oracles import decode_runs, per_list_annotation, response_to_pixel_frames
+from .oracles import capped_dimensions, decode_runs, per_list_annotation, response_to_pixel_frames, run_list_tokens
 
 
 def random_bitmap(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
@@ -97,19 +98,23 @@ class TestOverlapKernel:
             mask_intersection_area(RleMask.empty(2, 2), RleMask.empty(2, 3))
 
     @pytest.mark.parametrize("height,width,count", [
-        (2**31, 2**31, 3),   # each mask fits int64, the three laid end to end do not
-        (2**40, 2**40, 2),   # one mask's area is past int64
+        (2**31, 2**31, 3),   # each mask would fit int64, the three laid end to end would not
+        (2**40, 2**40, 2),   # one mask's area would be past int64
         (10**15, 10**14, 1),
     ])
     def test_offsets_past_int64_do_not_wrap(self, height, width, count):
-        n = height * width
+        """Dimensions whose offsets would pass int64 are refused; `count` masks
+        at the cap, laid end to end, are counted exactly."""
+        with pytest.raises(MaskDimensionError, match=re.escape(f"got {height}x{width}")):
+            RleMask(height, width, (1,))
+        n = MAX_MASK_PIXELS
         rng = np.random.default_rng(count)
         pairs = []
         for _ in range(count):
             cuts = sorted({int(v) * (n // 2**20) + int(k) for k, v in enumerate(rng.integers(1, 2**20, size=6))})
             runs_a = tuple(np.diff([0, *cuts[:3], n]).tolist())
             runs_b = tuple(np.diff([0, *cuts[3:], n]).tolist())
-            pairs.append((RleMask(height, width, runs_a), RleMask(height, width, (0, *runs_b))))
+            pairs.append((RleMask(2**16, 2**15, runs_a), RleMask(2**16, 2**15, (0, *runs_b))))
         assert pair_overlaps(pairs) == [interval_overlap(a, b) for a, b in pairs]
         assert [interval_overlap(a, b) for a, b in pairs] != [0] * count
 
@@ -151,16 +156,18 @@ class TestFrameOverlaps:
 
 
 def per_token_outcome(texts: list, height: int, width: int):
-    """Each list's tokens matched to ASCII `-?[0-9]+` and read with int(), then
-    RleMask's checks: ("ok", runs) or (error class, text)."""
+    """The dimension cap, then each list's tokens as `run_list_tokens` reads
+    them and RleMask's checks: ("ok", runs) or (error class, text)."""
     out = []
-    for text in texts:
-        if not all(re.fullmatch("-?[0-9]+", tok) for tok in text.split(",")):
-            return ("CorruptMaskError", f"bad run list {text!r}")
-        try:
-            out.append(RleMask(height, width, [int(tok) for tok in text.split(",")]).runs.tolist())
-        except MaskError as exc:
-            return (type(exc).__name__, str(exc))
+    try:
+        capped_dimensions(height, width)
+        for text in texts:
+            tokens = run_list_tokens(text)
+            if tokens is None:
+                return ("CorruptMaskError", f"bad run list {text!r}")
+            out.append(RleMask(height, width, tokens).runs.tolist())
+    except MaskError as exc:
+        return (type(exc).__name__, str(exc))
     return ("ok", out)
 
 
@@ -176,16 +183,19 @@ def annotation_outcome(texts: list, height: int, width: int):
     return ("ok", [m.runs.tolist() for m in response.occurrences[0].masks])
 
 
-HUGE = 10**29  # a 30-digit run: 10**15 x 10**14 pixels
+HUGE = 10**29  # a 30-digit run: 10**15 x 10**14 pixels, past the cap
+CAP_ERROR = "mask dimensions must be positive with at most 2147483648 pixels, got {}x{}"
 TRICKY = {
     "space": (" 5,3", 1, 8), "plus": ("+3,5", 1, 8), "underscore": ("1_0", 2, 5),
     "fullwidth-digit": ("５,3", 1, 8), "empty": ("", 1, 8), "empty-token": ("1,,7", 1, 8),
     "decimal": ("1.0,7", 1, 8), "hex": ("0x1,7", 1, 8), "negative": ("-1,9", 1, 8),
     "trailing-comma": ("1,7,", 1, 8), "30-digit-run": (f"0,{HUGE}", 10**15, 10**14),
-    "30-digit-bad-sum": (f"1,{HUGE}", 10**15, 10**14), "19-digits": ("0" * 18 + "1,7", 1, 8),
+    "30-digit-bad-sum": (f"1,{HUGE}", 1, 8), "19-digits": ("0" * 18 + "1,7", 1, 8),
     "leading-zeros": ("001,007", 1, 8), "plain": ("1,7", 1, 8), "inner-minus": ("3-1,6", 1, 8),
     "minus-comma": ("-,8", 1, 8), "double-minus": ("--8", 1, 8), "trailing-minus": ("8,-", 1, 8),
-    "minus-zero": ("-0,8", 1, 8),
+    "minus-zero": ("-0,8", 1, 8), "18-characters": ("0" * 17 + "8", 1, 8),
+    "18-characters-minus": ("-" + "0" * 17 + ",8", 1, 8),
+    "18-characters-at-cap": ("00000000" + str(2**31), 1, 2**31),
 }
 
 
@@ -201,14 +211,16 @@ class TestOnePassParser:
         outcomes = {name: per_token_outcome([text], h, w)[0] for name, (text, h, w) in TRICKY.items()}
         accepted = {name for name, kind in outcomes.items() if kind == "ok"}
         # " 5,3", "+3,5", "1_0" and "５,3" passed int() but are no ASCII `-?[0-9]+` tokens
-        assert accepted == {"30-digit-run", "19-digits", "leading-zeros", "plain", "minus-zero"}
+        # a token of more than 18 characters fails its list, as do more than 2**31 pixels
+        assert accepted == {"leading-zeros", "plain", "minus-zero", "18-characters", "18-characters-minus",
+                            "18-characters-at-cap"}
         assert outcomes["negative"] == "CorruptMaskError"
 
     def test_plain_lists_take_the_one_pass(self):
         masks, failing = _parsed_masks(["1,7", "0,8", "8"], 1, 8)
         assert [m.runs.tolist() for m in masks] == [[1, 7], [0, 8], [8]] and failing is None
-        # views into one read-only int64 array, also where a token was read as a Python int
-        for texts in (["1,7", "0,8", "8"], ["1,7", "0" * 18 + "1,7"]):
+        # views into one read-only int64 array, also where a token has the most characters a token may have
+        for texts in (["1,7", "0,8", "8"], ["1,7", "0" * 17 + "1,7"]):
             masks, _ = _parsed_masks(texts, 1, 8)
             assert len({id(m.runs.base) for m in masks}) == 1
             assert all(m.runs.dtype == np.int64 and not m.runs.flags.writeable for m in masks)
@@ -216,15 +228,15 @@ class TestOnePassParser:
             masks, failing = _parsed_masks(["1,7", TRICKY[name][0], "2,6"], 1, 8)
             assert [m.runs.tolist() for m in masks] == [[1, 7]]
             assert str(failing) == f"bad run list {TRICKY[name][0]!r}"
-        masks, failing = _parsed_masks(["1,7", f"1,{HUGE}", "x"], 1, 8)
-        assert len(masks) == 1 and str(failing) == f"runs sum to {HUGE + 1}, expected 8"
+        for text in ("0" * 18 + "1,7", f"1,{HUGE}"):
+            masks, failing = _parsed_masks(["1,7", text, "x"], 1, 8)
+            assert len(masks) == 1 and str(failing) == f"bad run list {text!r}"
 
-    def test_30_digit_run_is_exact(self):
-        _, (runs,) = annotation_outcome([f"0,{HUGE}"], 10**15, 10**14)
-        full = RleMask(10**15, 10**14, runs)
-        half = RleMask(10**15, 10**14, (HUGE // 2, HUGE // 2))
-        assert mask_intersection_area(full, half) == HUGE // 2
-        assert mask_iou(full, half) == 0.5
+    def test_30_digit_run_is_refused(self):
+        """10**15 x 10**14 pixels are past the cap; within it, a 30-digit token fails its list."""
+        assert annotation_outcome([f"0,{HUGE}"], 10**15, 10**14) == ("MaskDimensionError",
+                                                                      CAP_ERROR.format(10**15, 10**14))
+        assert annotation_outcome([f"0,{HUGE}"], 1, 8) == ("CorruptMaskError", f"bad run list '0,{HUGE}'")
 
     def test_first_bad_mask_is_reported(self):
         # the second mask's sum is reported before the third's zero run, as list by list
@@ -344,30 +356,84 @@ class TestBatchCheck:
         assert len(calls) == 1
 
 
+def cap_mask(rng, cuts=4):
+    """A mask of MAX_MASK_PIXELS pixels with `cuts` random run boundaries."""
+    n = MAX_MASK_PIXELS
+    return RleMask(2**16, 2**15, tuple(np.diff([0, *sorted({int(v) * (n // 2**20) for v in
+                                                             rng.integers(1, 2**20, size=cuts)}), n]).tolist()))
+
+
 def test_frame_overlaps_past_int64():
-    """2**31 x 2**31 masks on frames 0-3: the frame offsets pass int64."""
-    side = 2**31
-    n = side * side
+    """Masks at the cap on frames 0, 1 and 10**30: frame * H*W passes int64,
+    the frames' ranks do not."""
     rng = np.random.default_rng(31)
-
-    def mask():
-        cuts = sorted({int(v) * (n // 2**20) for v in rng.integers(1, 2**20, size=4)})
-        return RleMask(side, side, tuple(np.diff([0, *cuts, n]).tolist()))
-
-    gt_masks, pred_masks = [mask() for _ in range(4)], [mask() for _ in range(3)]
-    gt = ResponseSet("v", (Masklet(0, 3, tuple(gt_masks)),))
-    pred = ResponseSet("v", (Masklet(1, 1, pred_masks[:1]), Masklet(3, 3, pred_masks[1:2])))
+    gt_masks, pred_masks = [cap_mask(rng) for _ in range(3)], [cap_mask(rng) for _ in range(2)]
+    gt = ResponseSet("v", (Masklet(0, 1, tuple(gt_masks[:2])), Masklet(10**30, 10**30, gt_masks[2:])))
+    pred = ResponseSet("v", (Masklet(1, 1, pred_masks[:1]), Masklet(10**30, 10**30, pred_masks[1:])))
     table = frame_overlaps(gt, pred)
-    assert table.gt_area == {t: m.area() for t, m in enumerate(gt_masks)}
-    assert table.pred_area == {1: pred_masks[0].area(), 3: pred_masks[1].area()}
+    assert table.gt_area == {0: gt_masks[0].area(), 1: gt_masks[1].area(), 10**30: gt_masks[2].area()}
+    assert table.pred_area == {1: pred_masks[0].area(), 10**30: pred_masks[1].area()}
     assert table.inter == {1: interval_overlap(gt_masks[1], pred_masks[0]),
-                           3: interval_overlap(gt_masks[3], pred_masks[1])}
+                           10**30: interval_overlap(gt_masks[2], pred_masks[1])}
     assert all(type(v) is int for v in table.inter.values()) and min(table.inter.values()) > 0
 
 
+class TestMaskPixelCap:
+    """A mask of MAX_MASK_PIXELS pixels is accepted and one of a pixel more is
+    refused, with one MaskDimensionError text, by RleMask, annotation_from_dict
+    and `vqs eval`."""
+
+    SIDES = [(1, 2**31), (2**16, 2**15), (1, 2**31 + 1), (3, 715_827_883)]  # 3 * 715_827_883 = 2**31 + 1
+
+    @staticmethod
+    def annotation(height, width, masks):
+        return {"video_id": "v", "height": height, "width": width, "num_frames": 1,
+                "occurrences": [{"start": 0, "end": 0, "masks": masks}] if masks else []}
+
+    @pytest.mark.parametrize("height,width", SIDES)
+    def test_rle_mask(self, height, width):
+        n = height * width
+        if n <= MAX_MASK_PIXELS:
+            assert RleMask(height, width, (1, n - 1)).area() == n - 1
+        else:
+            with pytest.raises(MaskDimensionError) as exc:
+                RleMask(height, width, (1, n - 1))
+            assert str(exc.value) == CAP_ERROR.format(height, width)
+
+    @pytest.mark.parametrize("masks", [[], ["1,{}"]], ids=["no-masks", "one-mask"])
+    @pytest.mark.parametrize("height,width", SIDES)
+    def test_annotation_from_dict(self, height, width, masks):
+        n = height * width
+        obj = self.annotation(height, width, [text.format(n - 1) for text in masks])
+        if n <= MAX_MASK_PIXELS:
+            response, _, _ = annotation_from_dict(obj)
+            assert [m.area() for occ in response.occurrences for m in occ.masks] == [n - 1] * len(masks)
+        else:
+            assert TestBatchCheck.outcome(annotation_from_dict, obj) == ("MaskDimensionError",
+                                                                         CAP_ERROR.format(height, width))
+            # refused before the occurrences are looked at
+            obj["occurrences"] = 5
+            assert TestBatchCheck.outcome(annotation_from_dict, obj)[0] == "MaskDimensionError"
+
+    @pytest.mark.parametrize("height,width", SIDES)
+    def test_eval(self, tmp_path, capsys, height, width):
+        n = height * width
+        (tmp_path / "gt.json").write_text(json.dumps([self.annotation(height, width, [f"1,{n - 1}"])]))
+        (tmp_path / "pred.json").write_text(json.dumps([self.annotation(height, width, [f"0,{n}"])]))
+        code = dispatch(["eval", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")])
+        out, err = capsys.readouterr()
+        if n <= MAX_MASK_PIXELS:
+            assert code == 0 and err == ""
+            assert json.loads(out)["overall"]["stAP"] == round(100 * (n - 1) / n, 2)
+        else:
+            lines = err.strip().splitlines()
+            assert code == 1 and out == "" and len(lines) == 1
+            assert json.loads(lines[0]) == {"error": CAP_ERROR.format(height, width)}
+
+
 def test_eval_of_huge_masks_decodes_no_bitmap(tmp_path, capsys):
-    """A 100000x100000 video through `vqs eval` stays far below H*W bytes."""
-    side = 100_000
+    """A 46340x46340 video, the largest square within the cap, through `vqs eval` stays far below H*W bytes."""
+    side = 46_340
     n = side * side
 
     def annotation(masks, start):

@@ -905,6 +905,23 @@ class TestQueryComparison:
         assert validate_manifest(out) == [
             f"scene_0000: query frame identical to video frame {first_equal(f0, f0[3])} of {s0['frames']}"]
 
+    @pytest.mark.parametrize("kind", ["not-a-ppm", "other-shape", "two-images"])
+    def test_query_that_infer_refuses_reported(self, tmp_path, kind):
+        """A query that is no one PPM image of the entry's size is reported,
+        also when its sha256 and the digest are restamped."""
+        out, manifest, (s0, _), (f0, _) = self.two_scenes(tmp_path)
+        if kind == "not-a-ppm":
+            (out / s0["query"]).write_bytes(b"not a ppm at all")
+        else:
+            write_ppm(out / s0["query"], *([np.zeros((32, 48, 3), dtype=np.uint8)] if kind == "other-shape"
+                                           else [np.zeros_like(f0[0])] * 2))
+        restamp(out, manifest)
+        path = out / s0["query"]
+        assert validate_manifest(out) == [{
+            "not-a-ppm": f"scene_0000: frame 0 of {path}: not a binary PPM",
+            "other-shape": f"scene_0000: frame 0 of {s0['query']} has shape (32, 48)",
+            "two-images": f"scene_0000: {path}: holds 2 PPM images, expected 1"}[kind]]
+
     def test_another_scenes_frame_not_reported(self, tmp_path):
         out, manifest, (s0, _), (_, f1) = self.two_scenes(tmp_path)
         write_ppm(out / s0["query"], f1[2])
